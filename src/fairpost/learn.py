@@ -9,7 +9,11 @@ parameters are (mean, variance).
 
 The boosted-tree classifier minimizes logistic loss with Newton leaf values,
 exact split search on sorted columns, and depth/leaf/min-samples limits.  It
-is deterministic for a given configuration.
+is deterministic for a given configuration.  Prediction ranks each input
+column once against the model's sorted split thresholds, then finds every
+row's exit leaf in all trees at once as the lowest leaf bit that survives the
+masks of the nodes whose test fails (QuickScorer; Lucchese et al., SIGIR
+2015), and adds the leaf values tree by tree.
 """
 
 from __future__ import annotations
@@ -21,16 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is an optional speedup
-    njit = None
-
 from .calibrate import sigmoid
 
 LOG_LOSS_CLAMP = 1e-6
 PRED_CLAMP = 1e-9
 MODEL_IDS = ("M1", "M2", "M3", "M4")
+MAX_LEAVES = 64  # one bit per leaf in a uint64 mask
+BLOCK_ROWS = 512  # rows per prediction pass; bounds the (trees, rows) temporaries
 
 
 @dataclass(frozen=True)
@@ -189,6 +190,8 @@ class GbmConfig:
     def __post_init__(self):
         if self.n_estimators < 1 or self.max_leaves < 2 or self.max_depth < 1:
             raise ValueError("invalid GBM configuration")
+        if self.max_leaves > MAX_LEAVES:
+            raise ValueError(f"max_leaves must be <= {MAX_LEAVES}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.min_samples_leaf < 1:
@@ -197,22 +200,20 @@ class GbmConfig:
 
 @dataclass
 class _Tree:
-    feature: np.ndarray
-    threshold: np.ndarray
+    feature: np.ndarray  # -1 marks a leaf
+    threshold: np.ndarray  # a row goes left when x[feature] <= threshold
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        node = np.zeros(x.shape[0], dtype=int)
-        active = self.feature[node] >= 0
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            nd = node[idx]
-            go_left = x[idx, self.feature[nd]] <= self.threshold[nd]
-            node[idx] = np.where(go_left, self.left[nd], self.right[nd])
-            active = self.feature[node] >= 0
-        return self.value[node]
+    def __post_init__(self):
+        if not (self.feature.shape == self.threshold.shape == self.left.shape
+                == self.right.shape == self.value.shape):
+            raise ValueError("tree node arrays differ in length")
+        if np.sum(self.feature < 0) > MAX_LEAVES:
+            raise ValueError(f"a tree has more than {MAX_LEAVES} leaves")
+        if np.any(np.isnan(self.threshold[self.feature >= 0])):
+            raise ValueError("a tree has a NaN split threshold")
 
     def to_dict(self) -> dict:
         return {"feature": self.feature.tolist(),
@@ -228,55 +229,88 @@ class _Tree:
                      right=np.asarray(d["right"], dtype=int),
                      value=np.asarray(d["value"], dtype=float))
 
+    def leaves_in_order(self):
+        """Leaves left to right, and each internal node with the range of
+        leaf positions its left subtree covers, as (node, first, stop)."""
+        leaves, splits = [], []
 
-def _pack_trees(trees):
-    """Concatenate tree node arrays for the batched prediction kernel."""
-    offsets = np.cumsum([0] + [t.feature.size for t in trees])
-    feature = np.concatenate([t.feature for t in trees])
-    threshold = np.concatenate([t.threshold for t in trees])
-    value = np.concatenate([t.value for t in trees])
-    left = np.concatenate([t.left + off for t, off in zip(trees, offsets)])
-    right = np.concatenate([t.right + off for t, off in zip(trees, offsets)])
-    roots = offsets[:-1].astype(np.int64)
-    return (feature.astype(np.int64), threshold, left.astype(np.int64),
-            right.astype(np.int64), value, roots)
+        def walk(node):
+            if self.feature[node] < 0:
+                leaves.append(node)
+                return
+            first = len(leaves)
+            walk(self.left[node])
+            splits.append((node, first, len(leaves)))
+            walk(self.right[node])
 
-
-def _ensemble_scores_numpy(x, feature, threshold, left, right, value, roots,
-                           learning_rate, init):
-    out = np.full(x.shape[0], init)
-    for root in roots:
-        node = np.full(x.shape[0], root)
-        active = feature[node] >= 0
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            nd = node[idx]
-            go_left = x[idx, feature[nd]] <= threshold[nd]
-            node[idx] = np.where(go_left, left[nd], right[nd])
-            active = feature[node] >= 0
-        out += learning_rate * value[node]
-    return out
+        walk(0)
+        return leaves, splits
 
 
-if njit is not None:
-    @njit(cache=True)
-    def _ensemble_scores_numba(x, feature, threshold, left, right, value, roots,
-                               learning_rate, init):  # pragma: no cover - compiled
-        n = x.shape[0]
-        out = np.full(n, init)
-        for t in range(roots.size):
-            root = roots[t]
-            for i in range(n):
-                node = root
-                while feature[node] >= 0:
-                    if x[i, feature[node]] <= threshold[node]:
-                        node = left[node]
-                    else:
-                        node = right[node]
-                out[i] += learning_rate * value[node]
-        return out
-else:  # pragma: no cover
-    _ensemble_scores_numba = None
+@dataclass(frozen=True)
+class _PackedTrees:
+    """An ensemble in the layout of the bitvector prediction kernel.
+
+    Node ``k`` of tree ``t`` sits at ``[k, t]``; trees with fewer internal
+    nodes are padded with nodes that clear nothing.  Leaf ``j`` of a tree owns
+    bit ``j`` of its mask, leaves numbered left to right.
+    """
+
+    thresholds: tuple       # per feature, the sorted unique split thresholds
+    feature: np.ndarray     # (nodes, trees) feature of the node
+    rank: np.ndarray        # (nodes, trees) index of its threshold in thresholds
+    clear: np.ndarray       # (nodes, trees) bits of the leaves of its left subtree
+    leaf: np.ndarray        # (trees, leaves) learning_rate * leaf value
+
+    @staticmethod
+    def pack(trees, learning_rate: float) -> "_PackedTrees":
+        n_features = max((int(t.feature.max()) + 1 for t in trees), default=0)
+        thresholds = tuple(
+            np.unique(np.concatenate([t.threshold[t.feature == f] for t in trees]))
+            for f in range(n_features))
+        # codes run from 0 to the threshold count; size them to it so they never wrap
+        code_dtype = np.min_scalar_type(max((th.size for th in thresholds), default=0))
+        layouts = [t.leaves_in_order() for t in trees]
+        n_leaves = max((len(leaves) for leaves, _ in layouts), default=1)
+        n_nodes = max((len(splits) for _, splits in layouts), default=0)
+        mask_dtype = np.min_scalar_type((1 << n_leaves) - 1)
+        feature = np.zeros((n_nodes, len(trees)), dtype=np.intp)
+        rank = np.zeros((n_nodes, len(trees)), dtype=code_dtype)
+        clear = np.zeros((n_nodes, len(trees)), dtype=mask_dtype)
+        leaf = np.zeros((len(trees), n_leaves))
+        for t, (tree, (leaves, splits)) in enumerate(zip(trees, layouts)):
+            leaf[t, :len(leaves)] = learning_rate * tree.value[leaves]
+            for k, (node, first, stop) in enumerate(splits):
+                f = int(tree.feature[node])
+                feature[k, t] = f
+                rank[k, t] = np.searchsorted(thresholds[f], tree.threshold[node])
+                clear[k, t] = (1 << stop) - (1 << first)
+        return _PackedTrees(thresholds, feature, rank, clear, leaf)
+
+    def terms(self, x: np.ndarray):
+        """Per block of at most BLOCK_ROWS rows of ``x``: the block's row
+        slice and the (trees, rows) learning_rate times the value of each
+        row's exit leaf.
+
+        Each feature column is ranked once: ``x <= threshold`` holds exactly
+        when the count of the feature's thresholds below x is at most the
+        threshold's rank, so ties go left, and NaN sorts last and goes right.
+        A row cannot exit in the left subtree of a node whose test it fails,
+        and every other leaf left of its exit leaf lies in such a subtree: the
+        lowest leaf bit that no failed node clears is the exit leaf.
+        """
+        codes = np.empty((len(self.thresholds), x.shape[0]), dtype=self.rank.dtype)
+        for f, th in enumerate(self.thresholds):
+            codes[f] = np.searchsorted(th, x[:, f])
+        trees = np.arange(self.leaf.shape[0])[:, None]
+        for start in range(0, x.shape[0], BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            block = codes[:, rows]
+            cleared = np.zeros((self.leaf.shape[0], block.shape[1]), dtype=self.clear.dtype)
+            for feature, rank, clear in zip(self.feature, self.rank, self.clear):
+                cleared |= (block[feature] > rank[:, None]) * clear[:, None]
+            exit_leaf = np.bitwise_count(cleared & ~(cleared + 1))  # trailing ones
+            yield rows, self.leaf[trees, exit_leaf]
 
 
 def _best_split(x, grad, hess, rows, min_leaf):
@@ -310,9 +344,13 @@ def _best_split(x, grad, hess, rows, min_leaf):
     return best
 
 
-def _grow_tree(x, grad, hess, config: GbmConfig) -> _Tree:
-    """Best-first growth honoring depth, leaf-count and leaf-size limits."""
+def _grow_tree(x, grad, hess, config: GbmConfig):
+    """Best-first growth honoring depth, leaf-count and leaf-size limits.
+
+    Returns the tree and, per leaf, the training rows it holds and its value.
+    """
     feature, threshold, left, right, value = [], [], [], [], []
+    node_rows = {}
 
     def new_node(rows):
         feature.append(-1)
@@ -320,6 +358,7 @@ def _grow_tree(x, grad, hess, config: GbmConfig) -> _Tree:
         left.append(-1)
         right.append(-1)
         value.append(-grad[rows].sum() / max(hess[rows].sum(), 1e-12))
+        node_rows[len(feature) - 1] = rows
         return len(feature) - 1
 
     root_rows = np.arange(x.shape[0])
@@ -346,11 +385,13 @@ def _grow_tree(x, grad, hess, config: GbmConfig) -> _Tree:
                 if c_feat >= 0:
                     frontier.append((c_gain, child, child_rows, c_feat, c_thr,
                                      depth + 1))
-    return _Tree(feature=np.asarray(feature, dtype=int),
+    tree = _Tree(feature=np.asarray(feature, dtype=int),
                  threshold=np.asarray(threshold, dtype=float),
                  left=np.asarray(left, dtype=int),
                  right=np.asarray(right, dtype=int),
                  value=np.asarray(value, dtype=float))
+    return tree, [(node_rows[nd], tree.value[nd]) for nd in node_rows
+                  if tree.feature[nd] < 0]
 
 
 @dataclass(frozen=True)
@@ -366,20 +407,23 @@ class TrainedModel:
     intercept: float = 0.0
 
     @property
-    def _packed(self):
+    def _packed(self) -> _PackedTrees:
         packed = self.__dict__.get("_packed_cache")
         if packed is None:
-            packed = _pack_trees(self.trees)
+            packed = _PackedTrees.pack(self.trees, self.learning_rate)
             object.__setattr__(self, "_packed_cache", packed)
         return packed
 
     def raw_score(self, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=float)
-        if self.kind == "gbm":
-            kernel = (_ensemble_scores_numba if _ensemble_scores_numba is not None
-                      else _ensemble_scores_numpy)
-            return kernel(x, *self._packed, self.learning_rate, self.init_score)
-        return self.intercept + x @ self.coef
+        if self.kind != "gbm":
+            return self.intercept + x @ self.coef
+        out = np.full(x.shape[0], self.init_score)
+        for rows, terms in self._packed.terms(x):
+            block = out[rows]
+            for term in terms:  # in tree order, so sums match training's
+                block += term
+        return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.clip(sigmoid(self.raw_score(x)), PRED_CLAMP, 1.0 - PRED_CLAMP)
@@ -391,9 +435,12 @@ class TrainedModel:
         if self.kind != "gbm":
             raise ValueError("staged scores are defined for gbm models only")
         x = np.asarray(x, dtype=float)
+        terms = np.empty((len(self.trees), x.shape[0]))
+        for rows, block in self._packed.terms(x):
+            terms[:, rows] = block
         z = np.full(x.shape[0], self.init_score)
-        for tree in self.trees:
-            z = z + self.learning_rate * tree.predict(x)
+        for term in terms:
+            z = z + term
             yield np.clip(sigmoid(z), PRED_CLAMP, 1.0 - PRED_CLAMP)
 
     def to_json(self) -> str:
@@ -446,9 +493,10 @@ def train_gbm(x, y, config: GbmConfig | None = None,
         p = sigmoid(z)
         grad = p - y
         hess = np.maximum(p * (1.0 - p), 1e-12)
-        tree = _grow_tree(x, grad, hess, config)
+        tree, leaves = _grow_tree(x, grad, hess, config)
         trees.append(tree)
-        z = z + config.learning_rate * tree.predict(x)
+        for rows, value in leaves:
+            z[rows] += config.learning_rate * value
     return TrainedModel(kind="gbm", favorable_sign=favorable_sign, init_score=init,
                         learning_rate=config.learning_rate, trees=tuple(trees))
 

@@ -1,6 +1,7 @@
 """Shared test oracles, all independent of the library's production paths."""
 
 import itertools
+import json
 from typing import NamedTuple
 
 import numpy as np
@@ -156,6 +157,42 @@ def brute_force_half_bias(model, train, holdout, test, indices, a_bounds, steps,
     return best
 
 
+def tree_scores_direct(model, x):
+    """Raw scores of a boosted-tree ``model`` after each tree, one row and one
+    node at a time: column 0 holds the initial score, column t the score
+    after t trees.  A row goes left where ``x[feature] <= threshold``."""
+    trees = [(t.feature.tolist(), t.threshold.tolist(), t.left.tolist(),
+              t.right.tolist(), t.value.tolist()) for t in model.trees]
+    out = np.empty((np.asarray(x).shape[0], len(trees) + 1))
+    for r, row in enumerate(np.asarray(x, dtype=float).tolist()):
+        z = model.init_score
+        out[r, 0] = z
+        for t, (feature, threshold, left, right, value) in enumerate(trees, start=1):
+            node = 0
+            while feature[node] >= 0:
+                if row[feature[node]] <= threshold[node]:
+                    node = left[node]
+                else:
+                    node = right[node]
+            z += model.learning_rate * value[node]
+            out[r, t] = z
+    return out
+
+
+def chain_gbm_json(n_leaves):
+    """Model JSON of one boosted tree on x1 with ``n_leaves`` leaves: internal
+    node i splits at i, sends its left rows to a leaf and its right rows on."""
+    n_split = n_leaves - 1
+    right = [i + 1 for i in range(n_split - 1)] + [2 * n_split]
+    tree = {"feature": [0] * n_split + [-1] * n_leaves,
+            "threshold": [float(i) for i in range(n_split)] + [0.0] * n_leaves,
+            "left": [n_split + i for i in range(n_split)] + [-1] * n_leaves,
+            "right": right + [-1] * n_leaves,
+            "value": [0.0] * n_split + [0.01 * i for i in range(n_leaves)]}
+    return json.dumps({"kind": "gbm", "favorable_sign": 1, "init_score": 0.0,
+                       "learning_rate": 0.1, "trees": [tree]})
+
+
 def additive_shapley(model_parts, x, background):
     """Exact marginal Shapley for an additive model f = sum f_i(x_i)."""
     x = np.asarray(x, dtype=float)
@@ -245,4 +282,5 @@ __all__ = [
     "brute_force_half_bias", "GridOptimum",
     "additive_shapley", "conditional_game_values", "conditional_shapley",
     "exact_game_shapley", "pdp_direct", "marginal_game_values",
+    "tree_scores_direct", "chain_gbm_json",
 ]

@@ -7,6 +7,8 @@ import pytest
 from fairpost.cli import main
 from fairpost.learn import Dataset, SyntheticSpec, generate
 
+from helpers import chain_gbm_json
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -202,6 +204,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "c.json")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_leaf_bound_is_exit_two(self, workdir, tmp_path, capsys):
+        _, data, _ = workdir
+        code = main(["train", "--data", data, "--kind", "gbm", "--max-leaves", "65",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "max_leaves must be <= 64" in err and "Traceback" not in err
+        path = tmp_path / "wide.json"
+        path.write_text(chain_gbm_json(65))
+        code = main(["explain", "--data", data, "--model", str(path), "--method",
+                     "pdp", "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "more than 64 leaves" in err and "Traceback" not in err
 
 
 class TestCompareBaseline:

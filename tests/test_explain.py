@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairpost import explain
 from fairpost.explain import (
     default_background,
     ice_explainer,
@@ -8,6 +9,8 @@ from fairpost.explain import (
     pdp_explainer,
     pdp_output,
 )
+
+from fairpost.learn import GbmConfig, SyntheticSpec, TrainedModel, generate, train_gbm
 
 from helpers import additive_shapley, pdp_direct
 
@@ -58,6 +61,20 @@ class TestPdpExplainer:
         x = np.zeros((4, 2))
         with pytest.raises(ValueError):
             pdp_explainer(product_model, x, 5, x)
+
+
+    def test_gbm_identical_at_any_thread_count(self, monkeypatch):
+        data = generate(SyntheticSpec("M1", 600, seed=27))
+        saved = train_gbm(data.x, data.y, GbmConfig(n_estimators=25)).to_json()
+        x, bg = data.x[:90], data.x[100:130]
+        monkeypatch.setattr(explain, "_EVAL_CHUNK", 10 * bg.shape[0])  # 9 chunks
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FAIRPOST_THREADS", threads)
+            # a fresh model, so worker threads build its packed trees
+            model = TrainedModel.from_json(saved)
+            outputs.append(pdp_output(model, x, bg).per_row_per_predictor)
+        assert outputs[0].tobytes() == outputs[1].tobytes()
 
 
 class TestMarginalShapley:

@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fairpost import learn
 from fairpost.calibrate import auc, sigmoid
 from fairpost.learn import (
+    MAX_LEAVES,
+    PRED_CLAMP,
     Dataset,
     GbmConfig,
     SyntheticSpec,
     TrainedModel,
     _sample_skew_normal,
+    _Tree,
     generate,
     log_loss,
     split_dataset,
     train_gbm,
     train_logistic,
 )
+
+from helpers import chain_gbm_json, tree_scores_direct
 
 
 class TestGenerators:
@@ -174,6 +182,112 @@ class TestGbm:
         model = train_gbm(data.x, data.y, GbmConfig(n_estimators=10))
         restored = TrainedModel.from_json(model.to_json())
         np.testing.assert_allclose(restored(data.x), model(data.x), atol=1e-15)
+
+
+def _random_tree(rng, n_leaves, max_depth, n_features, next_threshold):
+    """A tree grown by splitting random leaves shallower than ``max_depth``
+    until it has ``n_leaves`` leaves or none can split."""
+    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+    depth, leaves = [0], [0]
+    while len(leaves) < n_leaves:
+        open_leaves = [nd for nd in leaves if depth[nd] < max_depth]
+        if not open_leaves:
+            break
+        node = open_leaves[rng.integers(len(open_leaves))]
+        leaves.remove(node)
+        feature[node] = int(rng.integers(n_features))
+        threshold[node] = next_threshold()
+        for side in (left, right):
+            side[node] = len(feature)
+            leaves.append(len(feature))
+            depth.append(depth[node] + 1)
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+    return _Tree(feature=np.array(feature), threshold=np.array(threshold),
+                 left=np.array(left), right=np.array(right),
+                 value=rng.normal(0.0, 1.0, len(feature)))
+
+
+def _assert_matches_direct(model, x):
+    direct = tree_scores_direct(model, x)
+    assert model.raw_score(x).tobytes() == direct[:, -1].tobytes()
+    restored = TrainedModel.from_json(model.to_json())
+    assert restored.raw_score(x).tobytes() == direct[:, -1].tobytes()
+    stages = list(model.staged_scores(x))
+    assert len(stages) == len(model.trees)
+    for t, stage in enumerate(stages, start=1):
+        expected = np.clip(sigmoid(direct[:, t]), PRED_CLAMP, 1.0 - PRED_CLAMP)
+        assert stage.tobytes() == expected.tobytes()
+
+
+class TestTreeKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_leaves=st.integers(2, MAX_LEAVES),
+           max_depth=st.integers(1, 8), n_trees=st.integers(1, 4),
+           n_features=st.integers(1, 4),
+           n_rows=st.sampled_from([0, 1, 2, 37, 511, 512, 513, 1025]))
+    def test_matches_direct_walk(self, seed, max_leaves, max_depth, n_trees,
+                                 n_features, n_rows):
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([np.round(rng.normal(0.0, 2.0, 10), 1),
+                               [-np.inf, np.inf, -0.0]])
+        trees = tuple(_random_tree(rng, int(rng.integers(1, max_leaves + 1)),
+                                   max_depth, n_features,
+                                   lambda: float(rng.choice(pool)))
+                      for _ in range(n_trees))
+        model = TrainedModel(kind="gbm", init_score=float(rng.normal()),
+                             learning_rate=float(rng.uniform(0.01, 1.0)),
+                             trees=trees)
+        # inputs hit thresholds exactly, fall between them, or are NaN/+-inf
+        x = rng.normal(0.0, 2.0, (n_rows, n_features))
+        tie = rng.random(x.shape) < 0.4
+        x[tie] = rng.choice(pool, int(tie.sum()))
+        special = rng.random(x.shape) < 0.1
+        x[special] = rng.choice([np.nan, np.inf, -np.inf], int(special.sum()))
+        _assert_matches_direct(model, x)
+
+    def test_more_thresholds_than_uint16_codes(self):
+        rng = np.random.default_rng(24)
+        thresholds = iter(rng.permutation(70_000).astype(float))
+        trees = tuple(_random_tree(rng, MAX_LEAVES, 8, 1, lambda: next(thresholds))
+                      for _ in range(1_100))
+        model = TrainedModel(kind="gbm", init_score=0.25, learning_rate=0.1,
+                             trees=trees)
+        assert model._packed.thresholds[0].size > np.iinfo(np.uint16).max
+        x = np.concatenate([rng.uniform(-1.0, 70_000.0, (60, 1)),
+                            [[65_535.0], [65_536.0], [69_999.0], [np.nan]]])
+        _assert_matches_direct(model, x)
+
+    def test_training_scores_equal_prediction(self, monkeypatch):
+        """The scores that train_gbm updates leaf by leaf while growing equal
+        the kernel's prediction of the trees grown so far, exactly."""
+        data = generate(SyntheticSpec("M4", 1500, seed=25))
+        seen = []
+
+        def spy(z):
+            seen.append(np.array(z))
+            return sigmoid(z)
+
+        monkeypatch.setattr(learn, "sigmoid", spy)
+        model = train_gbm(data.x, data.y, GbmConfig(n_estimators=12, max_leaves=12,
+                                                    max_depth=4, min_samples_leaf=20))
+        monkeypatch.undo()
+        assert len(seen) == len(model.trees)
+        for k, z in enumerate(seen):
+            prefix = TrainedModel(kind="gbm", init_score=model.init_score,
+                                  learning_rate=model.learning_rate,
+                                  trees=model.trees[:k])
+            assert z.tobytes() == prefix.raw_score(data.x).tobytes()
+
+    def test_leaf_bound(self):
+        with pytest.raises(ValueError, match="max_leaves"):
+            GbmConfig(max_leaves=MAX_LEAVES + 1)
+        model = TrainedModel.from_json(chain_gbm_json(MAX_LEAVES))
+        _assert_matches_direct(model, np.arange(-1.0, MAX_LEAVES + 1.0, 0.5)[:, None])
+        with pytest.raises(ValueError, match="leaves"):
+            TrainedModel.from_json(chain_gbm_json(MAX_LEAVES + 1))
 
 
 class TestLogistic:

@@ -19,21 +19,24 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .bias import PartitionSpec, _validate_inputs
-from .empirical import build_distribution, wasserstein1_signed
+from .bias import PartitionSpec, model_bias
+# unused here; bench/workloads.py::trace_targets() looks both names up on this module
+from .empirical import build_distribution, wasserstein1_signed  # noqa: F401
 from .explain import (
+    EXACT_SHAPLEY_MAX_PREDICTORS,
     ExplainerOutput,
     default_background,
+    exact_shapley,
     ice_explainer,
     marginal_game_values,
     marginal_shapley,
+    sampled_shapley,
 )
 
 EXACT_GAME_MAX_PREDICTORS = 10
@@ -113,23 +116,6 @@ class ImpactList:
     eps_minus: float
 
 
-def _signed_parts(values, g, partition, favorable_sign, columns):
-    """Partition-weighted signed transport of one explainer column."""
-    masks = partition.masks(columns, values.size)
-    pos = neg = 0.0
-    for name, w, mask in zip(partition.names, partition.weights, masks):
-        v0 = values[mask & (g == 0)]
-        v1 = values[mask & (g == 1)]
-        for k, vk in ((0, v0), (1, v1)):
-            if vk.size == 0:
-                raise ValueError(f"cell '{name}': missing class G={k}")
-        st = wasserstein1_signed(build_distribution(v0), build_distribution(v1),
-                                 favorable_sign)
-        pos += w * st.positive_part
-        neg += w * st.negative_part
-    return pos, neg
-
-
 def basic_bias_explanations(explainer_output: ExplainerOutput | np.ndarray, g,
                             partition: PartitionSpec | None = None,
                             favorable_sign: int = 1,
@@ -142,32 +128,18 @@ def basic_bias_explanations(explainer_output: ExplainerOutput | np.ndarray, g,
               else np.asarray(explainer_output, dtype=float))
     if not np.all(np.isfinite(matrix)):
         raise ValueError("explainer output contains non-finite entries")
-    g = np.asarray(g).ravel().astype(int)
-    if g.size != matrix.shape[0]:
+    if np.size(g) != matrix.shape[0]:
         raise ValueError("g length does not match explainer rows")
-    partition = partition if partition is not None else PartitionSpec.all_rows()
     p = matrix.shape[1]
     names = names if names is not None else tuple(f"x{i + 1}" for i in range(p))
 
     pos = np.zeros(p)
     neg = np.zeros(p)
     for i in range(p):
-        pos[i], neg[i] = _signed_parts(matrix[:, i], g, partition, favorable_sign, columns)
+        report = model_bias(matrix[:, i], g, partition, favorable_sign, columns)
+        pos[i], neg[i] = report.positive, report.negative
     return AttributionTable(predictors=names, kind="pdp", beta=pos + neg,
                             beta_pos=pos, beta_neg=neg)
-
-
-def _shapley_from_game(values: dict[int, float], p: int) -> np.ndarray:
-    fact = [math.factorial(k) for k in range(p + 1)]
-    w = [fact[s] * fact[p - s - 1] / fact[p] for s in range(p)]
-    phi = np.zeros(p)
-    for i in range(p):
-        for mask in range(1 << p):
-            if mask >> i & 1:
-                continue
-            s = bin(mask).count("1")
-            phi[i] += w[s] * (values[mask | (1 << i)] - values[mask])
-    return phi
 
 
 def _atoms_table(phi_pos, phi_neg, names) -> AttributionTable:
@@ -200,82 +172,44 @@ def shapley_bias_game(model, x: np.ndarray, g, group_explainer: str = "shapley_s
     reduce to column sums of a single per-row attribution matrix.
     """
     x = np.asarray(x, dtype=float)
-    n, p = x.shape
-    g = np.asarray(g).ravel().astype(int)
-    partition = partition if partition is not None else PartitionSpec.all_rows()
+    p = x.shape[1]
     names = names if names is not None else tuple(f"x{i + 1}" for i in range(p))
     if background is None:
         background = default_background(x, seed=seed)
     if group_explainer not in ("shapley_sum", "game"):
         raise ValueError(f"unknown group explainer '{group_explainer}'")
-
     if mode == "exact":
         if p > EXACT_GAME_MAX_PREDICTORS:
             raise ValueError(
                 f"exact mode enumerates 2^p coalitions; p={p} exceeds the "
                 f"bound of {EXACT_GAME_MAX_PREDICTORS}")
-        if group_explainer == "shapley_sum":
-            phi_rows = marginal_shapley(model, x, background, mode="exact")
-            matrix = phi_rows.per_row_per_predictor
-
-            def group_values(subset):
-                return matrix[:, subset].sum(axis=1) if subset else np.zeros(n)
-        else:
-            def group_values(subset):
-                return marginal_game_values(model, x, background, subset)
-
-        v_pos = {0: 0.0}
-        v_neg = {0: 0.0}
-        for mask in range(1, 1 << p):
-            subset = [j for j in range(p) if mask >> j & 1]
-            pos, neg = _signed_parts(group_values(subset), g, partition,
-                                     favorable_sign, columns)
-            v_pos[mask], v_neg[mask] = pos, neg
-        phi_pos = _shapley_from_game(v_pos, p)
-        phi_neg = _shapley_from_game(v_neg, p)
-        return _atoms_table(phi_pos, phi_neg, names)
-
-    if mode != "sampled":
+    elif mode != "sampled":
         raise ValueError(f"unknown mode '{mode}'")
-    if n_permutations is None or n_permutations < 1:
+    elif n_permutations is None or n_permutations < 1:
         raise ValueError("sampled mode requires n_permutations >= 1")
 
-    # sum-of-Shapley group explainer: coalition values are column sums of phi
-    phi_rows = marginal_shapley(
-        model, x, background,
-        mode="exact" if p <= 12 else "sampled",
-        n_permutations=n_permutations, seed=seed).per_row_per_predictor
+    if mode == "exact" and group_explainer == "game":
+        def group_values(subset):
+            return marginal_game_values(model, x, background, subset)
+    else:
+        # sum-of-Shapley group explainer: coalition values are column sums of phi
+        matrix = marginal_shapley(
+            model, x, background,
+            mode="exact" if p <= EXACT_SHAPLEY_MAX_PREDICTORS else "sampled",
+            n_permutations=n_permutations, seed=seed).per_row_per_predictor
 
-    rng = np.random.default_rng(seed)
-    perms = []
-    while len(perms) < n_permutations:
-        perm = rng.permutation(p)
-        perms.append(perm)
-        if len(perms) < n_permutations:
-            perms.append(perm[::-1])
+        def group_values(subset):
+            return matrix[:, subset].sum(axis=1)
 
-    cache: dict[int, tuple[float, float]] = {0: (0.0, 0.0)}
+    def signed_value(subset):
+        if not subset:
+            return 0.0, 0.0
+        report = model_bias(group_values(subset), g, partition, favorable_sign, columns)
+        return report.positive, report.negative
 
-    def signed_value(mask, subset):
-        if mask not in cache:
-            cache[mask] = _signed_parts(phi_rows[:, subset].sum(axis=1), g,
-                                        partition, favorable_sign, columns)
-        return cache[mask]
-
-    phi_pos = np.zeros(p)
-    phi_neg = np.zeros(p)
-    for perm in perms:
-        mask = 0
-        subset = []
-        prev = (0.0, 0.0)
-        for j in perm:
-            mask |= 1 << int(j)
-            subset.append(int(j))
-            cur = signed_value(mask, subset)
-            phi_pos[j] += cur[0] - prev[0]
-            phi_neg[j] += cur[1] - prev[1]
-            prev = cur
-    return _atoms_table(phi_pos / len(perms), phi_neg / len(perms), names)
+    phi = (exact_shapley(signed_value, p) if mode == "exact"
+           else sampled_shapley(signed_value, p, n_permutations, seed))
+    return _atoms_table(phi[0], phi[1], names)
 
 
 def expected_ibe(model, x: np.ndarray, g, predictor_index: int, n_anchors: int,
@@ -294,9 +228,6 @@ def expected_ibe(model, x: np.ndarray, g, predictor_index: int, n_anchors: int,
         raise ValueError(f"predictor index {predictor_index} out of range")
     if n_anchors < 1:
         raise ValueError("n_anchors must be >= 1")
-    g = np.asarray(g).ravel().astype(int)
-    partition = partition if partition is not None else PartitionSpec.all_rows()
-
     rng = np.random.default_rng(seed)
     anchor_idx = (np.arange(n) if n_anchors >= n
                   else rng.choice(n, size=n_anchors, replace=False))
@@ -304,10 +235,9 @@ def expected_ibe(model, x: np.ndarray, g, predictor_index: int, n_anchors: int,
     pos_sum = neg_sum = 0.0
     for a in anchor_idx:
         section = ice_explainer(model, x, predictor_index, x[a])
-        values = section.materialize(col)
-        pos, neg = _signed_parts(values, g, partition, favorable_sign, columns)
-        pos_sum += pos
-        neg_sum += neg
+        report = model_bias(section(col), g, partition, favorable_sign, columns)
+        pos_sum += report.positive
+        neg_sum += report.negative
     k = anchor_idx.size
     pos, neg = pos_sum / k, neg_sum / k
     return pos + neg, pos, neg

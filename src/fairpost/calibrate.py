@@ -27,7 +27,7 @@ from scipy.stats import rankdata
 PROB_CLAMP = 1e-6          # scores are clamped to [clamp, 1 - clamp] before logit
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 100
-_SEPARATION_BOUND = 1e4    # parameter norm beyond which the MLE is diverging
+SEPARATION_BOUND = 1e4     # parameter norm beyond which the MLE is diverging
 
 
 class CalibrationError(ValueError):
@@ -61,7 +61,6 @@ class CalibrationMap:
     knots: np.ndarray | None = None    # pava: sorted input positions
     levels: np.ndarray | None = None   # pava: fitted values per knot
     coef: tuple[float, float] | None = None  # (intercept, slope)
-    domain: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.kind not in ("pava", "logistic_refit", "link_linear"):
@@ -87,8 +86,6 @@ class CalibrationMap:
             payload["levels"] = self.levels.tolist()
         if self.coef is not None:
             payload["coef"] = list(self.coef)
-        if self.domain is not None:
-            payload["domain"] = list(self.domain)
         return json.dumps(payload, indent=2)
 
     @staticmethod
@@ -99,7 +96,6 @@ class CalibrationMap:
             knots=np.asarray(d["knots"], dtype=float) if "knots" in d else None,
             levels=np.asarray(d["levels"], dtype=float) if "levels" in d else None,
             coef=tuple(d["coef"]) if "coef" in d else None,
-            domain=tuple(d["domain"]) if "domain" in d else None,
         )
 
 
@@ -150,8 +146,7 @@ def pava_isotonic(x, y, weights=None) -> CalibrationMap:
     fitted = np.repeat(level_val, level_count)
     fitted.setflags(write=False)
     knots.setflags(write=False)
-    return CalibrationMap(kind="pava", knots=knots, levels=fitted,
-                          domain=(float(knots[0]), float(knots[-1])))
+    return CalibrationMap(kind="pava", knots=knots, levels=fitted)
 
 
 def link_linear_calibrate(post_scores, base_scores, link: str = "logit") -> CalibrationMap:
@@ -176,6 +171,32 @@ def link_linear_calibrate(post_scores, base_scores, link: str = "logit") -> Cali
         raise CalibrationError(f"fitted slope {b1:.6g} is not positive; "
                                "calibration would lose monotonicity")
     return CalibrationMap(kind="link_linear", coef=(b0, b1))
+
+
+def newton_logistic(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Maximum-likelihood logistic coefficients of ``y`` on the columns of
+    ``design`` by Newton iterations.
+
+    Stops at a gradient norm of NEWTON_TOL, after NEWTON_MAX_ITER steps, or
+    at the first iterate whose norm exceeds SEPARATION_BOUND, which the
+    caller bounds.
+    """
+    beta = np.zeros(design.shape[1])
+    for _ in range(NEWTON_MAX_ITER):
+        p = sigmoid(design @ beta)
+        grad = design.T @ (p - y)
+        if np.linalg.norm(grad) <= NEWTON_TOL:
+            break
+        wdiag = np.maximum(p * (1.0 - p), 1e-12)
+        hess = design.T @ (design * wdiag[:, None])
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.pinv(hess) @ grad
+        beta = beta - step
+        if np.linalg.norm(beta) > SEPARATION_BOUND:
+            break
+    return beta
 
 
 def logistic_refit(post_scores, y_labels) -> CalibrationMap:
@@ -204,27 +225,13 @@ def logistic_refit(post_scores, y_labels) -> CalibrationMap:
                               coef=(float(logit(np.mean(_clamp(y)))), 0.0))
 
     design = np.column_stack([np.ones_like(s), logit(s)])
-    beta = np.zeros(2)
-    for _ in range(NEWTON_MAX_ITER):
-        p = sigmoid(design @ beta)
-        grad = design.T @ (p - y)
-        if np.linalg.norm(grad) <= NEWTON_TOL:
-            break
-        wdiag = np.maximum(p * (1.0 - p), 1e-12)
-        hess = design.T @ (design * wdiag[:, None])
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.pinv(hess) @ grad
-        beta = beta - step
-        if np.linalg.norm(beta) > _SEPARATION_BOUND:
-            break
+    beta = newton_logistic(design, y)
     margins = (2.0 * y - 1.0) * (design @ beta)
-    if np.linalg.norm(beta) > _SEPARATION_BOUND or (np.all(margins > 0)
+    if np.linalg.norm(beta) > SEPARATION_BOUND or (np.all(margins > 0)
                                                     and np.max(np.abs(beta)) > 50.0):
         warnings.warn("logistic refit hit complete separation; returning "
                       "bounded coefficients", stacklevel=2)
-        beta = beta * (_SEPARATION_BOUND / max(np.linalg.norm(beta), _SEPARATION_BOUND))
+        beta = beta * (SEPARATION_BOUND / max(np.linalg.norm(beta), SEPARATION_BOUND))
         beta = beta * min(1.0, 50.0 / max(np.max(np.abs(beta)), 1e-12))
     return CalibrationMap(kind="logistic_refit", coef=(float(beta[0]), float(beta[1])))
 

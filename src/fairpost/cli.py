@@ -79,14 +79,14 @@ def cmd_train(args) -> int:
     if args.kind == "gbm":
         config = GbmConfig(n_estimators=args.n_estimators, max_depth=args.max_depth,
                            max_leaves=args.max_leaves, learning_rate=args.learning_rate,
-                           min_samples_leaf=args.min_samples_leaf, seed=args.seed)
+                           min_samples_leaf=args.min_samples_leaf)
         model = train_gbm(data.x, data.y, config, favorable_sign=args.sign)
     else:
         model = train_logistic(data.x, data.y, favorable_sign=args.sign)
     with open(args.out, "w") as fh:
         fh.write(model.to_json())
     _write_manifest(args.out, "train", {"data": args.data, "kind": args.kind,
-                                        "sign": args.sign, "seed": args.seed})
+                                        "sign": args.sign})
     return EXIT_OK
 
 
@@ -127,7 +127,6 @@ def cmd_explain(args) -> int:
     else:
         raise ValueError(f"unknown explain method '{args.method}'")
     table.to_csv(args.out)
-    select_impactful(table)  # emits the empty-list warning when relevant
     _write_manifest(args.out, "explain", {
         "data": args.data, "model": args.model, "method": args.method,
         "partition": args.partition, "sign": args.sign, "seed": args.seed,
@@ -136,8 +135,9 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _split_three(data: Dataset, seed: int):
-    return split_dataset(data, fractions=(0.5, 0.25, 0.25), seed=seed)
+def _omegas(args) -> list[float]:
+    return [args.omega_max * j / max(args.omega_steps - 1, 1)
+            for j in range(args.omega_steps)]
 
 
 def _predictor_indices(data: Dataset, text: str) -> tuple[int, ...]:
@@ -154,7 +154,7 @@ def _predictor_indices(data: Dataset, text: str) -> tuple[int, ...]:
 def cmd_mitigate(args) -> int:
     data = Dataset.from_csv(args.data)
     model = _load_model(args.model)
-    train, holdout, test = _split_three(data, args.seed)
+    train, holdout, test = split_dataset(data, seed=args.seed)
     if args.predictors:
         indices = _predictor_indices(data, args.predictors)
     else:
@@ -163,8 +163,7 @@ def cmd_mitigate(args) -> int:
                                         train.g, favorable_sign=args.sign,
                                         names=train.feature_names)
         indices = select_impactful(table, m_star=args.m_star).M
-    omegas = [args.omega_max * j / max(args.omega_steps - 1, 1)
-              for j in range(args.omega_steps)]
+    omegas = _omegas(args)
     space = transform_search_space(indices, args.transform,
                                    a_bounds=(args.a_lo, args.a_hi),
                                    sigma_bounds=(args.sigma_lo, args.sigma_hi),
@@ -237,9 +236,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_compare_baseline(args) -> int:
     data = Dataset.from_csv(args.data)
-    train, holdout, test = _split_three(data, args.seed)
-    omegas = [args.omega_max * j / max(args.omega_steps - 1, 1)
-              for j in range(args.omega_steps)]
+    train, holdout, test = split_dataset(data, seed=args.seed)
+    omegas = _omegas(args)
     frontier = run_hyperparam_baseline(train, holdout, test, omegas=omegas,
                                        n_prior=args.n_prior, n_bo=args.n_bo,
                                        seed=args.seed,
@@ -283,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-leaves", type=int, default=8)
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--min-samples-leaf", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_common(p, partition=False)
     p.set_defaults(func=cmd_train)

@@ -108,33 +108,37 @@ def pdp_output(model, x: np.ndarray, background: np.ndarray) -> ExplainerOutput:
                            background_size=int(np.asarray(background).shape[0]))
 
 
-def _shapley_weights(p: int) -> np.ndarray:
-    # weight of a coalition of size s not containing i: s!(p-s-1)!/p!
+def exact_shapley(game, p: int) -> np.ndarray:
+    """Shapley values of ``game`` by enumerating all coalitions.
+
+    ``game(subset)`` takes the sorted list of players in a coalition and
+    returns its worth, a scalar or an array; players go on the last axis of
+    the result.  A coalition of size s not containing i weighs
+    s!(p-s-1)!/p!.
+    """
+    v = [np.asarray(game([j for j in range(p) if mask >> j & 1]), dtype=float)
+         for mask in range(1 << p)]
     fact = [math.factorial(k) for k in range(p + 1)]
-    return np.array([fact[s] * fact[p - s - 1] / fact[p] for s in range(p)])
-
-
-def _exact_shapley(model, x, background):
-    n, p = x.shape
-    v = {}
-    for mask in range(1 << p):
-        subset = [j for j in range(p) if mask >> j & 1]
-        v[mask] = marginal_game_values(model, x, background, subset)
-    w = _shapley_weights(p)
-    phi = np.zeros((n, p))
+    w = [fact[s] * fact[p - s - 1] / fact[p] for s in range(p)]
+    phi = np.zeros(v[0].shape + (p,))
     for i in range(p):
         for mask in range(1 << p):
             if mask >> i & 1:
                 continue
             s = bin(mask).count("1")
-            phi[:, i] += w[s] * (v[mask | (1 << i)] - v[mask])
+            phi[..., i] += w[s] * (v[mask | (1 << i)] - v[mask])
     return phi
 
 
-def _sampled_shapley(model, x, background, n_permutations, seed):
-    n, p = x.shape
+def sampled_shapley(game, p: int, n_permutations: int, seed: int) -> np.ndarray:
+    """Shapley values of ``game`` averaged over ``n_permutations`` orderings
+    drawn as antithetic pairs: each random permutation with its reverse.
+
+    ``game`` is called once per distinct coalition, with its players in the
+    order they joined; its worth may be a scalar or an array, and players go
+    on the last axis of the result.
+    """
     rng = np.random.default_rng(seed)
-    # antithetic pairs: each random permutation together with its reverse
     perms = []
     while len(perms) < n_permutations:
         perm = rng.permutation(p)
@@ -144,21 +148,21 @@ def _sampled_shapley(model, x, background, n_permutations, seed):
 
     cache = {}
 
-    def game(mask, subset):
+    def worth(mask, subset):
         if mask not in cache:
-            cache[mask] = marginal_game_values(model, x, background, subset)
+            cache[mask] = np.asarray(game(list(subset)), dtype=float)
         return cache[mask]
 
-    phi = np.zeros((n, p))
+    phi = np.zeros(worth(0, []).shape + (p,))
     for perm in perms:
         mask = 0
         subset = []
-        prev = game(0, subset)
+        prev = worth(0, subset)
         for j in perm:
             mask |= 1 << int(j)
             subset.append(int(j))
-            cur = game(mask, subset)
-            phi[:, j] += cur - prev
+            cur = worth(mask, subset)
+            phi[..., j] += cur - prev
             prev = cur
     return phi / len(perms)
 
@@ -169,17 +173,21 @@ def marginal_shapley(model, x: np.ndarray, background: np.ndarray,
     """Shapley values of the marginal game, by enumeration or permutation
     sampling."""
     x = np.asarray(x, dtype=float)
-    n, p = x.shape
+    p = x.shape[1]
+
+    def game(subset):
+        return marginal_game_values(model, x, background, subset)
+
     if mode == "exact":
         if p > EXACT_SHAPLEY_MAX_PREDICTORS:
             raise ValueError(
                 f"exact mode enumerates 2^p coalitions; p={p} exceeds the "
                 f"bound of {EXACT_SHAPLEY_MAX_PREDICTORS}")
-        phi = _exact_shapley(model, x, background)
+        phi = exact_shapley(game, p)
     elif mode == "sampled":
         if n_permutations is None or n_permutations < 1:
             raise ValueError("sampled mode requires n_permutations >= 1")
-        phi = _sampled_shapley(model, x, background, n_permutations, seed)
+        phi = sampled_shapley(game, p, n_permutations, seed)
     else:
         raise ValueError(f"unknown mode '{mode}'")
     return ExplainerOutput(per_row_per_predictor=phi, explainer_kind="marginal_shapley",
@@ -202,9 +210,6 @@ class IceSection:
         block[:, self._index] = grid
         out = np.asarray(self._model(block), dtype=float)
         return float(out[0]) if scalar else out
-
-    def materialize(self, values) -> np.ndarray:
-        return self(values)
 
 
 def ice_explainer(model, x: np.ndarray, predictor_index: int,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrate import sigmoid
+from .calibrate import SEPARATION_BOUND, newton_logistic, sigmoid
 
 LOG_LOSS_CLAMP = 1e-6
 PRED_CLAMP = 1e-9
@@ -185,7 +185,6 @@ class GbmConfig:
     max_depth: int = 3
     learning_rate: float = 0.1
     min_samples_leaf: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_estimators < 1 or self.max_leaves < 2 or self.max_depth < 1:
@@ -214,6 +213,20 @@ class _Tree:
             raise ValueError(f"a tree has more than {MAX_LEAVES} leaves")
         if np.any(np.isnan(self.threshold[self.feature >= 0])):
             raise ValueError("a tree has a NaN split threshold")
+        # every node reached from the root exactly once, so the walks end
+        left, right, leaf = self.left.tolist(), self.right.tolist(), (self.feature < 0).tolist()
+        seen = [False] * len(leaf)
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            if not 0 <= node < len(seen):
+                raise ValueError(f"a tree refers to node {node}, outside its "
+                                 f"{len(seen)} nodes")
+            if seen[node]:
+                raise ValueError(f"a tree reaches node {node} twice from its root")
+            seen[node] = True
+            if not leaf[node]:
+                stack += (left[node], right[node])
 
     def to_dict(self) -> dict:
         return {"feature": self.feature.tolist(),
@@ -299,6 +312,9 @@ class _PackedTrees:
         and every other leaf left of its exit leaf lies in such a subtree: the
         lowest leaf bit that no failed node clears is the exit leaf.
         """
+        if x.ndim != 2 or x.shape[1] < len(self.thresholds):
+            raise ValueError(f"the model splits on {len(self.thresholds)} columns; "
+                             f"the input has shape {x.shape}")
         codes = np.empty((len(self.thresholds), x.shape[0]), dtype=self.rank.dtype)
         for f, th in enumerate(self.thresholds):
             codes[f] = np.searchsorted(th, x[:, f])
@@ -428,8 +444,6 @@ class TrainedModel:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.clip(sigmoid(self.raw_score(x)), PRED_CLAMP, 1.0 - PRED_CLAMP)
 
-    predict = __call__
-
     def staged_scores(self, x: np.ndarray):
         """Probability predictions after each boosting round (gbm only)."""
         if self.kind != "gbm":
@@ -501,30 +515,15 @@ def train_gbm(x, y, config: GbmConfig | None = None,
                         learning_rate=config.learning_rate, trees=tuple(trees))
 
 
-def train_logistic(x, y, favorable_sign: int = 1, tol: float = 1e-8,
-                   max_iter: int = 100) -> TrainedModel:
+def train_logistic(x, y, favorable_sign: int = 1) -> TrainedModel:
     """Maximum-likelihood logistic regression via Newton iterations."""
     x = np.asarray(x, dtype=float)
     y = _validate_training_labels(y).astype(float)
-    design = np.column_stack([np.ones(x.shape[0]), x])
-    beta = np.zeros(design.shape[1])
-    for _ in range(max_iter):
-        p = sigmoid(design @ beta)
-        grad = design.T @ (p - y)
-        if np.linalg.norm(grad) <= tol:
-            break
-        w = np.maximum(p * (1.0 - p), 1e-12)
-        hess = design.T @ (design * w[:, None])
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.pinv(hess) @ grad
-        beta = beta - step
-        if np.linalg.norm(beta) > 1e4:
-            warnings.warn("logistic training diverged (separation); returning "
-                          "bounded coefficients", stacklevel=2)
-            beta = beta / np.linalg.norm(beta) * 1e4
-            break
+    beta = newton_logistic(np.column_stack([np.ones(x.shape[0]), x]), y)
+    if np.linalg.norm(beta) > SEPARATION_BOUND:
+        warnings.warn("logistic training diverged (separation); returning "
+                      "bounded coefficients", stacklevel=2)
+        beta = beta / np.linalg.norm(beta) * SEPARATION_BOUND
     return TrainedModel(kind="logistic", favorable_sign=favorable_sign,
                         coef=beta[1:].copy(), intercept=float(beta[0]))
 

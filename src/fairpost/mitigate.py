@@ -27,7 +27,8 @@ from scipy.stats import norm
 from .bias import PartitionSpec, model_bias
 from .calibrate import CalibrationError, link_linear_calibrate, logistic_refit, pava_isotonic
 from .learn import Dataset, GbmConfig, log_loss, train_gbm
-from .transform import CompressiveParams, PredictorTransform, build_postprocessed, focal_point
+from .transform import (CompressiveParams, PredictorTransform, build_postprocessed, focal_point,
+                        impact_indices, transform_params)
 
 SURROGATES = ("tpe", "gp", "random")
 TPE_GOOD_FRACTION = 0.25
@@ -79,7 +80,6 @@ class FrontierPoint:
     bias: float
     loss: float
     omega: float | None  # None for prior-sample points
-    evaluated_on: str    # holdout | test
     calibration_failed: bool = False
 
 
@@ -88,7 +88,6 @@ class Frontier:
     points: tuple[FrontierPoint, ...]           # test-split evaluations
     frontier_indices: tuple[int, ...]
     holdout_points: tuple[FrontierPoint, ...] = field(default=())
-    envelope_indices: tuple[int, ...] = field(default=())
     manifest: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
@@ -299,14 +298,10 @@ def _frontier_search(space: SearchSpace, evaluate, describe, surrogate: str,
         loss_h, bias_h, loss_t, bias_t, calib_failed = scored(vec)
         gamma = describe(vec)
         test_points.append(FrontierPoint(gamma=gamma, bias=bias_t, loss=loss_t,
-                                         omega=omega, evaluated_on="test",
-                                         calibration_failed=calib_failed))
+                                         omega=omega, calibration_failed=calib_failed))
         holdout_points.append(FrontierPoint(gamma=gamma, bias=bias_h, loss=loss_h,
-                                            omega=omega, evaluated_on="holdout",
-                                            calibration_failed=calib_failed))
+                                            omega=omega, calibration_failed=calib_failed))
 
-    frontier_idx = pareto_extract(test_points)
-    envelope_idx = convex_envelope(test_points)
     manifest = {
         "seed": space.seed,
         "n_prior": space.n_prior,
@@ -316,9 +311,9 @@ def _frontier_search(space: SearchSpace, evaluate, describe, surrogate: str,
         "surrogate": surrogate,
     }
     manifest.update(manifest_extra)
-    return Frontier(points=tuple(test_points), frontier_indices=frontier_idx,
-                    holdout_points=tuple(holdout_points),
-                    envelope_indices=envelope_idx, manifest=manifest)
+    return Frontier(points=tuple(test_points),
+                    frontier_indices=pareto_extract(test_points),
+                    holdout_points=tuple(holdout_points), manifest=manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -329,38 +324,25 @@ def transform_search_space(impact_list, transform_kind: str, a_bounds=(0.5, 2.0)
                            n_bo=20, seed=0,
                            feature_names: tuple[str, ...] | None = None) -> SearchSpace:
     """Parameter box for one transform family over the impact list."""
-    indices = tuple(impact_list.M) if hasattr(impact_list, "M") else tuple(impact_list)
+    param_names = transform_params(transform_kind)
     bounds = []
-    for i in indices:
+    for i in impact_indices(impact_list):
         label = feature_names[i] if feature_names is not None else f"x{i + 1}"
-        if transform_kind == "global":
-            bounds.append((f"a_{label}", float(a_bounds[0]), float(a_bounds[1])))
-        elif transform_kind == "asymmetric":
-            bounds.append((f"a_minus_{label}", float(a_bounds[0]), float(a_bounds[1])))
-            bounds.append((f"a_plus_{label}", float(a_bounds[0]), float(a_bounds[1])))
-        elif transform_kind == "local":
-            bounds.append((f"a_{label}", float(a_bounds[0]), float(a_bounds[1])))
-            bounds.append((f"sigma_{label}", float(sigma_bounds[0]), float(sigma_bounds[1])))
-        else:
-            raise ValueError(f"unknown transform kind '{transform_kind}'")
+        for param in param_names:
+            lo, hi = sigma_bounds if param == "sigma" else a_bounds
+            bounds.append((f"{param}_{label}", float(lo), float(hi)))
     return SearchSpace(bounds=tuple(bounds), omegas=tuple(float(w) for w in omegas),
                        n_prior=n_prior, n_bo=n_bo, seed=seed)
 
 
 def _params_from_vector(vec, indices, transform_kind, focals, focal_rule, names):
-    transforms = []
-    k = 0
-    for i in indices:
-        if transform_kind == "global":
-            params = (float(vec[k]),)
-            k += 1
-        else:  # asymmetric and local both take two parameters
-            params = (float(vec[k]), float(vec[k + 1]))
-            k += 2
-        transforms.append(PredictorTransform(
-            predictor=i, kind=transform_kind, params=params, focal=focals[i],
-            focal_rule=focal_rule, name=names[i] if names else f"x{i + 1}"))
-    return CompressiveParams(transforms=tuple(transforms))
+    k = len(transform_params(transform_kind))
+    return CompressiveParams(transforms=tuple(
+        PredictorTransform(predictor=i, kind=transform_kind,
+                           params=tuple(float(v) for v in vec[n * k:(n + 1) * k]),
+                           focal=focals[i], focal_rule=focal_rule,
+                           name=names[i] if names else f"x{i + 1}")
+        for n, i in enumerate(indices)))
 
 
 def _fit_calibration(method, post_scores, base_scores, labels):
@@ -445,12 +427,12 @@ def run_algorithm1(model, train: Dataset, holdout: Dataset, test: Dataset,
     holdout split (the in-loop data); the frontier is reported on the test
     split.
     """
-    indices = tuple(impact_list.M) if hasattr(impact_list, "M") else tuple(int(i) for i in impact_list)
+    indices = impact_indices(impact_list)
     if not indices:
         raise ValueError("impact list is empty")
     names = train.feature_names
     focals = {i: focal_point(train.x, i, rule=focal_rule, g=train.g) for i in indices}
-    dims_per = {"global": 1, "asymmetric": 2, "local": 2}[transform_kind]
+    dims_per = len(transform_params(transform_kind))
     if len(space.bounds) != dims_per * len(indices):
         raise ValueError(
             f"search space has {len(space.bounds)} parameters but the "

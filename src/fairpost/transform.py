@@ -21,7 +21,21 @@ from .empirical import build_distribution
 LOCAL_A_MIN = 0.4
 _MONOTONE_GRID = 1000
 
-TRANSFORM_KINDS = ("global", "asymmetric", "local")
+# parameter names of each transform family, in the order of PredictorTransform.params
+TRANSFORM_PARAMS = {"global": ("a",), "asymmetric": ("a_minus", "a_plus"),
+                    "local": ("a", "sigma")}
+
+
+def transform_params(kind: str) -> tuple[str, ...]:
+    """Parameter names of one transform family."""
+    if kind not in TRANSFORM_PARAMS:
+        raise ValueError(f"unknown transform kind '{kind}'")
+    return TRANSFORM_PARAMS[kind]
+
+
+def impact_indices(impact_list) -> tuple[int, ...]:
+    """Predictor indices of an ImpactList (its M) or of a sequence of indices."""
+    return tuple(int(i) for i in getattr(impact_list, "M", impact_list))
 
 
 def transform_global(t, a: float, t_star: float):
@@ -70,9 +84,7 @@ class PredictorTransform:
     name: str = ""
 
     def __post_init__(self):
-        if self.kind not in TRANSFORM_KINDS:
-            raise ValueError(f"unknown transform kind '{self.kind}'")
-        expected = {"global": 1, "asymmetric": 2, "local": 2}[self.kind]
+        expected = len(transform_params(self.kind))
         if len(self.params) != expected:
             raise ValueError(f"{self.kind} transform takes {expected} parameter(s)")
 
@@ -160,8 +172,7 @@ def build_postprocessed(model, impact_list, params: CompressiveParams,
     given, each local transform is certified strictly increasing on a grid
     spanning that data.
     """
-    indices = tuple(int(i) for i in (impact_list if not hasattr(impact_list, "M")
-                                     else impact_list.M))
+    indices = impact_indices(impact_list)
     if sorted(params.indices) != sorted(indices):
         raise ValueError(
             f"transform parameters cover predictors {sorted(params.indices)} "

@@ -262,6 +262,26 @@ def exact_game_shapley(values: dict, p: int) -> np.ndarray:
     return phi
 
 
+def shapley_by_orderings(worth, p: int) -> np.ndarray:
+    """Shapley values as the average, over all p! orderings of the players,
+    of each player's marginal contribution when it joins.
+
+    ``worth(coalition)`` takes a frozenset of players and returns a scalar
+    or an array; players go on the last axis of the result.
+    """
+    orders = list(itertools.permutations(range(p)))
+    phi = np.zeros(np.shape(worth(frozenset())) + (p,))
+    for order in orders:
+        members = set()
+        before = np.asarray(worth(frozenset()), dtype=float)
+        for i in order:
+            members.add(i)
+            after = np.asarray(worth(frozenset(members)), dtype=float)
+            phi[..., i] += after - before
+            before = after
+    return phi / len(orders)
+
+
 def pdp_direct(model, x, background, i):
     """Literal double loop over rows and background for the PDP value."""
     x = np.asarray(x, dtype=float)
@@ -281,6 +301,6 @@ __all__ = [
     "riemann_w1", "brute_force_isotonic", "brute_force_pareto",
     "brute_force_half_bias", "GridOptimum",
     "additive_shapley", "conditional_game_values", "conditional_shapley",
-    "exact_game_shapley", "pdp_direct", "marginal_game_values",
+    "exact_game_shapley", "shapley_by_orderings", "pdp_direct", "marginal_game_values",
     "tree_scores_direct", "chain_gbm_json",
 ]

@@ -8,7 +8,7 @@ from fairpost.attribution import (
     select_impactful,
     shapley_bias_game,
 )
-from fairpost.bias import model_bias
+from fairpost.bias import PartitionSpec, model_bias
 from fairpost.empirical import build_distribution, wasserstein1
 from fairpost.explain import marginal_shapley, pdp_output
 
@@ -69,6 +69,26 @@ class TestBasicBiasExplanations:
         table = basic_bias_explanations(pdp_output(model, x, x[::2]), g)
         np.testing.assert_allclose(table.beta, table.beta_pos + table.beta_neg,
                                    atol=1e-9)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("partition", ["sp", "eo"])
+    def test_one_column_is_model_bias(self, partition, sign):
+        rng = np.random.default_rng(4)
+        x, g = two_class_frame(rng, 150, shifts=(0.6,), scales=(1.5,))
+        columns = {"y": (rng.random(g.size) < 0.4).astype(int)}
+        spec = PartitionSpec.all_rows() if partition == "sp" else PartitionSpec.by_label()
+        table = basic_bias_explanations(x, g, spec, sign, columns=columns)
+        report = model_bias(x[:, 0], g, spec, sign, columns=columns)
+        assert (table.beta_pos[0], table.beta_neg[0]) == (report.positive, report.negative)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_non_binary_g_rejected(self, bad):
+        rng = np.random.default_rng(5)
+        x, g = two_class_frame(rng, 40, shifts=(0.3, 0.0))
+        g = g.astype(float)
+        g[7] = bad
+        with pytest.raises(ValueError, match="binary"):
+            basic_bias_explanations(x, g)
 
 
 class TestShapleyBiasGame:

@@ -12,6 +12,8 @@ from fairpost.calibrate import (
     sigmoid,
 )
 
+from fairpost.learn import train_logistic
+
 from helpers import brute_force_isotonic
 
 
@@ -134,6 +136,14 @@ class TestLogisticRefit:
         with pytest.warns(UserWarning, match="separation"):
             cal = logistic_refit(s, y)
         assert np.all(np.isfinite(cal(s)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_newton_solver_as_train_logistic(self, seed):
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(0.05, 0.95, 500)
+        y = (rng.random(500) < s).astype(int)
+        model = train_logistic(logit(s)[:, None], y)
+        assert (model.intercept, model.coef[0]) == logistic_refit(s, y).coef
 
 
 class TestAuc:

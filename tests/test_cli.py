@@ -220,6 +220,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "more than 64 leaves" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("tree, message", [
+        # the root's right child lies outside the three nodes
+        ({"feature": [0, -1, -1], "left": [1, -1, -1], "right": [7, -1, -1]},
+         "outside its 3 nodes"),
+        # node 1's left child is the root: a cycle
+        ({"feature": [0, 1, -1, -1], "left": [1, 0, -1, -1], "right": [2, 3, -1, -1]},
+         "twice from its root"),
+        # a split on x10 of a five-column dataset
+        ({"feature": [9, -1, -1], "left": [1, -1, -1], "right": [2, -1, -1]},
+         "splits on 10 columns"),
+    ], ids=["child-out-of-range", "cycle", "too-few-columns"])
+    def test_malformed_model_is_exit_two(self, workdir, tmp_path, capsys, tree, message):
+        _, data, _ = workdir
+        n = len(tree["feature"])
+        tree = {**tree, "threshold": [0.0] * n, "value": [0.1 * i for i in range(n)]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": "gbm", "favorable_sign": 1, "init_score": 0.0,
+                                    "learning_rate": 0.1, "trees": [tree]}))
+        code = main(["bias", "--data", data, "--model", str(path),
+                     "--out", str(tmp_path / "b.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
 
 class TestCompareBaseline:
     def test_small_run(self, workdir, tmp_path):

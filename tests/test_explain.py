@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairpost import explain
 from fairpost.explain import (
     default_background,
+    exact_shapley,
     ice_explainer,
     marginal_shapley,
     pdp_explainer,
     pdp_output,
+    sampled_shapley,
 )
 
 from fairpost.learn import GbmConfig, SyntheticSpec, TrainedModel, generate, train_gbm
 
-from helpers import additive_shapley, pdp_direct
+from helpers import additive_shapley, pdp_direct, shapley_by_orderings
 
 
 def product_model(x):
@@ -164,6 +168,33 @@ class TestMarginalShapley:
             marginal_shapley(lambda z: z.sum(axis=1), x, x, mode="sampled")
 
 
+class TestShapleyHelpers:
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 6), array=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_against_all_orderings(self, p, array, seed):
+        rng = np.random.default_rng(seed)
+        table = rng.uniform(-1.0, 1.0, (1 << p, 3) if array else 1 << p)
+        calls = []
+
+        def game(subset):
+            calls.append(frozenset(subset))
+            worth = table[sum(1 << j for j in subset)]
+            return worth if array else float(worth)
+
+        reference = shapley_by_orderings(
+            lambda coalition: table[sum(1 << j for j in coalition)], p)
+        phi = exact_shapley(game, p)
+        assert phi.shape == reference.shape == ((3, p) if array else (p,))
+        np.testing.assert_allclose(phi, reference, rtol=0.0, atol=1e-12)
+
+        for n_permutations in range(1, 10):
+            calls.clear()
+            phi = sampled_shapley(game, p, n_permutations, seed)
+            np.testing.assert_allclose(phi.sum(axis=-1), table[-1] - table[0],
+                                       rtol=0.0, atol=1e-12)
+            assert len(calls) == len(set(calls))
+
+
 class TestIceExplainer:
     def test_additive_section(self):
         rng = np.random.default_rng(11)
@@ -188,12 +219,6 @@ class TestIceExplainer:
         section = ice_explainer(model, x, 0, anchor)
         grid = np.array([-2.0, 0.0, 1.0, 4.0])
         np.testing.assert_allclose(section(grid), 0.2 * grid + 5.0, atol=1e-13)
-
-    def test_materialize_matches_call(self):
-        rng = np.random.default_rng(12)
-        x = rng.normal(0, 1, (15, 2))
-        section = ice_explainer(product_model, x, 1, x[0])
-        np.testing.assert_array_equal(section.materialize(x[:, 1]), section(x[:, 1]))
 
     def test_index_out_of_range(self):
         x = np.zeros((3, 2))

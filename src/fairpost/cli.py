@@ -220,6 +220,9 @@ def cmd_calibrate(args) -> int:
     model = _load_model(args.model)
     with open(args.params) as fh:
         params = CompressiveParams.from_json(fh.read())
+    if not all(0 <= i < data.x.shape[1] for i in params.indices):
+        raise ValueError(f"--params names predictors {list(params.indices)}; the data "
+                         f"has {data.x.shape[1]}")
     fitted, failed = build_calibrated(model, params.indices, params, data,
                                       calibration=args.method)
     if failed:
@@ -375,7 +378,7 @@ def main(argv=None) -> int:
     except (CalibrationError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -8,12 +8,15 @@ response driven by a logistic function of the predictor sum.  Normal
 parameters are (mean, variance).
 
 The boosted-tree classifier minimizes logistic loss with Newton leaf values,
-exact split search on sorted columns, and depth/leaf/min-samples limits.  It
-is deterministic for a given configuration.  Prediction ranks each input
-column once against the model's sorted split thresholds, then finds every
-row's exit leaf in all trees at once as the lowest leaf bit that survives the
-masks of the nodes whose test fails (QuickScorer; Lucchese et al., SIGIR
-2015), and adds the leaf values tree by tree.
+exact split search, and depth/leaf/min-samples limits.  The columns are
+presorted once per fit; each node keeps its rows in that order, and one
+vectorized pass scores every cut of every feature (the exact-greedy column
+block of XGBoost; Chen & Guestrin, KDD 2016).  It is deterministic for a given
+configuration.  Prediction ranks each input column once against the model's
+sorted split thresholds, then finds every row's exit leaf in all trees at once
+as the lowest leaf bit that survives the masks of the nodes whose test fails
+(QuickScorer; Lucchese et al., SIGIR 2015), and adds the leaf values tree by
+tree.
 """
 
 from __future__ import annotations
@@ -84,14 +87,18 @@ class Dataset:
     def from_csv(path) -> "Dataset":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])  # an empty file has no header
             if header[-2:] != ["g", "y"]:
-                raise ValueError("dataset CSV must end with columns g,y")
+                raise ValueError("dataset CSV must start with a header ending in columns g,y")
             names = tuple(header[:-2])
             rows = [[float(v) for v in row] for row in reader if row]
         if not rows:
             raise ValueError("dataset CSV has no rows")
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError("every row of a dataset CSV must have as many cells as its header")
         data = np.asarray(rows, dtype=float)
+        if not np.all(np.isin(data[:, -2:], (0.0, 1.0))):
+            raise ValueError("dataset CSV columns g and y must hold 0 or 1")
         return Dataset(x=data[:, :-2], g=data[:, -2].astype(int),
                        y=data[:, -1].astype(int), feature_names=names)
 
@@ -329,78 +336,84 @@ class _PackedTrees:
             yield rows, self.leaf[trees, exit_leaf]
 
 
-def _best_split(x, grad, hess, rows, min_leaf):
-    """Exact search over sorted columns; returns (gain, feature, threshold).
+def _best_split(xt, grad, hess, rows, order, min_leaf):
+    """Exact search over every feature at once; returns (gain, feature,
+    threshold).
 
+    ``order`` is the node's (features, rows) slice of the fit's column order:
+    its row ``f`` lists the node's rows by ascending ``xt[f]``, ties by row.
     Ties are broken deterministically by feature index then threshold.
     """
     g_total = grad[rows].sum()
     h_total = hess[rows].sum()
     parent = g_total * g_total / max(h_total, 1e-12)
     best = (0.0, -1, 0.0)
-    for j in range(x.shape[1]):
-        col = x[rows, j]
-        order = np.argsort(col, kind="stable")
-        cs = col[order]
-        gs = np.cumsum(grad[rows][order])
-        hs = np.cumsum(hess[rows][order])
-        n = rows.size
-        k = np.arange(1, n)
-        valid = (cs[1:] > cs[:-1]) & (k >= min_leaf) & (n - k >= min_leaf)
-        if not np.any(valid):
-            continue
-        gl, hl = gs[:-1][valid], hs[:-1][valid]
-        gr, hr = g_total - gl, h_total - hl
-        gain = (gl * gl / np.maximum(hl, 1e-12)
-                + gr * gr / np.maximum(hr, 1e-12) - parent)
-        pick = int(np.argmax(gain))
-        if gain[pick] > best[0] + 1e-12:
-            cut = np.flatnonzero(valid)[pick]
-            best = (float(gain[pick]), j, float(0.5 * (cs[cut] + cs[cut + 1])))
+    n = rows.size
+    if n < 2 * min_leaf:
+        return best
+    # cut c puts sorted positions 0..c left; both sides keep >= min_leaf rows
+    cuts = slice(min_leaf - 1, n - min_leaf)
+    cs = np.take_along_axis(xt, order, axis=1)
+    gl = np.cumsum(grad[order], axis=1)[:, cuts]
+    hl = np.cumsum(hess[order], axis=1)[:, cuts]
+    valid = cs[:, min_leaf:n - min_leaf + 1] > cs[:, cuts]
+    gr, hr = g_total - gl, h_total - hl
+    gain = np.where(valid, gl * gl / np.maximum(hl, 1e-12)
+                    + gr * gr / np.maximum(hr, 1e-12) - parent, -np.inf)
+    picks = np.argmax(gain, axis=1)
+    for j, pick in enumerate(picks.tolist()):
+        if gain[j, pick] > best[0] + 1e-12:
+            cut = min_leaf - 1 + pick
+            lo, hi = float(cs[j, cut]), float(cs[j, cut + 1])
+            # the midpoint overflows to inf, or rounds up to hi, near the
+            # ends of the float range and between adjacent floats
+            mid = 0.5 * (lo + hi)
+            best = (float(gain[j, pick]), j, mid if lo <= mid < hi else lo)
     return best
 
 
-def _grow_tree(x, grad, hess, config: GbmConfig):
+def _grow_tree(xt, order, grad, hess, config: GbmConfig):
     """Best-first growth honoring depth, leaf-count and leaf-size limits.
 
-    Returns the tree and, per leaf, the training rows it holds and its value.
+    ``order`` is the fit's (features, rows) column order.  A split cuts each
+    node's slice of it with one mask over row ids, a stable partition, so
+    both children's slices stay sorted.  Returns the tree and, per leaf, the
+    training rows it holds and its value.
     """
     feature, threshold, left, right, value = [], [], [], [], []
     node_rows = {}
+    frontier = []
+    n_features, n_rows = xt.shape
+    goes_left = np.zeros(n_rows, dtype=bool)
 
-    def new_node(rows):
+    def new_node(rows, sub, depth):
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
         value.append(-grad[rows].sum() / max(hess[rows].sum(), 1e-12))
-        node_rows[len(feature) - 1] = rows
-        return len(feature) - 1
+        node = len(feature) - 1
+        node_rows[node] = rows
+        if depth < config.max_depth:
+            gain, feat, thr = _best_split(xt, grad, hess, rows, sub,
+                                          config.min_samples_leaf)
+            if feat >= 0:
+                frontier.append((gain, node, rows, sub, feat, thr, depth + 1))
+        return node
 
-    root_rows = np.arange(x.shape[0])
-    root = new_node(root_rows)
-    frontier = []
-    if config.max_depth >= 1:
-        gain, feat, thr = _best_split(x, grad, hess, root_rows, config.min_samples_leaf)
-        if feat >= 0:
-            frontier.append((gain, root, root_rows, feat, thr, 1))
+    new_node(np.arange(n_rows), order, 0)
     n_leaves = 1
     while frontier and n_leaves < config.max_leaves:
         frontier.sort(key=lambda item: (-item[0], item[1]))
-        gain, node, rows, feat, thr, depth = frontier.pop(0)
-        go_left = x[rows, feat] <= thr
+        gain, node, rows, sub, feat, thr, depth = frontier.pop(0)
+        go_left = xt[feat, rows] <= thr
+        goes_left[rows] = go_left
+        in_left = goes_left[sub]
         rows_l, rows_r = rows[go_left], rows[~go_left]
         feature[node], threshold[node] = feat, thr
-        left[node] = new_node(rows_l)
-        right[node] = new_node(rows_r)
+        left[node] = new_node(rows_l, sub[in_left].reshape(n_features, rows_l.size), depth)
+        right[node] = new_node(rows_r, sub[~in_left].reshape(n_features, rows_r.size), depth)
         n_leaves += 1
-        for child_rows, child in ((rows_l, left[node]), (rows_r, right[node])):
-            if depth < config.max_depth:
-                c_gain, c_feat, c_thr = _best_split(x, grad, hess, child_rows,
-                                                    config.min_samples_leaf)
-                if c_feat >= 0:
-                    frontier.append((c_gain, child, child_rows, c_feat, c_thr,
-                                     depth + 1))
     tree = _Tree(feature=np.asarray(feature, dtype=int),
                  threshold=np.asarray(threshold, dtype=float),
                  left=np.asarray(left, dtype=int),
@@ -502,12 +515,14 @@ def train_gbm(x, y, config: GbmConfig | None = None,
     p_mean = float(np.mean(y))
     init = float(np.log(p_mean / (1.0 - p_mean)))
     z = np.full(x.shape[0], init)
+    xt = np.ascontiguousarray(x.T)
+    order = np.argsort(xt, axis=1, kind="stable")
     trees = []
     for _ in range(config.n_estimators):
         p = sigmoid(z)
         grad = p - y
         hess = np.maximum(p * (1.0 - p), 1e-12)
-        tree, leaves = _grow_tree(x, grad, hess, config)
+        tree, leaves = _grow_tree(xt, order, grad, hess, config)
         trees.append(tree)
         for rows, value in leaves:
             z[rows] += config.learning_rate * value

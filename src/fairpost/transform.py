@@ -122,13 +122,18 @@ class CompressiveParams:
     @staticmethod
     def from_json(text: str) -> "CompressiveParams":
         items = json.loads(text)
-        return CompressiveParams(transforms=tuple(
-            PredictorTransform(predictor=int(d["predictor"]), kind=d["kind"],
-                               params=tuple(float(v) for v in d["params"]),
-                               focal=float(d["focal"]),
-                               focal_rule=d.get("focal_rule", "fixed"),
-                               name=d.get("name", ""))
-            for d in items))
+        if not (isinstance(items, list) and all(isinstance(d, dict) for d in items)):
+            raise ValueError("compressive parameters must be a JSON list of objects")
+        try:
+            return CompressiveParams(transforms=tuple(
+                PredictorTransform(predictor=int(d["predictor"]), kind=d["kind"],
+                                   params=tuple(float(v) for v in d["params"]),
+                                   focal=float(d["focal"]),
+                                   focal_rule=d.get("focal_rule", "fixed"),
+                                   name=d.get("name", ""))
+                for d in items))
+        except TypeError as exc:  # a field of the wrong JSON type, such as "params": 5
+            raise ValueError(f"malformed compressive parameters: {exc}") from exc
 
 
 @dataclass(frozen=True)

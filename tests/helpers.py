@@ -179,6 +179,86 @@ def tree_scores_direct(model, x):
     return out
 
 
+def train_gbm_direct(x, y, config, favorable_sign=1):
+    """Model JSON of ``train_gbm`` grown the slow way: every node sorts each
+    column of its own rows with a stable ``argsort`` and scans the cuts one
+    feature at a time.  A split takes the first feature whose best gain beats
+    the best so far by more than 1e-12, and the midpoint of the two values
+    around its cut unless that midpoint falls outside ``[lower, upper)``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y).ravel().astype(int)
+    min_leaf = config.min_samples_leaf
+
+    def best_split(rows, grad, hess):
+        g_total, h_total = grad[rows].sum(), hess[rows].sum()
+        parent = g_total * g_total / max(h_total, 1e-12)
+        best = (0.0, -1, 0.0)
+        n = rows.size
+        for j in range(x.shape[1]):
+            col = x[rows, j]
+            order = np.argsort(col, kind="stable")
+            cs = col[order]
+            gs = np.cumsum(grad[rows][order])
+            hs = np.cumsum(hess[rows][order])
+            k = np.arange(1, n)
+            valid = (cs[1:] > cs[:-1]) & (k >= min_leaf) & (n - k >= min_leaf)
+            if not np.any(valid):
+                continue
+            gl, hl = gs[:-1][valid], hs[:-1][valid]
+            gr, hr = g_total - gl, h_total - hl
+            gain = (gl * gl / np.maximum(hl, 1e-12)
+                    + gr * gr / np.maximum(hr, 1e-12) - parent)
+            pick = int(np.argmax(gain))
+            if gain[pick] > best[0] + 1e-12:
+                cut = np.flatnonzero(valid)[pick]
+                lower, upper = float(cs[cut]), float(cs[cut + 1])
+                mid = 0.5 * (lower + upper)
+                best = (float(gain[pick]), j, mid if lower <= mid < upper else lower)
+        return best
+
+    p_mean = float(np.mean(y))
+    init = float(np.log(p_mean / (1.0 - p_mean)))
+    z = np.full(x.shape[0], init)
+    trees = []
+    for _ in range(config.n_estimators):
+        prob = sigmoid(z)
+        grad = prob - y
+        hess = np.maximum(prob * (1.0 - prob), 1e-12)
+        nodes = []  # [feature, threshold, left, right, value, rows]
+        frontier = []
+
+        def add(rows, depth):
+            nodes.append([-1, 0.0, -1, -1,
+                          -grad[rows].sum() / max(hess[rows].sum(), 1e-12), rows])
+            if depth < config.max_depth:
+                gain, feat, thr = best_split(rows, grad, hess)
+                if feat >= 0:
+                    frontier.append((gain, len(nodes) - 1, feat, thr, depth + 1))
+            return len(nodes) - 1
+
+        add(np.arange(x.shape[0]), 0)
+        n_leaves = 1
+        while frontier and n_leaves < config.max_leaves:
+            frontier.sort(key=lambda item: (-item[0], item[1]))
+            _, node, feat, thr, depth = frontier.pop(0)
+            rows = nodes[node][5]
+            go_left = x[rows, feat] <= thr
+            nodes[node][:2] = feat, thr
+            nodes[node][2] = add(rows[go_left], depth)
+            nodes[node][3] = add(rows[~go_left], depth)
+            n_leaves += 1
+        for nd in nodes:
+            if nd[0] < 0:
+                z[nd[5]] += config.learning_rate * nd[4]
+        trees.append({key: [float(nd[k]) if key in ("threshold", "value") else int(nd[k])
+                            for nd in nodes]
+                      for k, key in enumerate(("feature", "threshold", "left", "right",
+                                               "value"))})
+    return json.dumps({"kind": "gbm", "favorable_sign": favorable_sign,
+                       "init_score": init, "learning_rate": config.learning_rate,
+                       "trees": trees})
+
+
 def chain_gbm_json(n_leaves):
     """Model JSON of one boosted tree on x1 with ``n_leaves`` leaves: internal
     node i splits at i, sends its left rows to a leaf and its right rows on."""
@@ -302,5 +382,5 @@ __all__ = [
     "brute_force_half_bias", "GridOptimum",
     "additive_shapley", "conditional_game_values", "conditional_shapley",
     "exact_game_shapley", "shapley_by_orderings", "pdp_direct", "marginal_game_values",
-    "tree_scores_direct", "chain_gbm_json",
+    "tree_scores_direct", "train_gbm_direct", "chain_gbm_json",
 ]

@@ -245,6 +245,65 @@ class TestExitCodes:
         assert message in err and "Traceback" not in err
 
 
+_HEADER = "x1,x2,x3,x4,x5,g,y\n"
+_ROW = "5.0,4.5,5.5,5.0,4.0,{g},{y}\n"
+MALFORMED_CSV = {
+    "empty": "",
+    "header-only": _HEADER,
+    "ragged-row": _HEADER + _ROW.format(g=0, y=1) + "5.0,4.5,5.5,5.0,1,0\n",
+    "non-numeric-cell": _HEADER + _ROW.format(g=0, y=1) + _ROW.format(g=1, y="yes"),
+    "fractional-g": _HEADER + _ROW.format(g=0, y=1) + _ROW.format(g=1, y=0)
+    + _ROW.format(g=0.7, y=0),
+    "fractional-y": _HEADER + _ROW.format(g=0, y=1) + _ROW.format(g=1, y=0)
+    + _ROW.format(g=1, y=0.4),
+    "no-g-y-columns": "x1,x2,x3,x4,x5\n5.0,4.5,5.5,5.0,4.0\n",
+    "directory": None,
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", MALFORMED_CSV)
+    @pytest.mark.parametrize("command", ["bias", "train", "explain"])
+    def test_bad_data_is_exit_two(self, workdir, tmp_path, capsys, command, case):
+        _, _, model = workdir
+        path = tmp_path / "bad.csv"
+        if MALFORMED_CSV[case] is None:
+            path.mkdir()
+        else:
+            path.write_text(MALFORMED_CSV[case])
+        argv = [command, "--data", str(path), "--out", str(tmp_path / "out")]
+        if command != "train":
+            argv += ["--model", model]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["bias", "explain"])
+    def test_model_directory_is_exit_two(self, workdir, tmp_path, capsys, command):
+        _, data, _ = workdir
+        assert main([command, "--data", data, "--model", str(tmp_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params, message", [
+        ("[1]", "list of objects"),
+        ('{"predictor": 0}', "list of objects"),
+        ('[{"predictor": 0, "kind": "global", "params": 5, "focal": 5.0}]', "malformed"),
+        ('[{"predictor": 0, "kind": "global", "params": [2.0], "focal": null}]', "malformed"),
+        ('[{"predictor": 9, "kind": "global", "params": [2.0], "focal": 5.0}]', "the data has 5"),
+        ('[{"predictor": -1, "kind": "global", "params": [2.0], "focal": 5.0}]', "the data has 5"),
+    ], ids=["list-of-numbers", "object", "params-number", "focal-null", "predictor-9",
+            "predictor-negative"])
+    def test_malformed_params_is_exit_two(self, workdir, tmp_path, capsys, params, message):
+        _, data, model = workdir
+        path = tmp_path / "params.json"
+        path.write_text(params)
+        assert main(["calibrate", "--data", data, "--model", model, "--params",
+                     str(path), "--out", str(tmp_path / "c.json")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
 class TestCompareBaseline:
     def test_small_run(self, workdir, tmp_path):
         _, data, _ = workdir

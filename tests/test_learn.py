@@ -1,3 +1,6 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,7 @@ from fairpost.learn import (
     train_logistic,
 )
 
-from helpers import chain_gbm_json, tree_scores_direct
+from helpers import chain_gbm_json, train_gbm_direct, tree_scores_direct
 
 
 class TestGenerators:
@@ -288,6 +291,63 @@ class TestTreeKernel:
         _assert_matches_direct(model, np.arange(-1.0, MAX_LEAVES + 1.0, 0.5)[:, None])
         with pytest.raises(ValueError, match="leaves"):
             TrainedModel.from_json(chain_gbm_json(MAX_LEAVES + 1))
+
+
+class TestSplitSearch:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(2, 900),
+           n_features=st.integers(1, 6), max_leaves=st.integers(2, MAX_LEAVES),
+           max_depth=st.integers(1, 8), n_trees=st.integers(1, 3),
+           leaf_share=st.floats(0.0, 0.6))
+    def test_matches_per_node_sort(self, seed, n_rows, n_features, max_leaves,
+                                   max_depth, n_trees, leaf_share):
+        """Trees from the presorted search equal, byte for byte, those of a
+        grower that sorts every node's rows afresh, and every node's slice of
+        the presorted order is the stable sort of its own rows."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 1.0, (n_rows, n_features))
+        for j in range(n_features):
+            kind = rng.integers(5)
+            if kind == 1:  # ties
+                x[:, j] = np.round(x[:, j], int(rng.integers(0, 2)))
+            elif kind == 2:  # NaN and +-inf
+                special = rng.random(n_rows) < rng.uniform(0.0, 0.4)
+                x[special, j] = rng.choice([np.nan, np.inf, -np.inf], int(special.sum()))
+            elif kind == 3:  # few distinct values
+                x[:, j] = rng.integers(0, 3, n_rows)
+            elif kind == 4 and j > 0:  # mirrors an earlier column: equal gains up to rounding
+                x[:, j] = -x[:, rng.integers(j)]
+        y = (rng.random(n_rows) < sigmoid(np.nan_to_num(x[:, 0]))).astype(int)
+        y[:2] = (0, 1)
+        config = GbmConfig(n_estimators=n_trees, max_leaves=max_leaves,
+                           max_depth=max_depth, learning_rate=0.3,
+                           min_samples_leaf=max(1, int(leaf_share * n_rows)))
+        search = learn._best_split
+
+        def checked_search(xt, grad, hess, rows, order, min_leaf):
+            assert np.array_equal(order, rows[np.argsort(xt[:, rows], axis=1, kind="stable")])
+            return search(xt, grad, hess, rows, order, min_leaf)
+
+        with mock.patch.object(learn, "_best_split", checked_search):
+            model = train_gbm(x, y, config)
+        assert model.to_json() == train_gbm_direct(x, y, config)
+
+    @pytest.mark.parametrize("lower, upper", [
+        (0.0, np.inf),
+        (1e308, 1.7e308),  # the midpoint overflows
+        (1.0 + 2.0**-52, 1.0 + 2.0**-51),  # the midpoint rounds up to upper
+    ], ids=["inf", "huge", "adjacent"])
+    def test_threshold_inside_split(self, lower, upper):
+        """The threshold sends each row the way the search counted it."""
+        x = np.r_[np.full(300, lower), np.full(100, upper)][:, None]
+        y = (x[:, 0] == upper).astype(int)
+        config = GbmConfig(n_estimators=1, max_leaves=2, max_depth=1,
+                           min_samples_leaf=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tree = train_gbm(x, y, config).trees[0]
+        assert tree.feature[0] == 0
+        np.testing.assert_array_equal(x[:, 0] <= tree.threshold[0], x[:, 0] == lower)
 
 
 class TestLogistic:

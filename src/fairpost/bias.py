@@ -14,7 +14,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .empirical import SignedTransport, build_distribution, wasserstein1_signed
+from .empirical import SignedTransport, build_distribution, signed_transport
+# unused here; bench/workloads.py::trace_targets() looks it up on this module
+from .empirical import wasserstein1_signed  # noqa: F401
 
 # W1 on cells smaller than this per class is mostly noise; flagged, not fatal.
 MIN_CELL_CLASS_ROWS = 10
@@ -123,21 +125,31 @@ def _validate_inputs(scores, g):
     return scores, g.astype(int)
 
 
-def _class_split(scores, g, mask, cell_name):
-    if not np.any(mask):
+def _split_cell(scores, g, mask, cell_name):
+    """A cell's scores, its 0/1 labels and its class-1 row count; the cell
+    must hold both classes."""
+    rows = np.flatnonzero(mask)
+    if rows.size == 0:
         raise ValueError(f"cell '{cell_name}' is empty")
-    s0 = scores[mask & (g == 0)]
-    s1 = scores[mask & (g == 1)]
-    for k, sk in ((0, s0), (1, s1)):
-        if sk.size == 0:
+    cell_g = g[rows]
+    n1 = int(np.count_nonzero(cell_g))
+    for k, nk in ((0, rows.size - n1), (1, n1)):
+        if nk == 0:
             raise ValueError(f"cell '{cell_name}': missing class G={k}")
-    return s0, s1
+    return scores[rows], cell_g, n1
 
 
 def model_bias(scores, g, partition: PartitionSpec | None = None, favorable_sign: int = 1,
                columns: Mapping[str, np.ndarray] | None = None) -> BiasReport:
     """Partition-weighted W1 bias between the two protected-class score
-    distributions, with signed decomposition."""
+    distributions, with signed decomposition.
+
+    Each cell's signed transport is computed in CDF form
+    (``empirical.signed_transport``): one sort of the cell's pooled scores,
+    integer cumulative class counts, one division by ``n0 * n1``.  The
+    quantile form ``wasserstein1_signed`` is the reference it is tested
+    against.
+    """
     scores, g = _validate_inputs(scores, g)
     partition = partition if partition is not None else PartitionSpec.all_rows()
     masks = partition.masks(columns, scores.size)
@@ -146,13 +158,12 @@ def model_bias(scores, g, partition: PartitionSpec | None = None, favorable_sign
     warnings_ = []
     total = pos = neg = 0.0
     for name, w, mask in zip(partition.names, partition.weights, masks):
-        s0, s1 = _class_split(scores, g, mask, name)
-        if min(s0.size, s1.size) < MIN_CELL_CLASS_ROWS:
+        cell_scores, cell_g, n1 = _split_cell(scores, g, mask, name)
+        if min(cell_scores.size - n1, n1) < MIN_CELL_CLASS_ROWS:
             warnings_.append(
                 f"cell '{name}' has a class with fewer than {MIN_CELL_CLASS_ROWS} rows; "
                 "its W1 estimate is unreliable")
-        st = wasserstein1_signed(build_distribution(s0), build_distribution(s1),
-                                 favorable_sign)
+        st = signed_transport(cell_scores, cell_g, favorable_sign)
         per_cell.append(st)
         total += w * st.total
         pos += w * st.positive_part
@@ -167,9 +178,9 @@ def classifier_bias(scores, g, threshold: float, favorable_sign: int = 1) -> flo
     """Signed statistical-parity bias of the thresholded classifier:
     ``(F1(t) - F0(t)) * sign``."""
     scores, g = _validate_inputs(scores, g)
-    s0, s1 = _class_split(scores, g, np.ones(scores.size, dtype=bool), "all")
-    f0 = build_distribution(s0).cdf(threshold)
-    f1 = build_distribution(s1).cdf(threshold)
+    s, cell_g, _ = _split_cell(scores, g, np.ones(scores.size, dtype=bool), "all")
+    f0 = build_distribution(s[cell_g == 0]).cdf(threshold)
+    f1 = build_distribution(s[cell_g == 1]).cdf(threshold)
     return float((f1 - f0) * favorable_sign)
 
 
@@ -178,9 +189,9 @@ def quantile_bias(scores, g, p: float, favorable_sign: int = 1) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     scores, g = _validate_inputs(scores, g)
-    s0, s1 = _class_split(scores, g, np.ones(scores.size, dtype=bool), "all")
-    q0 = build_distribution(s0).quantile(p)
-    q1 = build_distribution(s1).quantile(p)
+    s, cell_g, _ = _split_cell(scores, g, np.ones(scores.size, dtype=bool), "all")
+    q0 = build_distribution(s[cell_g == 0]).quantile(p)
+    q1 = build_distribution(s[cell_g == 1]).quantile(p)
     return float((q0 - q1) * favorable_sign)
 
 

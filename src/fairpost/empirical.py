@@ -1,11 +1,15 @@
 """Empirical distributions on the line and exact transport distances.
 
-Distributions are stored as weighted atoms (ties merged).  The CDF is a
-right-continuous step function and the quantile function is the generalized
-inverse ``Q(p) = inf{x : p <= F(x)}``.  Because both CDFs are step functions,
-the 1-Wasserstein distance ``W1 = integral |Q0 - Q1| dp`` is computed exactly
-by integrating the quantile difference over the pooled set of probability
-breakpoints; no grid approximation is involved.
+Two exact forms of the 1-Wasserstein distance live here.  The CDF form
+``W1 = integral |F0 - F1| dt`` (Vallender 1973) is what the model bias uses:
+``signed_transport`` sorts a cell's pooled scores once, takes integer
+cumulative class counts, and divides by ``n0 * n1`` once per cell.  The
+quantile form ``W1 = integral |Q0 - Q1| dp`` over ``EmpiricalDistribution``
+atoms (ties merged, right-continuous step CDF, generalized-inverse quantile
+``Q(p) = inf{x : p <= F(x)}``) is kept as the reference the CDF form is
+tested against, and serves quantile bias, the KS distance and the KS focal
+rule.  Both integrate step functions over their breakpoints, so neither
+involves a grid approximation.
 """
 
 from __future__ import annotations
@@ -57,35 +61,16 @@ class SignedTransport:
     negative_part: float
 
 
-def build_distribution(samples, weights=None) -> EmpiricalDistribution:
-    """Sort samples, merge ties into weighted atoms, normalize weights."""
+def build_distribution(samples) -> EmpiricalDistribution:
+    """Sort samples and merge ties into atoms of equal weight per sample."""
     values = np.asarray(samples, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("empty sample list")
     if np.any(np.isnan(values)):
         raise ValueError("NaN sample")
-    if weights is None:
-        w = np.full(values.size, 1.0 / values.size)
-    else:
-        w = np.asarray(weights, dtype=float).ravel()
-        if w.size != values.size:
-            raise ValueError("weights length does not match samples")
-        if np.any(np.isnan(w)) or np.any(w < 0.0):
-            raise ValueError("negative weight")
-        total = w.sum()
-        if total <= 0.0:
-            raise ValueError("weights sum to zero")
-        w = w / total
-
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    w = w[order]
     # merge tied values into single atoms so integration intervals are nonempty
-    uniq, inverse = np.unique(values, return_inverse=True)
-    merged = np.zeros(uniq.size)
-    np.add.at(merged, inverse, w)
-    keep = merged > 0.0
-    uniq, merged = uniq[keep], merged[keep]
+    uniq, inverse = np.unique(np.sort(values, kind="stable"), return_inverse=True)
+    merged = np.bincount(inverse, weights=np.full(values.size, 1.0 / values.size))
     merged = merged / merged.sum()
     cum = np.cumsum(merged)
     cum[-1] = 1.0
@@ -131,6 +116,34 @@ def wasserstein1_signed(d0: EmpiricalDistribution, d1: EmpiricalDistribution,
     signed = gap * favorable_sign
     pos = float(np.sum(lengths * np.maximum(signed, 0.0)))
     neg = float(np.sum(lengths * np.maximum(-signed, 0.0)))
+    return SignedTransport(total=pos + neg, positive_part=pos, negative_part=neg)
+
+
+def signed_transport(values: np.ndarray, labels: np.ndarray,
+                     favorable_sign: int) -> SignedTransport:
+    """``wasserstein1_signed`` between the ``labels == 0`` and ``labels == 1``
+    samples of ``values``, in CDF form.
+
+    Both classes must be present.  ``integral (Q0 - Q1)+ dp`` equals
+    ``integral (F1 - F0)+ dt``: between consecutive pooled sorted values the
+    gap ``F1 - F0`` is ``(c1 * n0 - c0 * n1) / (n0 * n1)`` with integer
+    cumulative class counts ``c0, c1``.  The order inside a run of tied
+    values does not matter, because that run has zero length, so the
+    default (unstable) sort gives the same bits for any row order.
+    """
+    if favorable_sign not in (-1, 1):
+        raise ValueError("favorable_sign must be -1 or +1")
+    n1 = int(np.count_nonzero(labels))
+    n0 = values.size - n1
+    order = np.argsort(values)
+    c1 = np.cumsum(labels[order[:-1]])
+    c0 = np.arange(1, values.size) - c1
+    gap = c1 * n0 - c0 * n1
+    dv = np.diff(values[order])
+    pos = float(np.sum(np.maximum(gap, 0) * dv)) / (n0 * n1)
+    neg = float(np.sum(np.maximum(-gap, 0) * dv)) / (n0 * n1)
+    if favorable_sign == -1:
+        pos, neg = neg, pos
     return SignedTransport(total=pos + neg, positive_part=pos, negative_part=neg)
 
 

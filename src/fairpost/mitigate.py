@@ -368,7 +368,7 @@ def build_calibrated(model, impact_list, params: CompressiveParams, data: Datase
     also that model's scores on ``data``; a failed fit (non-monotone or
     degenerate) leaves the model uncalibrated.
     """
-    post = build_postprocessed(model, impact_list, params, x=data.x)
+    post = build_postprocessed(model, impact_list, params)
     if base_scores is None:
         base_scores = model(data.x)
     scores = post(data.x)

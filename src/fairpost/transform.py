@@ -15,11 +15,14 @@ import numpy as np
 
 from .empirical import build_distribution
 
-# The local map is monotone for all arguments when a >= LOCAL_A_MIN; below
-# that the derivative can change sign.  Parameters are additionally checked
-# on a grid spanning the observed data when a model is assembled.
+# The local map t - d (1 - 1/a) exp(-u), with d = t - t* and u = d^2 / (2 sigma^2),
+# has slope 1 - (1 - 1/a) exp(-u) (1 - 2u), and exp(-u) (1 - 2u) lies in
+# [-2 e^-1.5, 1].  So the slope is at least 1/a for a >= 1 and at least
+# 1 - 2 e^-1.5 (1/a - 1) for a < 1: positive for every a > 1 / (1 + e^1.5 / 2)
+# ~ 0.309, whatever sigma and t.  At a = LOCAL_A_MIN it is at least 0.33, and
+# transform_local rejects smaller a, so every accepted local map is strictly
+# increasing and needs no check on data.
 LOCAL_A_MIN = 0.4
-_MONOTONE_GRID = 1000
 
 # parameter names of each transform family, in the order of PredictorTransform.params
 TRANSFORM_PARAMS = {"global": ("a",), "asymmetric": ("a_minus", "a_plus"),
@@ -157,25 +160,10 @@ class PostProcessedModel:
         return scores
 
 
-def _certify_monotone(tr: PredictorTransform, column: np.ndarray) -> None:
-    lo, hi = float(np.min(column)), float(np.max(column))
-    if lo == hi:
-        return
-    grid = np.linspace(lo, hi, _MONOTONE_GRID)
-    mapped = tr.apply(grid)
-    if not np.all(np.diff(mapped) > 0.0):
-        raise ValueError(
-            f"transform for predictor {tr.predictor} is not strictly "
-            f"increasing on the observed data range")
-
-
-def build_postprocessed(model, impact_list, params: CompressiveParams,
-                        x: np.ndarray | None = None) -> PostProcessedModel:
+def build_postprocessed(model, impact_list, params: CompressiveParams) -> PostProcessedModel:
     """Assemble the intermediate post-processed model.
 
-    ``params`` must cover exactly the impact-list indices.  When ``x`` is
-    given, each local transform is certified strictly increasing on a grid
-    spanning that data.
+    ``params`` must cover exactly the impact-list indices.
     """
     indices = impact_indices(impact_list)
     if sorted(params.indices) != sorted(indices):
@@ -184,11 +172,6 @@ def build_postprocessed(model, impact_list, params: CompressiveParams,
             f"but the impact list is {sorted(indices)}")
     if len(set(indices)) != len(indices):
         raise ValueError("impact list contains duplicate indices")
-    if x is not None:
-        x = np.asarray(x, dtype=float)
-        for tr in params.transforms:
-            if tr.kind == "local":
-                _certify_monotone(tr, x[:, tr.predictor])
     return PostProcessedModel(base_model=model, impact_list=indices, params=params)
 
 

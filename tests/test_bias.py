@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairpost.bias import (
+    MIN_CELL_CLASS_ROWS,
     PartitionSpec,
     classifier_bias,
     is_fair,
     model_bias,
     quantile_bias,
 )
-from fairpost.empirical import build_distribution, wasserstein1
+from fairpost.empirical import build_distribution, wasserstein1, wasserstein1_signed
 
 
 def interleaved_scores(rng, n_per_class):
@@ -71,6 +74,115 @@ class TestModelBias:
                                       build_distribution(scores[mask & (g == 1)])))
         assert report.total == pytest.approx(0.5 * cells[0] + 0.5 * cells[1], abs=1e-12)
         assert abs(report.total - (report.positive + report.negative)) <= 1e-10
+
+
+def random_cells(rng, sizes, decimals):
+    """Rows whose (y, g) cell sizes are ``sizes[y][g]``, shuffled, with scores
+    rounded to ``decimals`` places (None: no rounding) to force ties."""
+    y = np.repeat([0, 0, 1, 1], [sizes[0][0], sizes[0][1], sizes[1][0], sizes[1][1]])
+    g = np.repeat([0, 1, 0, 1], [sizes[0][0], sizes[0][1], sizes[1][0], sizes[1][1]])
+    scores = rng.normal(0.0, 1.0, y.size) * rng.uniform(0.3, 2.0, 4)[2 * y + g]
+    scores += rng.normal(0.0, 0.5, 4)[2 * y + g]
+    if decimals is not None:
+        scores = np.round(scores, decimals)
+    perm = rng.permutation(y.size)
+    return scores[perm], g[perm], y[perm]
+
+
+def quantile_form_report(scores, g, partition, favorable_sign, y):
+    """The model bias from the quantile form ``wasserstein1_signed``, cell by cell."""
+    masks = partition.masks({"y": y}, scores.size)
+    cells = [wasserstein1_signed(build_distribution(scores[m & (g == 0)]),
+                                 build_distribution(scores[m & (g == 1)]), favorable_sign)
+             for m in masks]
+    weighted = [sum(w * getattr(c, part) for w, c in zip(partition.weights, cells))
+                for part in ("total", "positive_part", "negative_part")]
+    return cells, weighted
+
+
+class TestCdfFormAgainstQuantileForm:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 250), min_size=4, max_size=4),
+           decimals=st.sampled_from([None, 0, 1, 2]),
+           favorable_sign=st.sampled_from([-1, 1]),
+           by_label=st.booleans())
+    def test_matches_oracle(self, seed, sizes, decimals, favorable_sign, by_label):
+        rng = np.random.default_rng(seed)
+        scores, g, y = random_cells(rng, [sizes[:2], sizes[2:]], decimals)
+        partition = PartitionSpec.by_label() if by_label else PartitionSpec.all_rows()
+        report = model_bias(scores, g, partition, favorable_sign, columns={"y": y})
+        cells, (total, pos, neg) = quantile_form_report(scores, g, partition,
+                                                        favorable_sign, y)
+        tol = dict(rel=1e-9, abs=1e-12)
+        assert report.total == pytest.approx(total, **tol)
+        assert report.positive == pytest.approx(pos, **tol)
+        assert report.negative == pytest.approx(neg, **tol)
+        for got, want in zip(report.per_cell, cells):
+            assert got.total == pytest.approx(want.total, **tol)
+            assert got.positive_part == pytest.approx(want.positive_part, **tol)
+            assert got.negative_part == pytest.approx(want.negative_part, **tol)
+
+    def test_one_row_per_class(self):
+        for favorable_sign in (-1, 1):
+            report = model_bias([0.75, 0.25], [0, 1], favorable_sign=favorable_sign)
+            assert report.total == 0.5
+            assert (report.positive, report.negative) == ((0.5, 0.0) if favorable_sign == 1
+                                                          else (0.0, 0.5))
+
+    def test_row_permutation_is_bit_identical(self):
+        rng = np.random.default_rng(60)
+        for decimals in (None, 1):
+            scores, g, y = random_cells(rng, [[700, 450], [300, 900]], decimals)
+            for partition in (PartitionSpec.all_rows(), PartitionSpec.by_label()):
+                for favorable_sign in (-1, 1):
+                    base = model_bias(scores, g, partition, favorable_sign, {"y": y})
+                    for _ in range(5):
+                        perm = rng.permutation(scores.size)
+                        other = model_bias(scores[perm], g[perm], partition,
+                                           favorable_sign, {"y": y[perm]})
+                        assert (other.total, other.positive, other.negative) == (
+                            base.total, base.positive, base.negative)
+                        assert other.per_cell == base.per_cell
+
+
+class TestModelBiasErrors:
+    def test_every_error_path_raises(self):
+        scores = np.array([0.1, 0.4, 0.3, 0.9])
+        g = np.array([0, 1, 0, 1])
+        y = np.array([0, 0, 1, 1])
+        cases = [
+            (dict(scores=[0.1, np.inf, 0.3, 0.9]), "finite"),
+            (dict(scores=[0.1, np.nan, 0.3, 0.9]), "finite"),
+            (dict(g=[0, 2, 0, 1]), "binary"),
+            (dict(g=[0, 1, 0]), "same length"),
+            (dict(favorable_sign=0), "favorable_sign"),
+            (dict(partition=PartitionSpec.by_label(), columns={"y": np.ones(4)}),
+             "cell 'y=0' is empty"),
+            (dict(g=[0, 0, 0, 0]), "missing class G=1"),
+            (dict(g=[1, 1, 1, 1]), "missing class G=0"),
+            (dict(partition=PartitionSpec.by_label(), columns={"y": y},
+                  g=[0, 0, 1, 1]), "cell 'y=0': missing class G=1"),
+            (dict(partition=PartitionSpec.by_label()), "requires a 'y' column"),
+            (dict(partition=PartitionSpec(("a", "b"), (lambda c, n: np.ones(n, bool),) * 2,
+                                          (0.5, 0.5))), "overlap"),
+            (dict(partition=PartitionSpec(("a",), (lambda c, n: np.ones(n + 1, bool),),
+                                          (1.0,))), "wrong shape"),
+        ]
+        for change, message in cases:
+            kwargs = dict(scores=scores, g=g, partition=None, favorable_sign=1, columns=None)
+            kwargs.update(change)
+            with pytest.raises(ValueError, match=message):
+                model_bias(**kwargs)
+
+    def test_small_cell_warning_text(self):
+        n = MIN_CELL_CLASS_ROWS
+        g = np.array([0] * n + [1] * (n - 1))
+        report = model_bias(np.arange(g.size, dtype=float), g)
+        assert report.warnings == (
+            f"cell 'all' has a class with fewer than {n} rows; "
+            "its W1 estimate is unreliable",)
+        assert model_bias(np.arange(2 * n, dtype=float), [0, 1] * n).warnings == ()
 
 
 class TestClassifierBias:

@@ -36,14 +36,6 @@ class TestBuildDistribution:
         np.testing.assert_array_equal(d.values, [1.0, 2.0])
         np.testing.assert_allclose(d.weights, [2.0 / 3.0, 1.0 / 3.0])
 
-    def test_weights_normalized_and_cdf_monotone(self):
-        d = build_distribution([3.0, 1.0, 2.0], weights=[2.0, 1.0, 1.0])
-        assert abs(d.weights.sum() - 1.0) < 1e-12
-        grid = np.linspace(0.0, 4.0, 50)
-        cdf = d.cdf(grid)
-        assert np.all(np.diff(cdf) >= 0)
-        assert d.cdf(100.0) == 1.0
-
     def test_quantile_zero_is_minimum(self):
         d = build_distribution([4.0, 2.0, 9.0])
         assert d.quantile(0.0) == 2.0
@@ -51,8 +43,6 @@ class TestBuildDistribution:
     def test_errors(self):
         with pytest.raises(ValueError):
             build_distribution([])
-        with pytest.raises(ValueError):
-            build_distribution([1.0, 2.0], weights=[0.5, -0.1])
         with pytest.raises(ValueError):
             build_distribution([1.0, np.nan])
 
@@ -81,12 +71,6 @@ class TestWasserstein1:
         b = rng.normal(0.3, 2.0, 397)
         w = wasserstein1(build_distribution(a), build_distribution(b))
         assert w == pytest.approx(wasserstein_distance(a, b), rel=1e-9)
-
-    def test_weighted_atoms_match_expanded_samples(self):
-        d0 = build_distribution([0.0, 1.0], weights=[0.25, 0.75])
-        d1 = build_distribution([0.0, 0.0, 0.0, 2.0])
-        e0 = build_distribution([0.0, 1.0, 1.0, 1.0])
-        assert wasserstein1(d0, d1) == pytest.approx(wasserstein1(e0, d1), abs=1e-12)
 
 
 class TestSignedTransport:

@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairpost.bias import model_bias
 from fairpost.calibrate import sigmoid
 from fairpost.empirical import build_distribution, ks_distance, wasserstein1
 from fairpost.transform import (
+    LOCAL_A_MIN,
     CompressiveParams,
     PredictorTransform,
     build_postprocessed,
@@ -146,7 +149,7 @@ class TestBuildPostprocessed:
             PredictorTransform(1, "asymmetric", (1.0, 1.0), 4.0),
             PredictorTransform(2, "local", (1.0, 1.0), 5.0),
         ))
-        post = build_postprocessed(model, (0, 1, 2), params, x=x)
+        post = build_postprocessed(model, (0, 1, 2), params)
         np.testing.assert_array_equal(post(x), model(x))
 
     def test_u_shaped_bias_curve(self):
@@ -180,7 +183,7 @@ class TestBuildPostprocessed:
             PredictorTransform(1, "asymmetric", (0.6, 4.0), -1.0),
             PredictorTransform(2, "local", (2.0, 1.0), 0.0),
         ))
-        post = build_postprocessed(lambda z: z.sum(axis=1), (0, 1, 2), params, x=x)
+        post = build_postprocessed(lambda z: z.sum(axis=1), (0, 1, 2), params)
         transformed = post.transform_inputs(x)
         for i in range(3):
             orig_order = np.argsort(x[:, i], kind="stable")
@@ -209,6 +212,20 @@ class TestBuildPostprocessed:
         x = np.random.default_rng(11).normal(0, 1, (100, 1))
         with pytest.raises(ValueError):
             PredictorTransform(0, "local", (0.1, 1.0), 0.0).apply(x[:, 0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(LOCAL_A_MIN, 1e3), sigma=st.floats(1e-2, 1e2),
+           z=st.floats(-50.0, 50.0), focal=st.floats(-10.0, 10.0))
+    def test_local_slope_bound(self, a, sigma, z, focal):
+        """The local map's slope is at least 1/a for a >= 1 and at least
+        1 - 2 e^-1.5 (1/a - 1) below that (0.33 at a = LOCAL_A_MIN), at any
+        distance ``d = z * sigma`` from the focal point."""
+        t = focal + z * sigma
+        h = 1e-4 * sigma
+        slope = (transform_local(t + h, a, sigma, focal) - transform_local(t, a, sigma, focal)) / h
+        bound = 1.0 / a if a >= 1.0 else 1.0 - 2.0 * np.exp(-1.5) * (1.0 / a - 1.0)
+        assert bound >= min(1.0 / a, 0.33)
+        assert slope >= bound - 1e-7  # rounding in the difference quotient
 
 
 class TestFocalPoint:

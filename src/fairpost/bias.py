@@ -120,7 +120,7 @@ def _validate_inputs(scores, g):
         raise ValueError("scores and g must have the same length")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    if not np.all(np.isin(g, (0, 1))):
+    if not ((g == 0) | (g == 1)).all():
         raise ValueError("g must be binary 0/1")
     return scores, g.astype(int)
 

@@ -23,9 +23,8 @@ import numpy as np
 class EmpiricalDistribution:
     """Sorted weighted atoms with step CDF and generalized-inverse quantiles."""
 
-    values: np.ndarray   # strictly increasing atom positions
-    weights: np.ndarray  # positive, sums to 1
-    cum_weights: np.ndarray
+    values: np.ndarray       # strictly increasing atom positions
+    cum_weights: np.ndarray  # increasing, ends at 1; atom weights are its steps
 
     @property
     def n_atoms(self) -> int:
@@ -74,9 +73,9 @@ def build_distribution(samples) -> EmpiricalDistribution:
     merged = merged / merged.sum()
     cum = np.cumsum(merged)
     cum[-1] = 1.0
-    for arr in (uniq, merged, cum):
+    for arr in (uniq, cum):
         arr.setflags(write=False)
-    return EmpiricalDistribution(values=uniq, weights=merged, cum_weights=cum)
+    return EmpiricalDistribution(values=uniq, cum_weights=cum)
 
 
 def _quantile_segments(d0: EmpiricalDistribution, d1: EmpiricalDistribution):

@@ -4,15 +4,15 @@ ICE sections.
 All explainers treat the model as a black-box callable mapping an ``(n, p)``
 array of rows to ``(n,)`` outputs.  Marginal (interventional) game values
 ``v(S; x) = E_b[f(x_S, b_-S)]`` are estimated on a fixed background sample;
-the exact Shapley mode enumerates all coalitions, the sampled mode averages
-marginal contributions over antithetic permutation pairs.
+a boosted-tree model scores the pairs (x, b) through its own coalition kernel,
+bit for bit as on the assembled rows, and any other model scores the assembled
+rows.  The exact Shapley mode enumerates all coalitions, the sampled mode
+averages marginal contributions over antithetic permutation pairs.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +20,6 @@ import numpy as np
 EXACT_SHAPLEY_MAX_PREDICTORS = 12
 DEFAULT_BACKGROUND_ROWS = 500
 _EVAL_CHUNK = 1 << 18  # rows of model input built per chunk
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("FAIRPOST_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -74,22 +67,18 @@ def marginal_game_values(model, x: np.ndarray, background: np.ndarray,
     if len(subset) == 0:
         return np.full(n, float(np.mean(np.asarray(model(background), dtype=float))))
 
-    rows_per_chunk = max(1, _EVAL_CHUNK // b)
-    chunks = [(start, min(start + rows_per_chunk, n)) for start in range(0, n, rows_per_chunk)]
+    if getattr(model, "kind", None) == "gbm":
+        inverse, blocks = model.coalition_scores(x, background, subset)
+        return np.concatenate([block.mean(axis=1) for block in blocks])[inverse]
 
-    def eval_chunk(bounds):
-        start, stop = bounds
+    rows_per_chunk = max(1, _EVAL_CHUNK // b)
+    parts = []
+    for start in range(0, n, rows_per_chunk):
+        stop = min(start + rows_per_chunk, n)
         block = np.tile(background, (stop - start, 1))
         for j in subset:
             block[:, j] = np.repeat(x[start:stop, j], b)
-        return np.asarray(model(block), dtype=float).reshape(stop - start, b).mean(axis=1)
-
-    threads = _thread_count()
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(eval_chunk, chunks))
-    else:
-        parts = [eval_chunk(c) for c in chunks]
+        parts.append(np.asarray(model(block), dtype=float).reshape(stop - start, b).mean(axis=1))
     return np.concatenate(parts)
 
 
@@ -203,13 +192,13 @@ class IceSection:
         self._index = predictor_index
 
     def __call__(self, t) -> np.ndarray | float:
+        """The game value of the anchor as a one-row background, the
+        section's predictor taken from ``t``."""
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        grid = np.atleast_1d(t)
-        block = np.tile(self._anchor, (grid.size, 1))
-        block[:, self._index] = grid
-        out = np.asarray(self._model(block), dtype=float)
-        return float(out[0]) if scalar else out
+        grid = np.zeros((t.size, self._anchor.size))
+        grid[:, self._index] = t.ravel()
+        out = marginal_game_values(self._model, grid, self._anchor[None, :], [self._index])
+        return float(out[0]) if t.ndim == 0 else out
 
 
 def ice_explainer(model, x: np.ndarray, predictor_index: int,

@@ -16,7 +16,9 @@ configuration.  Prediction ranks each input column once against the model's
 sorted split thresholds, then finds every row's exit leaf in all trees at once
 as the lowest leaf bit that survives the masks of the nodes whose test fails
 (QuickScorer; Lucchese et al., SIGIR 2015), and adds the leaf values tree by
-tree.
+tree.  A row assembled from two sources, the columns of a coalition from one
+row and the others from a background row, is scored from the failed nodes of
+each side, found once per source row and combined per pair.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ PRED_CLAMP = 1e-9
 MODEL_IDS = ("M1", "M2", "M3", "M4")
 MAX_LEAVES = 64  # one bit per leaf in a uint64 mask
 BLOCK_ROWS = 512  # rows per prediction pass; bounds the (trees, rows) temporaries
+COALITION_PAIRS = 1 << 13  # (row, background row) pairs per coalition pass
 
 
 @dataclass(frozen=True)
@@ -307,33 +310,91 @@ class _PackedTrees:
                 clear[k, t] = (1 << stop) - (1 << first)
         return _PackedTrees(thresholds, feature, rank, clear, leaf)
 
-    def terms(self, x: np.ndarray):
-        """Per block of at most BLOCK_ROWS rows of ``x``: the block's row
-        slice and the (trees, rows) learning_rate times the value of each
-        row's exit leaf.
+    def codes(self, x: np.ndarray, features=None) -> np.ndarray:
+        """(features, rows) rank of each row's value among each feature's
+        split thresholds, for the features flagged in ``features`` (a boolean
+        per feature; every feature when None) and 0 for the others.
 
-        Each feature column is ranked once: ``x <= threshold`` holds exactly
-        when the count of the feature's thresholds below x is at most the
-        threshold's rank, so ties go left, and NaN sorts last and goes right.
-        A row cannot exit in the left subtree of a node whose test it fails,
-        and every other leaf left of its exit leaf lies in such a subtree: the
-        lowest leaf bit that no failed node clears is the exit leaf.
+        ``x <= threshold`` holds exactly when the count of the feature's
+        thresholds below x is at most the threshold's rank, so ties go left,
+        and NaN sorts last and goes right.
         """
         if x.ndim != 2 or x.shape[1] < len(self.thresholds):
             raise ValueError(f"the model splits on {len(self.thresholds)} columns; "
                              f"the input has shape {x.shape}")
-        codes = np.empty((len(self.thresholds), x.shape[0]), dtype=self.rank.dtype)
+        codes = np.zeros((len(self.thresholds), x.shape[0]), dtype=self.rank.dtype)
         for f, th in enumerate(self.thresholds):
-            codes[f] = np.searchsorted(th, x[:, f])
-        trees = np.arange(self.leaf.shape[0])[:, None]
+            if features is None or features[f]:
+                codes[f] = np.searchsorted(th, x[:, f])
+        return codes
+
+    def cleared(self, codes: np.ndarray, features=None) -> np.ndarray:
+        """(trees, rows) OR of the leaf bits of the nodes whose test each row
+        of ``codes`` fails, over the nodes on the features flagged in
+        ``features`` (every node when None).
+
+        A row cannot exit in the left subtree of a node whose test it fails,
+        and every other leaf left of its exit leaf lies in such a subtree: the
+        lowest leaf bit that no failed node clears is the exit leaf.
+        """
+        clear = self.clear if features is None else self.clear * features[self.feature]
+        out = np.zeros((self.leaf.shape[0], codes.shape[1]), dtype=clear.dtype)
+        for feature, rank, bits in zip(self.feature, self.rank, clear):
+            out |= (codes[feature] > rank[:, None]) * bits[:, None]
+        return out
+
+    def exits(self, x: np.ndarray):
+        """Per block of at most BLOCK_ROWS rows of ``x``: the block's row
+        slice and the (trees, rows) exit leaf of each row."""
+        codes = self.codes(x)
         for start in range(0, x.shape[0], BLOCK_ROWS):
             rows = slice(start, start + BLOCK_ROWS)
-            block = codes[:, rows]
-            cleared = np.zeros((self.leaf.shape[0], block.shape[1]), dtype=self.clear.dtype)
-            for feature, rank, clear in zip(self.feature, self.rank, self.clear):
-                cleared |= (block[feature] > rank[:, None]) * clear[:, None]
-            exit_leaf = np.bitwise_count(cleared & ~(cleared + 1))  # trailing ones
-            yield rows, self.leaf[trees, exit_leaf]
+            yield rows, _exit_leaf(self.cleared(codes[:, rows]))
+
+    def coalition_exits(self, x: np.ndarray, background: np.ndarray, subset):
+        """Exit leaves of the rows that take the features in ``subset`` from a
+        row of ``x`` and the others from a row of ``background``.
+
+        A node on a feature in the subset reads only the ``x`` row and any
+        other node only the background row, so each side's failed nodes are
+        found once per row and a pair's cleared bits are the OR of its two
+        sides.  Rows of ``x`` with the same codes on the subset have the same
+        cleared bits and are represented by one of them.  Returns ``(inverse,
+        passes)``: ``passes`` yields the (trees, m, b) exit leaves of the next
+        m representatives against every background row, at most
+        COALITION_PAIRS pairs per pass (one representative when b exceeds it),
+        and row ``r`` of ``x`` exits as representative ``inverse[r]``.
+        """
+        in_subset = np.zeros(len(self.thresholds), dtype=bool)
+        in_subset[[f for f in subset if f < in_subset.size]] = True
+        x_codes = self.codes(x, in_subset)
+        inverse = np.zeros(x.shape[0], dtype=np.intp)
+        for f in np.flatnonzero(in_subset):  # one feature at a time, so keys never overflow
+            _, inverse = np.unique(inverse * (self.thresholds[f].size + 1) + x_codes[f],
+                                   return_inverse=True)
+        keys = np.zeros((x_codes.shape[0], inverse.max(initial=-1) + 1), dtype=x_codes.dtype)
+        keys[:, inverse] = x_codes  # any row with a key represents it
+        from_x = self.cleared(keys, in_subset)
+        from_b = self.cleared(self.codes(background, ~in_subset), ~in_subset)
+        step = max(1, COALITION_PAIRS // from_b.shape[1])
+
+        def passes():
+            for start in range(0, from_x.shape[1], step):
+                yield _exit_leaf(from_x[:, start:start + step, None] | from_b[:, None, :])
+
+        return inverse, passes()
+
+    def add_leaves(self, raw: np.ndarray, exit_leaf: np.ndarray) -> None:
+        """Add to ``raw``, in place and tree by tree in tree order, each
+        tree's learning_rate times the value of the leaf ``exit_leaf`` (trees,
+        raw.size) names, so sums match training's."""
+        for leaf, exits in zip(self.leaf, exit_leaf):
+            raw += leaf.take(exits)
+
+
+def _exit_leaf(cleared: np.ndarray) -> np.ndarray:
+    """Index of the lowest bit of each mask that is not cleared."""
+    return np.bitwise_count(cleared & ~(cleared + 1))  # trailing ones
 
 
 def _best_split(xt, grad, hess, rows, order, min_leaf):
@@ -423,6 +484,10 @@ def _grow_tree(xt, order, grad, hess, config: GbmConfig):
                   if tree.feature[nd] < 0]
 
 
+def _probability(raw: np.ndarray) -> np.ndarray:
+    return np.clip(sigmoid(raw), PRED_CLAMP, 1.0 - PRED_CLAMP)
+
+
 @dataclass(frozen=True)
 class TrainedModel:
     """Probability-scoring model: boosted trees or logistic regression."""
@@ -448,27 +513,50 @@ class TrainedModel:
         if self.kind != "gbm":
             return self.intercept + x @ self.coef
         out = np.full(x.shape[0], self.init_score)
-        for rows, terms in self._packed.terms(x):
-            block = out[rows]
-            for term in terms:  # in tree order, so sums match training's
-                block += term
+        for rows, exit_leaf in self._packed.exits(x):
+            self._packed.add_leaves(out[rows], exit_leaf)
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(sigmoid(self.raw_score(x)), PRED_CLAMP, 1.0 - PRED_CLAMP)
+        return _probability(self.raw_score(x))
+
+    def coalition_scores(self, x: np.ndarray, background: np.ndarray, subset):
+        """Probabilities of the rows that take the columns in ``subset`` from
+        a row of ``x`` and the others from a row of ``background`` (gbm only).
+
+        Rows of ``x`` with the same threshold codes on the subset score alike,
+        so one representative of each is scored.  Returns ``(inverse,
+        blocks)``: ``blocks`` yields the (m, b) probabilities of the next m
+        representatives against every background row, and row ``r`` of ``x``
+        scores as representative ``inverse[r]``.  Each probability has the
+        bits of ``self`` on the assembled row, leaves added in tree order.
+        """
+        if self.kind != "gbm":
+            raise ValueError("coalition scores are defined for gbm models only")
+        packed = self._packed
+        inverse, passes = packed.coalition_exits(
+            np.asarray(x, dtype=float), np.asarray(background, dtype=float), subset)
+
+        def blocks():
+            for exit_leaf in passes:
+                raw = np.full(exit_leaf.shape[1:], self.init_score)
+                packed.add_leaves(raw.reshape(-1), exit_leaf.reshape(len(packed.leaf), raw.size))
+                yield _probability(raw)
+
+        return inverse, blocks()
 
     def staged_scores(self, x: np.ndarray):
         """Probability predictions after each boosting round (gbm only)."""
         if self.kind != "gbm":
             raise ValueError("staged scores are defined for gbm models only")
         x = np.asarray(x, dtype=float)
-        terms = np.empty((len(self.trees), x.shape[0]))
-        for rows, block in self._packed.terms(x):
-            terms[:, rows] = block
+        exit_leaf = np.empty((len(self.trees), x.shape[0]), dtype=np.uint8)
+        for rows, block in self._packed.exits(x):
+            exit_leaf[:, rows] = block
         z = np.full(x.shape[0], self.init_score)
-        for term in terms:
-            z = z + term
-            yield np.clip(sigmoid(z), PRED_CLAMP, 1.0 - PRED_CLAMP)
+        for leaf, exits in zip(self._packed.leaf, exit_leaf):
+            z = z + leaf.take(exits)
+            yield _probability(z)
 
     def to_json(self) -> str:
         payload = {"kind": self.kind, "favorable_sign": self.favorable_sign}

@@ -9,7 +9,7 @@ import numpy as np
 from fairpost.bias import model_bias
 from fairpost.calibrate import CalibrationError, link_linear_calibrate, sigmoid
 from fairpost.explain import marginal_game_values
-from fairpost.learn import PRED_CLAMP, log_loss
+from fairpost.learn import PRED_CLAMP, _Tree, log_loss
 
 
 def riemann_w1(a, b, n_points=100_000):
@@ -257,6 +257,32 @@ def train_gbm_direct(x, y, config, favorable_sign=1):
     return json.dumps({"kind": "gbm", "favorable_sign": favorable_sign,
                        "init_score": init, "learning_rate": config.learning_rate,
                        "trees": trees})
+
+
+def random_tree(rng, n_leaves, max_depth, n_features, next_threshold):
+    """A tree grown by splitting random leaves shallower than ``max_depth``
+    until it has ``n_leaves`` leaves or none can split."""
+    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+    depth, leaves = [0], [0]
+    while len(leaves) < n_leaves:
+        open_leaves = [nd for nd in leaves if depth[nd] < max_depth]
+        if not open_leaves:
+            break
+        node = open_leaves[rng.integers(len(open_leaves))]
+        leaves.remove(node)
+        feature[node] = int(rng.integers(n_features))
+        threshold[node] = next_threshold()
+        for side in (left, right):
+            side[node] = len(feature)
+            leaves.append(len(feature))
+            depth.append(depth[node] + 1)
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+    return _Tree(feature=np.array(feature), threshold=np.array(threshold),
+                 left=np.array(left), right=np.array(right),
+                 value=rng.normal(0.0, 1.0, len(feature)))
 
 
 def chain_gbm_json(n_leaves):

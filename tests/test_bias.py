@@ -155,6 +155,9 @@ class TestModelBiasErrors:
             (dict(scores=[0.1, np.inf, 0.3, 0.9]), "finite"),
             (dict(scores=[0.1, np.nan, 0.3, 0.9]), "finite"),
             (dict(g=[0, 2, 0, 1]), "binary"),
+            (dict(g=[0, -1, 0, 1]), "binary"),
+            (dict(g=[0.0, 0.5, 0.0, 1.0]), "binary"),
+            (dict(g=["0", "1", "0", "1"]), "binary"),
             (dict(g=[0, 1, 0]), "same length"),
             (dict(favorable_sign=0), "favorable_sign"),
             (dict(partition=PartitionSpec.by_label(), columns={"y": np.ones(4)}),
@@ -174,6 +177,10 @@ class TestModelBiasErrors:
             kwargs.update(change)
             with pytest.raises(ValueError, match=message):
                 model_bias(**kwargs)
+        # bool and float 0/1 labels are binary
+        base = model_bias(scores, g)
+        for same in (g.astype(bool), g.astype(float)):
+            assert model_bias(scores, same) == base
 
     def test_small_cell_warning_text(self):
         n = MIN_CELL_CLASS_ROWS

@@ -16,7 +16,7 @@ class TestBuildDistribution:
     def test_sorts_and_uniform_weights(self):
         d = build_distribution([1.0, 3.0, 2.0])
         np.testing.assert_array_equal(d.values, [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(d.weights, 1.0 / 3.0)
+        np.testing.assert_allclose(np.diff(d.cum_weights, prepend=0), 1.0 / 3.0)
 
     def test_point_mass_quantiles(self):
         d = build_distribution([5.0])
@@ -34,7 +34,7 @@ class TestBuildDistribution:
     def test_ties_merged(self):
         d = build_distribution([1.0, 1.0, 2.0])
         np.testing.assert_array_equal(d.values, [1.0, 2.0])
-        np.testing.assert_allclose(d.weights, [2.0 / 3.0, 1.0 / 3.0])
+        np.testing.assert_allclose(np.diff(d.cum_weights, prepend=0), [2.0 / 3.0, 1.0 / 3.0])
 
     def test_quantile_zero_is_minimum(self):
         d = build_distribution([4.0, 2.0, 9.0])

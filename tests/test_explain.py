@@ -1,22 +1,41 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairpost import explain
+from fairpost import learn
 from fairpost.explain import (
     default_background,
     exact_shapley,
     ice_explainer,
+    marginal_game_values,
     marginal_shapley,
     pdp_explainer,
     pdp_output,
     sampled_shapley,
 )
 
-from fairpost.learn import GbmConfig, SyntheticSpec, TrainedModel, generate, train_gbm
+from fairpost.calibrate import sigmoid
+from fairpost.learn import (
+    MAX_LEAVES,
+    PRED_CLAMP,
+    GbmConfig,
+    SyntheticSpec,
+    TrainedModel,
+    generate,
+    train_gbm,
+)
 
-from helpers import additive_shapley, pdp_direct, shapley_by_orderings
+from helpers import (
+    additive_shapley,
+    pdp_direct,
+    random_tree,
+    shapley_by_orderings,
+    tree_scores_direct,
+)
 
 
 def product_model(x):
@@ -67,18 +86,6 @@ class TestPdpExplainer:
             pdp_explainer(product_model, x, 5, x)
 
 
-    def test_gbm_identical_at_any_thread_count(self, monkeypatch):
-        data = generate(SyntheticSpec("M1", 600, seed=27))
-        saved = train_gbm(data.x, data.y, GbmConfig(n_estimators=25)).to_json()
-        x, bg = data.x[:90], data.x[100:130]
-        monkeypatch.setattr(explain, "_EVAL_CHUNK", 10 * bg.shape[0])  # 9 chunks
-        outputs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("FAIRPOST_THREADS", threads)
-            # a fresh model, so worker threads build its packed trees
-            model = TrainedModel.from_json(saved)
-            outputs.append(pdp_output(model, x, bg).per_row_per_predictor)
-        assert outputs[0].tobytes() == outputs[1].tobytes()
 
 
 class TestMarginalShapley:
@@ -166,6 +173,95 @@ class TestMarginalShapley:
         x = np.zeros((4, 3))
         with pytest.raises(ValueError):
             marginal_shapley(lambda z: z.sum(axis=1), x, x, mode="sampled")
+
+
+class TestGbmCoalitionScores:
+    """GBM game values come from the coalition kernel; the same call through
+    a plain callable takes the tiled black-box path, the oracle here, and
+    ICE sections are held to a per-row, per-node walk."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_leaves=st.integers(2, MAX_LEAVES),
+           max_depth=st.integers(1, 8), n_trees=st.integers(0, 8),
+           n_features=st.integers(1, 4), extra_columns=st.integers(0, 2),
+           n_rows=st.integers(1, 90), n_background=st.integers(1, 40),
+           pairs_per_pass=st.integers(1, 300))
+    def test_matches_tiled_black_box(self, seed, max_leaves, max_depth, n_trees,
+                                     n_features, extra_columns, n_rows,
+                                     n_background, pairs_per_pass):
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([np.round(rng.normal(0.0, 2.0, 10), 1),
+                               [-np.inf, np.inf, -0.0]])
+        trees = tuple(random_tree(rng, int(rng.integers(1, max_leaves + 1)),
+                                  max_depth, n_features,
+                                  lambda: float(rng.choice(pool)))
+                      for _ in range(n_trees))
+        model = TrainedModel(kind="gbm", init_score=float(rng.normal()),
+                             learning_rate=float(rng.uniform(0.01, 1.0)),
+                             trees=trees)
+        p = n_features + extra_columns
+
+        def draw(n):
+            # values hit thresholds exactly, fall between them, or are NaN/+-inf
+            z = rng.normal(0.0, 2.0, (n, p))
+            tie = rng.random(z.shape) < 0.4
+            z[tie] = rng.choice(pool, int(tie.sum()))
+            special = rng.random(z.shape) < 0.1
+            z[special] = rng.choice([np.nan, np.inf, -np.inf], int(special.sum()))
+            return z
+
+        x = draw(n_rows)
+        x = x[rng.integers(0, n_rows, n_rows)]  # duplicate rows
+        background = draw(n_background)
+        oracle = lambda z: model(z)  # noqa: E731
+
+        def walk(z):
+            raw = tree_scores_direct(model, z)[:, -1]
+            return np.clip(sigmoid(raw), PRED_CLAMP, 1.0 - PRED_CLAMP)
+
+        # at most pairs_per_pass pairs per pass, so passes end inside x
+        with mock.patch.object(learn, "COALITION_PAIRS", pairs_per_pass):
+            for size in range(p + 1):
+                subset = sorted(rng.choice(p, size, replace=False).tolist())
+                got = marginal_game_values(model, x, background, subset)
+                want = marginal_game_values(oracle, x, background, subset)
+                assert got.tobytes() == want.tobytes()
+                perm = rng.permutation(n_rows)
+                assert (marginal_game_values(model, x[perm], background, subset).tobytes()
+                        == got[perm].tobytes())
+            # the tiled path sums leaves with the same code as the kernel, so
+            # the sections are held to a per-row, per-node walk instead
+            i = int(rng.integers(p))
+            section = ice_explainer(model, x, i, background[0])
+            section_oracle = ice_explainer(walk, x, i, background[0])
+            assert section(x[:, i]).tobytes() == section_oracle(x[:, i]).tobytes()
+            assert section(x[0, i]) == section_oracle(x[0, i])
+
+    def test_trained_model_every_coalition(self):
+        data = generate(SyntheticSpec("M1", 1500, seed=31))
+        model = train_gbm(data.x[:600], data.y[:600])
+        x, background = data.x[600:], data.x[:25]  # more pairs than one pass holds
+        oracle = lambda z: model(z)  # noqa: E731
+        for size in range(6):
+            for subset in itertools.combinations(range(5), size):
+                got = marginal_game_values(model, x, background, subset)
+                want = marginal_game_values(oracle, x, background, subset)
+                assert got.tobytes() == want.tobytes()
+
+    def test_one_representative_per_code_key(self):
+        data = generate(SyntheticSpec("M1", 700, seed=32))
+        model = train_gbm(data.x[:500], data.y[:500], GbmConfig(n_estimators=20))
+        x = data.x[:300]
+        inverse, blocks = model.coalition_scores(x, data.x[500:530], [2])
+        codes = np.searchsorted(model._packed.thresholds[2], x[:, 2])
+        assert sum(block.shape[0] for block in blocks) == np.unique(codes).size
+        assert np.array_equal(inverse, np.unique(codes, return_inverse=True)[1])
+
+    def test_logistic_model_has_no_coalition_scores(self):
+        data = generate(SyntheticSpec("M1", 300, seed=33))
+        model = learn.train_logistic(data.x, data.y)
+        with pytest.raises(ValueError, match="gbm"):
+            model.coalition_scores(data.x, data.x[:5], [0])
 
 
 class TestShapleyHelpers:

@@ -16,7 +16,6 @@ from fairpost.learn import (
     SyntheticSpec,
     TrainedModel,
     _sample_skew_normal,
-    _Tree,
     generate,
     log_loss,
     split_dataset,
@@ -24,7 +23,7 @@ from fairpost.learn import (
     train_logistic,
 )
 
-from helpers import chain_gbm_json, train_gbm_direct, tree_scores_direct
+from helpers import chain_gbm_json, random_tree, train_gbm_direct, tree_scores_direct
 
 
 class TestGenerators:
@@ -187,32 +186,6 @@ class TestGbm:
         np.testing.assert_allclose(restored(data.x), model(data.x), atol=1e-15)
 
 
-def _random_tree(rng, n_leaves, max_depth, n_features, next_threshold):
-    """A tree grown by splitting random leaves shallower than ``max_depth``
-    until it has ``n_leaves`` leaves or none can split."""
-    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
-    depth, leaves = [0], [0]
-    while len(leaves) < n_leaves:
-        open_leaves = [nd for nd in leaves if depth[nd] < max_depth]
-        if not open_leaves:
-            break
-        node = open_leaves[rng.integers(len(open_leaves))]
-        leaves.remove(node)
-        feature[node] = int(rng.integers(n_features))
-        threshold[node] = next_threshold()
-        for side in (left, right):
-            side[node] = len(feature)
-            leaves.append(len(feature))
-            depth.append(depth[node] + 1)
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-    return _Tree(feature=np.array(feature), threshold=np.array(threshold),
-                 left=np.array(left), right=np.array(right),
-                 value=rng.normal(0.0, 1.0, len(feature)))
-
-
 def _assert_matches_direct(model, x):
     direct = tree_scores_direct(model, x)
     assert model.raw_score(x).tobytes() == direct[:, -1].tobytes()
@@ -236,7 +209,7 @@ class TestTreeKernel:
         rng = np.random.default_rng(seed)
         pool = np.concatenate([np.round(rng.normal(0.0, 2.0, 10), 1),
                                [-np.inf, np.inf, -0.0]])
-        trees = tuple(_random_tree(rng, int(rng.integers(1, max_leaves + 1)),
+        trees = tuple(random_tree(rng, int(rng.integers(1, max_leaves + 1)),
                                    max_depth, n_features,
                                    lambda: float(rng.choice(pool)))
                       for _ in range(n_trees))
@@ -254,7 +227,7 @@ class TestTreeKernel:
     def test_more_thresholds_than_uint16_codes(self):
         rng = np.random.default_rng(24)
         thresholds = iter(rng.permutation(70_000).astype(float))
-        trees = tuple(_random_tree(rng, MAX_LEAVES, 8, 1, lambda: next(thresholds))
+        trees = tuple(random_tree(rng, MAX_LEAVES, 8, 1, lambda: next(thresholds))
                       for _ in range(1_100))
         model = TrainedModel(kind="gbm", init_score=0.25, learning_rate=0.1,
                              trees=trees)

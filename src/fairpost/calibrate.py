@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 PROB_CLAMP = 1e-6          # scores are clamped to [clamp, 1 - clamp] before logit
 NEWTON_TOL = 1e-8
@@ -44,13 +43,14 @@ def logit(p):
 
 
 def sigmoid(z):
+    """``1 / (1 + e)`` where z >= 0 and ``e / (1 + e)`` elsewhere, with ``e =
+    exp(-|z|)``, so exp never overflows; an array even for a 0-d z."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.abs(z, out=np.empty_like(z))
+    np.exp(np.negative(e, out=e), out=e)
+    d = np.add(e, 1.0, out=np.empty_like(z))
+    np.divide(e, d, out=e)
+    return np.divide(1.0, d, out=e, where=z >= 0)
 
 
 @dataclass(frozen=True)
@@ -248,6 +248,15 @@ def auc(scores, labels) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both label values must be present")
-    ranks = rankdata(s, method="average")
+    # 1-based ranks, each tie group at the mean (start + stop + 1) / 2 of the
+    # ranks it spans, so every rank is an exact half
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    if np.isnan(ordered[-1]):  # NaN sorts last; any NaN leaves the ranks undefined
+        return float("nan")
+    start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    stop = np.r_[start[1:], s.size]
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((start + stop + 1) / 2.0, stop - start)
     rank_sum = float(np.sum(ranks[y == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

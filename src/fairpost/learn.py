@@ -38,6 +38,7 @@ MODEL_IDS = ("M1", "M2", "M3", "M4")
 MAX_LEAVES = 64  # one bit per leaf in a uint64 mask
 BLOCK_ROWS = 512  # rows per prediction pass; bounds the (trees, rows) temporaries
 COALITION_PAIRS = 1 << 13  # (row, background row) pairs per coalition pass
+EXIT_BYTES = 1 << 16  # bytes of masks per in-place pass of _exit_leaf
 
 
 @dataclass(frozen=True)
@@ -393,17 +394,32 @@ class _PackedTrees:
 
 
 def _exit_leaf(cleared: np.ndarray) -> np.ndarray:
-    """Index of the lowest bit of each mask that is not cleared."""
-    return np.bitwise_count(cleared & ~(cleared + 1))  # trailing ones
+    """Index of the lowest bit of each mask that is not cleared (the count of
+    trailing ones), written over ``cleared`` and returned.
+
+    The masks are taken a few trees at a time, at most EXIT_BYTES (or one
+    tree), so the one temporary stays cache-sized and is allocated once per
+    call.
+    """
+    step = max(1, EXIT_BYTES // max(1, cleared[:1].nbytes))
+    ones = np.empty_like(cleared[:step])
+    for start in range(0, cleared.shape[0], step):
+        c = cleared[start:start + step]
+        t = ones[:c.shape[0]]
+        np.invert(np.add(c, 1, out=t), out=t)
+        np.bitwise_count(np.bitwise_and(c, t, out=c), out=c)
+    return cleared
 
 
-def _best_split(xt, grad, hess, rows, order, min_leaf):
+def _best_split(xt, grad, hess, rows, order, min_leaf, work):
     """Exact search over every feature at once; returns (gain, feature,
     threshold).
 
     ``order`` is the node's (features, rows) slice of the fit's column order:
     its row ``f`` lists the node's rows by ascending ``xt[f]``, ties by row.
-    Ties are broken deterministically by feature index then threshold.
+    ``work`` is the fit's scratch, six float rows and one flag row of its
+    features times rows; every temporary is a contiguous view of it.  Ties are
+    broken deterministically by feature index then threshold.
     """
     g_total = grad[rows].sum()
     h_total = hess[rows].sum()
@@ -414,13 +430,27 @@ def _best_split(xt, grad, hess, rows, order, min_leaf):
         return best
     # cut c puts sorted positions 0..c left; both sides keep >= min_leaf rows
     cuts = slice(min_leaf - 1, n - min_leaf)
-    cs = np.take_along_axis(xt, order, axis=1)
-    gl = np.cumsum(grad[order], axis=1)[:, cuts]
-    hl = np.cumsum(hess[order], axis=1)[:, cuts]
-    valid = cs[:, min_leaf:n - min_leaf + 1] > cs[:, cuts]
-    gr, hr = g_total - gl, h_total - hl
-    gain = np.where(valid, gl * gl / np.maximum(hl, 1e-12)
-                    + gr * gr / np.maximum(hr, 1e-12) - parent, -np.inf)
+    n_features, n_cuts = order.shape[0], n - 2 * min_leaf + 1
+    floats, flags = work
+    cs, gl, hl = (buf[:n_features * n].reshape(n_features, n) for buf in floats[:3])
+    gain, gr, hr = (buf[:n_features * n_cuts].reshape(n_features, n_cuts)
+                    for buf in floats[3:])
+    invalid = flags[:n_features * n_cuts].reshape(n_features, n_cuts)
+    # the row ids in order are in range, and mode "raise" would buffer out
+    for j in range(n_features):
+        np.take(xt[j], order[j], out=cs[j], mode="clip")
+    np.cumsum(np.take(grad, order, out=gl, mode="clip"), axis=1, out=gl)
+    np.cumsum(np.take(hess, order, out=hl, mode="clip"), axis=1, out=hl)
+    gl, hl = gl[:, cuts], hl[:, cuts]
+    np.logical_not(np.greater(cs[:, min_leaf:n - min_leaf + 1], cs[:, cuts], out=invalid),
+                   out=invalid)
+    # gl * gl / max(hl, 1e-12) + gr * gr / max(hr, 1e-12) - parent, op by op
+    np.subtract(g_total, gl, out=gr)
+    np.subtract(h_total, hl, out=hr)
+    np.divide(np.multiply(gl, gl, out=gain), np.maximum(hl, 1e-12, out=hl), out=gain)
+    np.divide(np.multiply(gr, gr, out=gr), np.maximum(hr, 1e-12, out=hr), out=gr)
+    np.subtract(np.add(gain, gr, out=gain), parent, out=gain)
+    np.copyto(gain, -np.inf, where=invalid)
     picks = np.argmax(gain, axis=1)
     for j, pick in enumerate(picks.tolist()):
         if gain[j, pick] > best[0] + 1e-12:
@@ -433,7 +463,7 @@ def _best_split(xt, grad, hess, rows, order, min_leaf):
     return best
 
 
-def _grow_tree(xt, order, grad, hess, config: GbmConfig):
+def _grow_tree(xt, order, grad, hess, config: GbmConfig, work):
     """Best-first growth honoring depth, leaf-count and leaf-size limits.
 
     ``order`` is the fit's (features, rows) column order.  A split cuts each
@@ -457,7 +487,7 @@ def _grow_tree(xt, order, grad, hess, config: GbmConfig):
         node_rows[node] = rows
         if depth < config.max_depth:
             gain, feat, thr = _best_split(xt, grad, hess, rows, sub,
-                                          config.min_samples_leaf)
+                                          config.min_samples_leaf, work)
             if feat >= 0:
                 frontier.append((gain, node, rows, sub, feat, thr, depth + 1))
         return node
@@ -571,16 +601,21 @@ class TrainedModel:
     @staticmethod
     def from_json(text: str) -> "TrainedModel":
         d = json.loads(text)
-        if d["kind"] == "gbm":
-            return TrainedModel(kind="gbm", favorable_sign=int(d["favorable_sign"]),
-                                init_score=float(d["init_score"]),
-                                learning_rate=float(d["learning_rate"]),
-                                trees=tuple(_Tree.from_dict(t) for t in d["trees"]))
-        if d["kind"] == "logistic":
-            return TrainedModel(kind="logistic",
-                                favorable_sign=int(d["favorable_sign"]),
-                                coef=np.asarray(d["coef"], dtype=float),
-                                intercept=float(d["intercept"]))
+        if not isinstance(d, dict):
+            raise ValueError("a model must be a JSON object")
+        try:
+            if d["kind"] == "gbm":
+                return TrainedModel(kind="gbm", favorable_sign=int(d["favorable_sign"]),
+                                    init_score=float(d["init_score"]),
+                                    learning_rate=float(d["learning_rate"]),
+                                    trees=tuple(_Tree.from_dict(t) for t in d["trees"]))
+            if d["kind"] == "logistic":
+                return TrainedModel(kind="logistic",
+                                    favorable_sign=int(d["favorable_sign"]),
+                                    coef=np.asarray(d["coef"], dtype=float),
+                                    intercept=float(d["intercept"]))
+        except TypeError as exc:  # a field of the wrong JSON type, such as "trees": 5
+            raise ValueError(f"malformed model: {exc}") from exc
         raise ValueError(f"unknown model kind '{d['kind']}'")
 
 
@@ -605,12 +640,13 @@ def train_gbm(x, y, config: GbmConfig | None = None,
     z = np.full(x.shape[0], init)
     xt = np.ascontiguousarray(x.T)
     order = np.argsort(xt, axis=1, kind="stable")
+    work = np.empty((6, xt.size)), np.empty(xt.size, dtype=bool)  # for _best_split
     trees = []
     for _ in range(config.n_estimators):
         p = sigmoid(z)
         grad = p - y
         hess = np.maximum(p * (1.0 - p), 1e-12)
-        tree, leaves = _grow_tree(xt, order, grad, hess, config)
+        tree, leaves = _grow_tree(xt, order, grad, hess, config, work)
         trees.append(tree)
         for rows, value in leaves:
             z[rows] += config.learning_rate * value

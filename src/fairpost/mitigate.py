@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.stats import norm
 
 from .bias import PartitionSpec, model_bias
 from .calibrate import CalibrationError, link_linear_calibrate, logistic_refit, pava_isotonic
@@ -222,17 +221,19 @@ def _gp_propose(rng, lo, hi, xs, ys):
 
     gram = kernel(xn, xn) + 1e-6 * np.eye(xn.shape[0])
     chol = np.linalg.cholesky(gram)
-    alpha = solve_triangular(chol.T, solve_triangular(chol, yn, lower=True),
-                             lower=False)
+    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, yn))
     cands = rng.uniform(0.0, 1.0, size=(GP_CANDIDATES, lo.size))
     ks = kernel(cands, xn)
     mean = ks @ alpha
-    v = solve_triangular(chol, ks.T, lower=True)
+    v = np.linalg.solve(chol, ks.T)
     var = np.maximum(1.0 - (v * v).sum(axis=0), 1e-12)
     sd = np.sqrt(var)
     best = float(np.min(yn))
     z = (best - mean) / sd
-    ei = sd * (z * norm.cdf(z) + norm.pdf(z))
+    # standard normal cdf and pdf at z
+    cdf = 0.5 * np.array([math.erfc(-t / math.sqrt(2.0)) for t in z.tolist()])
+    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    ei = sd * (z * cdf + pdf)
     return lo + cands[int(np.argmax(ei))] * span
 
 

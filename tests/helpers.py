@@ -157,6 +157,42 @@ def brute_force_half_bias(model, train, holdout, test, indices, a_bounds, steps,
     return best
 
 
+def sigmoid_masked(z):
+    """The logistic function by boolean masks: ``1 / (1 + exp(-z))`` where
+    z >= 0 and ``exp(z) / (1 + exp(z))`` elsewhere."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def gp_expected_improvement_scipy(rng, lo, hi, xs, ys, n_candidates):
+    """The GP surrogate's candidates (in the search box) and their expected
+    improvements, with scipy's triangular solves and normal cdf and pdf;
+    ``rng`` draws the candidates as ``mitigate._gp_propose`` does."""
+    from scipy.linalg import solve_triangular
+    from scipy.stats import norm
+
+    span = np.maximum(hi - lo, 1e-12)
+    xn = (xs - lo) / span
+    yn = (ys - np.mean(ys)) / max(float(np.std(ys)), 1e-12)
+
+    def kernel(a, b):
+        return np.exp(-0.5 * ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1) / 0.04)
+
+    chol = np.linalg.cholesky(kernel(xn, xn) + 1e-6 * np.eye(xn.shape[0]))
+    alpha = solve_triangular(chol.T, solve_triangular(chol, yn, lower=True), lower=False)
+    cands = rng.uniform(0.0, 1.0, size=(n_candidates, lo.size))
+    ks = kernel(cands, xn)
+    v = solve_triangular(chol, ks.T, lower=True)
+    sd = np.sqrt(np.maximum(1.0 - (v * v).sum(axis=0), 1e-12))
+    z = (np.min(yn) - ks @ alpha) / sd
+    return lo + cands * span, sd * (z * norm.cdf(z) + norm.pdf(z))
+
+
 def tree_scores_direct(model, x):
     """Raw scores of a boosted-tree ``model`` after each tree, one row and one
     node at a time: column 0 holds the initial score, column t the score

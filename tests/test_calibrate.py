@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.stats import rankdata
 
 from fairpost.calibrate import (
     CalibrationError,
@@ -14,7 +18,10 @@ from fairpost.calibrate import (
 
 from fairpost.learn import train_logistic
 
-from helpers import brute_force_isotonic
+from helpers import brute_force_isotonic, sigmoid_masked
+
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 745.2, -745.2, 709.8,
+                 -709.8, 36.8, -36.8, np.nan]
 
 
 class TestPavaIsotonic:
@@ -146,7 +153,62 @@ class TestLogisticRefit:
         assert (model.intercept, model.coef[0]) == logistic_refit(s, y).coef
 
 
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=40),
+                        elements=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                                           st.sampled_from(SIGMOID_EDGES))))
+    def test_bit_identical_to_masked_form(self, z):
+        """Every non-NaN float64, infinities, subnormals and the exp under-
+        and overflow edges included, maps to the bits of the masked form, in
+        an array of the input's shape (0-d included); NaN maps to NaN."""
+        out = sigmoid(z)
+        assert isinstance(out, np.ndarray) and out.shape == z.shape
+        nan = np.isnan(z)
+        assert np.array_equal(np.isnan(out), nan)
+        assert out[~nan].tobytes() == sigmoid_masked(z)[~nan].tobytes()
+
+    def test_scalar_input_gives_zero_dim_array(self):
+        out = sigmoid(2.0)
+        assert isinstance(out, np.ndarray) and out.shape == ()
+        assert out.tobytes() == sigmoid_masked(2.0).tobytes()
+
+
 class TestAuc:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400),
+           distinct=st.integers(1, 12), special=st.booleans())
+    def test_matches_rankdata_oracle(self, seed, n, distinct, special):
+        """Heavy ties: the AUC equals, exactly, the Mann-Whitney statistic
+        from scipy's average ranks."""
+        rng = np.random.default_rng(seed)
+        pool = rng.normal(0.0, 1.0, distinct)
+        if special:
+            pool[: min(3, distinct)] = [-np.inf, np.inf, -0.0][: min(3, distinct)]
+        s = rng.choice(pool, n)
+        y = rng.integers(0, 2, n)
+        y[:2] = (0, 1)
+        n_pos = int(y.sum())
+        ranks = rankdata(s, method="average")
+        expected = ((float(np.sum(ranks[y == 1])) - n_pos * (n_pos + 1) / 2.0)
+                    / (n_pos * (n - n_pos)))
+        assert auc(s, y) == expected
+        assert auc(list(s), list(y)) == expected
+
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(auc(np.array([0.2, np.nan, 0.7]), np.array([0, 1, 1])))
+
+    @pytest.mark.parametrize("scores, labels, message", [
+        ([0.1, 0.9], [1, 1], "both label values"),
+        ([0.1, 0.9], [0, 0], "both label values"),
+        ([0.1, 0.9, 0.5], [0, 1], "same length"),
+        ([0.1, 0.9], [0, 2], "binary"),
+        ([0.1, 0.9], [0, 0.5], "binary"),
+    ])
+    def test_errors(self, scores, labels, message):
+        with pytest.raises(ValueError, match=message):
+            auc(np.array(scores), np.array(labels))
+
     def test_perfect_scores(self):
         y = np.array([0, 0, 1, 1, 1])
         assert auc(y.astype(float), y) == 1.0

@@ -245,6 +245,28 @@ class TestExitCodes:
         assert message in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "JSON object"),
+        ('"x"', "JSON object"),
+        ('{"kind": "gbm", "favorable_sign": 1, "init_score": 0.0, "learning_rate": 0.1, '
+         '"trees": 5}', "malformed model"),
+        ('{"kind": "gbm", "favorable_sign": 1, "init_score": 0.0, "learning_rate": 0.1, '
+         '"trees": [5]}', "malformed model"),
+        ('{"kind": "logistic", "favorable_sign": [1], "coef": [0.1], "intercept": 0.0}',
+         "malformed model"),
+    ], ids=["list", "string", "trees-number", "tree-number", "sign-list"])
+    def test_malformed_model_json_is_exit_two(self, workdir, tmp_path, capsys, text,
+                                              message):
+        _, data, _ = workdir
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["bias", "--data", data, "--model", str(path),
+                     "--out", str(tmp_path / "b.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
 _HEADER = "x1,x2,x3,x4,x5,g,y\n"
 _ROW = "5.0,4.5,5.5,5.0,4.0,{g},{y}\n"
 MALFORMED_CSV = {
@@ -314,6 +336,44 @@ class TestCompareBaseline:
         rows = open(out).read().splitlines()
         assert rows[0] == "omega,bias,loss,dominated_flag,gamma_json"
         assert len(rows) == 1 + 3 + 2
+
+
+class TestScipyFree:
+    def test_commands_run_with_scipy_blocked(self, workdir, tmp_path):
+        """With scipy blocked, so that any import of it raises, the CLI
+        imports and a GP search and a calibration (which computes the AUC)
+        exit 0."""
+        import os
+        import subprocess
+        import sys
+
+        import fairpost
+
+        _, data, model = workdir
+        from fairpost.transform import CompressiveParams, PredictorTransform
+        params = tmp_path / "params.json"
+        params.write_text(CompressiveParams((
+            PredictorTransform(0, "global", (1.5,), 5.0, "mean", "x1"),)).to_json())
+        commands = [
+            ["mitigate", "--data", data, "--model", model, "--predictors", "x1,x3",
+             "--n-prior", "6", "--n-bo", "3", "--omega-steps", "2", "--surrogate", "gp",
+             "--sign", "-1", "--out", str(tmp_path / "gp.csv")],
+            ["calibrate", "--data", data, "--model", model, "--params", str(params),
+             "--out", str(tmp_path / "calib.json")],
+        ]
+        script = ("import json, sys\n"
+                  "sys.modules['scipy'] = None\n"
+                  "from fairpost.cli import main\n"
+                  "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
+        src = os.path.dirname(os.path.dirname(fairpost.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "gp.csv").read_text().splitlines()) == 1 + 6 + 2 * 3
+        manifest = json.loads((tmp_path / "calib.json.manifest.json").read_text())
+        assert manifest["settings"]["auc"] > 0.5
 
 
 class TestEntryPoint:

@@ -266,6 +266,31 @@ class TestTreeKernel:
             TrainedModel.from_json(chain_gbm_json(MAX_LEAVES + 1))
 
 
+class TestExitLeaf:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.uint8, np.uint16, np.uint32, np.uint64]),
+           n_trees=st.integers(0, 23), shape=st.sampled_from([(1,), (7,), (3, 5)]),
+           exit_bytes=st.integers(1, 300), ones_share=st.floats(0.0, 1.0))
+    def test_in_place_matches_trailing_ones(self, seed, dtype, n_trees, shape,
+                                            exit_bytes, ones_share):
+        """The exit leaf, written over the masks slice by slice, is the count
+        of trailing ones, for every mask width, slice size and tree count."""
+        rng = np.random.default_rng(seed)
+        top = np.iinfo(dtype).max
+        masks = rng.integers(0, top, (n_trees, *shape), dtype=dtype, endpoint=True)
+        # all-ones masks, and masks with a run of low ones below a zero bit
+        masks[rng.random(masks.shape) < ones_share] = top
+        runs = rng.integers(0, 8 * masks.itemsize, masks.shape).astype(dtype)
+        masks = np.where(rng.random(masks.shape) < 0.3, (dtype(1) << runs) - dtype(1), masks)
+        expected = np.bitwise_count(masks & ~(masks + 1))
+        given_masks = masks.copy()
+        with mock.patch.object(learn, "EXIT_BYTES", exit_bytes):
+            out = learn._exit_leaf(given_masks)
+        assert out is given_masks
+        assert np.array_equal(out, expected)
+
+
 class TestSplitSearch:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(2, 900),
@@ -297,9 +322,9 @@ class TestSplitSearch:
                            min_samples_leaf=max(1, int(leaf_share * n_rows)))
         search = learn._best_split
 
-        def checked_search(xt, grad, hess, rows, order, min_leaf):
+        def checked_search(xt, grad, hess, rows, order, min_leaf, work):
             assert np.array_equal(order, rows[np.argsort(xt[:, rows], axis=1, kind="stable")])
-            return search(xt, grad, hess, rows, order, min_leaf)
+            return search(xt, grad, hess, rows, order, min_leaf, work)
 
         with mock.patch.object(learn, "_best_split", checked_search):
             model = train_gbm(x, y, config)

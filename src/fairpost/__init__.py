@@ -30,7 +30,6 @@ from .empirical import (
     wasserstein1_signed,
 )
 from .explain import (
-    ExplainerOutput,
     default_background,
     ice_explainer,
     marginal_shapley,

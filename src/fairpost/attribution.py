@@ -29,13 +29,13 @@ from .bias import PartitionSpec, model_bias
 # unused here; bench/workloads.py::trace_targets() looks both names up on this module
 from .empirical import build_distribution, wasserstein1_signed  # noqa: F401
 from .explain import (
+    _EVAL_CHUNK,
     EXACT_SHAPLEY_MAX_PREDICTORS,
-    ExplainerOutput,
     default_background,
     exact_shapley,
-    ice_explainer,
     marginal_game_values,
     marginal_shapley,
+    pair_scores,
     sampled_shapley,
 )
 
@@ -116,16 +116,14 @@ class ImpactList:
     eps_minus: float
 
 
-def basic_bias_explanations(explainer_output: ExplainerOutput | np.ndarray, g,
+def basic_bias_explanations(explainer_output: np.ndarray, g,
                             partition: PartitionSpec | None = None,
                             favorable_sign: int = 1,
                             columns: Mapping[str, np.ndarray] | None = None,
                             names: tuple[str, ...] | None = None) -> AttributionTable:
     """Transport cost between protected-class distributions of each
-    predictor's explainer values."""
-    matrix = (explainer_output.per_row_per_predictor
-              if isinstance(explainer_output, ExplainerOutput)
-              else np.asarray(explainer_output, dtype=float))
+    predictor's explainer values, an ``(rows, predictors)`` array."""
+    matrix = np.asarray(explainer_output, dtype=float)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("explainer output contains non-finite entries")
     if np.size(g) != matrix.shape[0]:
@@ -196,7 +194,7 @@ def shapley_bias_game(model, x: np.ndarray, g, group_explainer: str = "shapley_s
         matrix = marginal_shapley(
             model, x, background,
             mode="exact" if p <= EXACT_SHAPLEY_MAX_PREDICTORS else "sampled",
-            n_permutations=n_permutations, seed=seed).per_row_per_predictor
+            n_permutations=n_permutations, seed=seed)
 
         def group_values(subset):
             return matrix[:, subset].sum(axis=1)
@@ -220,7 +218,9 @@ def expected_ibe(model, x: np.ndarray, g, predictor_index: int, n_anchors: int,
 
     Averages, over anchor rows drawn from the dataset, the signed bias of the
     model's single-predictor section evaluated on the dataset's column
-    values.  Returns ``(beta, beta_pos, beta_neg)``.
+    values.  A chunk of anchors is scored as the background of one
+    ``pair_scores`` call, which gives every anchor's section at once.
+    Returns ``(beta, beta_pos, beta_neg)``.
     """
     x = np.asarray(x, dtype=float)
     n, p = x.shape
@@ -231,13 +231,16 @@ def expected_ibe(model, x: np.ndarray, g, predictor_index: int, n_anchors: int,
     rng = np.random.default_rng(seed)
     anchor_idx = (np.arange(n) if n_anchors >= n
                   else rng.choice(n, size=n_anchors, replace=False))
-    col = x[:, predictor_index]
+    chunk = max(1, _EVAL_CHUNK // n)
     pos_sum = neg_sum = 0.0
-    for a in anchor_idx:
-        section = ice_explainer(model, x, predictor_index, x[a])
-        report = model_bias(section(col), g, partition, favorable_sign, columns)
-        pos_sum += report.positive
-        neg_sum += report.negative
+    for start in range(0, anchor_idx.size, chunk):
+        inverse, blocks = pair_scores(model, x, x[anchor_idx[start:start + chunk]],
+                                      [predictor_index])
+        sections = np.concatenate(list(blocks))[inverse].T  # (anchors, n)
+        for section in sections:
+            report = model_bias(section, g, partition, favorable_sign, columns)
+            pos_sum += report.positive
+            neg_sum += report.negative
     k = anchor_idx.size
     pos, neg = pos_sum / k, neg_sum / k
     return pos + neg, pos, neg
@@ -278,6 +281,8 @@ def select_impactful(table: AttributionTable, eps_plus: float | None = None,
         eps_minus = 0.05 * total_mass
     if eps_plus < 0 or eps_minus < 0:
         raise ValueError("thresholds must be nonnegative")
+    if m_star is not None and m_star < 0:
+        raise ValueError("m_star must be nonnegative")
 
     bp = np.asarray(table.beta_pos, dtype=float)
     bn = np.asarray(table.beta_neg, dtype=float)

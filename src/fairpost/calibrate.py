@@ -149,15 +149,13 @@ def pava_isotonic(x, y, weights=None) -> CalibrationMap:
     return CalibrationMap(kind="pava", knots=knots, levels=fitted)
 
 
-def link_linear_calibrate(post_scores, base_scores, link: str = "logit") -> CalibrationMap:
+def link_linear_calibrate(post_scores, base_scores) -> CalibrationMap:
     """Linear regression of the base model on the post-processed model in
     link space; the map is ``s -> sigmoid(b0 + b1 * logit(s))``.
 
     Raises :class:`CalibrationError` when the fitted slope is not positive,
     since the map would lose monotonicity.
     """
-    if link != "logit":
-        raise ValueError("only the logit link is supported")
     gt = logit(post_scores)
     gb = logit(base_scores)
     if gt.size != gb.size:

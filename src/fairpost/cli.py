@@ -36,9 +36,13 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-def _write_manifest(out_path: str, command: str, settings: dict) -> None:
-    payload = {"command": command, "version": __version__, "settings": settings}
-    with open(f"{out_path}.manifest.json", "w") as fh:
+def _write_manifest(args, **derived) -> None:
+    """Write ``<out>.manifest.json``: every parsed flag, then the values the
+    command derived from them."""
+    settings = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    settings.update(derived)
+    payload = {"command": args.command, "version": __version__, "settings": settings}
+    with open(f"{args.out}.manifest.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -69,8 +73,7 @@ def cmd_generate(args) -> int:
     spec = SyntheticSpec(model_id=args.model, n_rows=args.n, seed=args.seed)
     data = generate(spec)
     data.to_csv(args.out)
-    _write_manifest(args.out, "generate", {"model": args.model, "n": args.n,
-                                           "seed": args.seed})
+    _write_manifest(args)
     return EXIT_OK
 
 
@@ -85,8 +88,7 @@ def cmd_train(args) -> int:
         model = train_logistic(data.x, data.y, favorable_sign=args.sign)
     with open(args.out, "w") as fh:
         fh.write(model.to_json())
-    _write_manifest(args.out, "train", {"data": args.data, "kind": args.kind,
-                                        "sign": args.sign})
+    _write_manifest(args)
     return EXIT_OK
 
 
@@ -98,8 +100,7 @@ def cmd_bias(args) -> int:
     with open(args.out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
-    _write_manifest(args.out, "bias", {"data": args.data, "model": args.model,
-                                       "partition": args.partition, "sign": args.sign})
+    _write_manifest(args)
     return EXIT_OK
 
 
@@ -127,11 +128,7 @@ def cmd_explain(args) -> int:
     else:
         raise ValueError(f"unknown explain method '{args.method}'")
     table.to_csv(args.out)
-    _write_manifest(args.out, "explain", {
-        "data": args.data, "model": args.model, "method": args.method,
-        "partition": args.partition, "sign": args.sign, "seed": args.seed,
-        "background": args.background, "anchors": args.anchors,
-        "permutations": args.permutations})
+    _write_manifest(args)
     return EXIT_OK
 
 
@@ -160,7 +157,8 @@ def cmd_mitigate(args) -> int:
     else:
         background = default_background(train.x, seed=args.seed, max_rows=200)
         table = basic_bias_explanations(pdp_output(model, train.x, background),
-                                        train.g, favorable_sign=args.sign,
+                                        train.g, _partition(args.partition),
+                                        args.sign, columns=train.columns,
                                         names=train.feature_names)
         indices = select_impactful(table, m_star=args.m_star).M
     omegas = _omegas(args)
@@ -177,13 +175,8 @@ def cmd_mitigate(args) -> int:
                               favorable_sign=args.sign,
                               surrogate=args.surrogate)
     frontier.to_csv(args.out)
-    _write_manifest(args.out, "mitigate", {
-        "data": args.data, "model": args.model, "transform": args.transform,
-        "predictors": list(indices), "a_bounds": [args.a_lo, args.a_hi],
-        "sigma_bounds": [args.sigma_lo, args.sigma_hi], "omegas": omegas,
-        "n_prior": args.n_prior, "n_bo": args.n_bo, "seed": args.seed,
-        "partition": args.partition, "sign": args.sign, "focal": args.focal,
-        "surrogate": args.surrogate, "frontier_manifest": frontier.manifest})
+    _write_manifest(args, predictors=list(indices), omegas=omegas,
+                    frontier_manifest=frontier.manifest)
     return EXIT_OK
 
 
@@ -208,10 +201,7 @@ def cmd_curve(args) -> int:
         fh.write("a,total,positive,negative\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    _write_manifest(args.out, "curve", {
-        "data": args.data, "model": args.model, "predictors": args.predictors,
-        "a_grid": args.a_grid, "partition": args.partition, "sign": args.sign,
-        "focal": args.focal})
+    _write_manifest(args)
     return EXIT_OK
 
 
@@ -230,10 +220,7 @@ def cmd_calibrate(args) -> int:
     with open(args.out, "w") as fh:
         fh.write(fitted.calibration.to_json())
         fh.write("\n")
-    post_auc = auc(fitted(data.x), data.y)
-    _write_manifest(args.out, "calibrate", {
-        "data": args.data, "model": args.model, "params": args.params,
-        "method": args.method, "auc": post_auc})
+    _write_manifest(args, auc=auc(fitted(data.x), data.y))
     return EXIT_OK
 
 
@@ -248,11 +235,7 @@ def cmd_compare_baseline(args) -> int:
                                        favorable_sign=args.sign,
                                        surrogate=args.surrogate)
     frontier.to_csv(args.out)
-    _write_manifest(args.out, "compare-baseline", {
-        "data": args.data, "omegas": omegas, "n_prior": args.n_prior,
-        "n_bo": args.n_bo, "seed": args.seed, "partition": args.partition,
-        "sign": args.sign, "surrogate": args.surrogate,
-        "frontier_manifest": frontier.manifest})
+    _write_manifest(args, omegas=omegas, frontier_manifest=frontier.manifest)
     return EXIT_OK
 
 

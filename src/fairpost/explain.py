@@ -3,38 +3,23 @@ ICE sections.
 
 All explainers treat the model as a black-box callable mapping an ``(n, p)``
 array of rows to ``(n,)`` outputs.  Marginal (interventional) game values
-``v(S; x) = E_b[f(x_S, b_-S)]`` are estimated on a fixed background sample;
-a boosted-tree model scores the pairs (x, b) through its own coalition kernel,
-bit for bit as on the assembled rows, and any other model scores the assembled
-rows.  The exact Shapley mode enumerates all coalitions, the sampled mode
-averages marginal contributions over antithetic permutation pairs.
+``v(S; x) = E_b[f(x_S, b_-S)]`` are estimated on a fixed background sample.
+``pair_scores`` scores the pairs (x, b): a boosted-tree model through its own
+coalition kernel, bit for bit as on the assembled rows, and any other model
+on the assembled rows.  The exact Shapley mode enumerates all coalitions, the
+sampled mode averages marginal contributions over antithetic permutation
+pairs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 EXACT_SHAPLEY_MAX_PREDICTORS = 12
 DEFAULT_BACKGROUND_ROWS = 500
-_EVAL_CHUNK = 1 << 18  # rows of model input built per chunk
-
-
-@dataclass(frozen=True)
-class ExplainerOutput:
-    """Per-row per-predictor attributions from one explainer."""
-
-    per_row_per_predictor: np.ndarray  # (rows, predictors)
-    explainer_kind: str                # pdp | marginal_shapley | ice
-    background_size: int
-
-    def __post_init__(self):
-        if self.explainer_kind not in ("pdp", "marginal_shapley", "ice"):
-            raise ValueError(f"unknown explainer kind '{self.explainer_kind}'")
-        if not np.all(np.isfinite(self.per_row_per_predictor)):
-            raise ValueError("explainer output contains non-finite entries")
+_EVAL_CHUNK = 1 << 16  # rows of model input built per chunk
 
 
 def default_background(x: np.ndarray, seed: int = 0,
@@ -48,6 +33,32 @@ def default_background(x: np.ndarray, seed: int = 0,
     return x[np.sort(idx)]
 
 
+def pair_scores(model, x: np.ndarray, background: np.ndarray, subset):
+    """Model scores of the rows that take the columns in ``subset`` from a row
+    of ``x`` and the others from a row of ``background``.
+
+    Returns ``(inverse, blocks)``: ``blocks`` yields the (m, b) scores of the
+    next m representative rows against every background row, and row ``r``
+    of ``x`` scores as representative ``inverse[r]``.  A GBM scores through
+    ``TrainedModel.coalition_scores``; any other model scores the assembled
+    rows, about ``_EVAL_CHUNK`` of them per block, one representative per row.
+    """
+    if getattr(model, "kind", None) == "gbm":
+        return model.coalition_scores(x, background, subset)
+    n, b = x.shape[0], background.shape[0]
+    rows_per_chunk = max(1, _EVAL_CHUNK // b)
+
+    def blocks():
+        for start in range(0, n, rows_per_chunk):
+            stop = min(start + rows_per_chunk, n)
+            block = np.tile(background, (stop - start, 1))
+            for j in subset:
+                block[:, j] = np.repeat(x[start:stop, j], b)
+            yield np.asarray(model(block), dtype=float).reshape(stop - start, b)
+
+    return np.arange(n), blocks()
+
+
 def marginal_game_values(model, x: np.ndarray, background: np.ndarray,
                          subset) -> np.ndarray:
     """Per-row marginal game value ``v(S; x) = mean_b model(x_S, b_-S)``."""
@@ -56,7 +67,6 @@ def marginal_game_values(model, x: np.ndarray, background: np.ndarray,
     if background.shape[0] == 0:
         raise ValueError("background must be nonempty")
     n, p = x.shape
-    b = background.shape[0]
     subset = sorted(int(j) for j in subset)
     for j in subset:
         if not 0 <= j < p:
@@ -67,19 +77,8 @@ def marginal_game_values(model, x: np.ndarray, background: np.ndarray,
     if len(subset) == 0:
         return np.full(n, float(np.mean(np.asarray(model(background), dtype=float))))
 
-    if getattr(model, "kind", None) == "gbm":
-        inverse, blocks = model.coalition_scores(x, background, subset)
-        return np.concatenate([block.mean(axis=1) for block in blocks])[inverse]
-
-    rows_per_chunk = max(1, _EVAL_CHUNK // b)
-    parts = []
-    for start in range(0, n, rows_per_chunk):
-        stop = min(start + rows_per_chunk, n)
-        block = np.tile(background, (stop - start, 1))
-        for j in subset:
-            block[:, j] = np.repeat(x[start:stop, j], b)
-        parts.append(np.asarray(model(block), dtype=float).reshape(stop - start, b).mean(axis=1))
-    return np.concatenate(parts)
+    inverse, blocks = pair_scores(model, x, background, subset)
+    return np.concatenate([block.mean(axis=1) for block in blocks])[inverse]
 
 
 def pdp_explainer(model, x: np.ndarray, predictor_index: int,
@@ -88,13 +87,11 @@ def pdp_explainer(model, x: np.ndarray, predictor_index: int,
     return marginal_game_values(model, x, background, [predictor_index])
 
 
-def pdp_output(model, x: np.ndarray, background: np.ndarray) -> ExplainerOutput:
-    """PDP explainer values for every predictor."""
+def pdp_output(model, x: np.ndarray, background: np.ndarray) -> np.ndarray:
+    """PDP explainer values for every predictor, ``(rows, predictors)``."""
     x = np.asarray(x, dtype=float)
-    cols = [pdp_explainer(model, x, i, background) for i in range(x.shape[1])]
-    return ExplainerOutput(per_row_per_predictor=np.column_stack(cols),
-                           explainer_kind="pdp",
-                           background_size=int(np.asarray(background).shape[0]))
+    return np.column_stack([pdp_explainer(model, x, i, background)
+                            for i in range(x.shape[1])])
 
 
 def exact_shapley(game, p: int) -> np.ndarray:
@@ -158,9 +155,9 @@ def sampled_shapley(game, p: int, n_permutations: int, seed: int) -> np.ndarray:
 
 def marginal_shapley(model, x: np.ndarray, background: np.ndarray,
                      mode: str = "exact", n_permutations: int | None = None,
-                     seed: int = 0) -> ExplainerOutput:
+                     seed: int = 0) -> np.ndarray:
     """Shapley values of the marginal game, by enumeration or permutation
-    sampling."""
+    sampling, ``(rows, predictors)``."""
     x = np.asarray(x, dtype=float)
     p = x.shape[1]
 
@@ -172,42 +169,30 @@ def marginal_shapley(model, x: np.ndarray, background: np.ndarray,
             raise ValueError(
                 f"exact mode enumerates 2^p coalitions; p={p} exceeds the "
                 f"bound of {EXACT_SHAPLEY_MAX_PREDICTORS}")
-        phi = exact_shapley(game, p)
-    elif mode == "sampled":
+        return exact_shapley(game, p)
+    if mode == "sampled":
         if n_permutations is None or n_permutations < 1:
             raise ValueError("sampled mode requires n_permutations >= 1")
-        phi = sampled_shapley(game, p, n_permutations, seed)
-    else:
-        raise ValueError(f"unknown mode '{mode}'")
-    return ExplainerOutput(per_row_per_predictor=phi, explainer_kind="marginal_shapley",
-                           background_size=int(np.asarray(background).shape[0]))
+        return sampled_shapley(game, p, n_permutations, seed)
+    raise ValueError(f"unknown mode '{mode}'")
 
 
-class IceSection:
-    """Model section in one predictor at a fixed anchor of the others."""
-
-    def __init__(self, model, anchor: np.ndarray, predictor_index: int):
-        self._model = model
-        self._anchor = np.asarray(anchor, dtype=float).copy()
-        self._index = predictor_index
-
-    def __call__(self, t) -> np.ndarray | float:
-        """The game value of the anchor as a one-row background, the
-        section's predictor taken from ``t``."""
-        t = np.asarray(t, dtype=float)
-        grid = np.zeros((t.size, self._anchor.size))
-        grid[:, self._index] = t.ravel()
-        out = marginal_game_values(self._model, grid, self._anchor[None, :], [self._index])
-        return float(out[0]) if t.ndim == 0 else out
-
-
-def ice_explainer(model, x: np.ndarray, predictor_index: int,
-                  anchor_row: np.ndarray) -> IceSection:
-    """Section ``t -> model(t at position i, anchor elsewhere)``."""
+def ice_explainer(model, x: np.ndarray, predictor_index: int, anchor_row: np.ndarray):
+    """Section ``t -> model(t at position i, anchor elsewhere)``, a scalar for
+    a scalar ``t`` and an array otherwise."""
     x = np.asarray(x, dtype=float)
     if not 0 <= predictor_index < x.shape[1]:
         raise ValueError(f"predictor index {predictor_index} out of range")
-    anchor = np.asarray(anchor_row, dtype=float).ravel()
-    if anchor.size != x.shape[1]:
+    anchor = np.array(anchor_row, dtype=float).reshape(1, -1)
+    if anchor.shape[1] != x.shape[1]:
         raise ValueError("anchor row has wrong number of predictors")
-    return IceSection(model, anchor, predictor_index)
+
+    def section(t):
+        # the game value of the anchor as a one-row background
+        t = np.asarray(t, dtype=float)
+        grid = np.zeros((t.size, anchor.shape[1]))
+        grid[:, predictor_index] = t.ravel()
+        out = marginal_game_values(model, grid, anchor, [predictor_index])
+        return float(out[0]) if t.ndim == 0 else out
+
+    return section

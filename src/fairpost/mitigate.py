@@ -396,19 +396,16 @@ def _loss_and_bias(scores, data: Dataset, partition, favorable_sign):
 
 def objective(model, params: CompressiveParams, data: Dataset, omega: float,
               partition: PartitionSpec | None = None, favorable_sign: int = 1,
-              calibration: str | None = "link_linear",
-              calibration_data: Dataset | None = None) -> float:
+              calibration: str | None = "link_linear") -> float:
     """Penalized objective ``log_loss + omega * bias`` of the calibrated
     post-processed model on one split.
 
-    Calibration is fitted on ``calibration_data`` (the evaluation split by
-    default); a failed fit falls back to the uncalibrated model with a
-    warning.
+    Calibration is fitted on the same split; a failed fit falls back to the
+    uncalibrated model with a warning.
     """
     if omega < 0:
         raise ValueError("omega must be nonnegative")
-    fit_data = calibration_data if calibration_data is not None else data
-    fitted, failed = build_calibrated(model, params.indices, params, fit_data,
+    fitted, failed = build_calibrated(model, params.indices, params, data,
                                       calibration)
     if failed:
         warnings.warn("calibration failed; objective uses the uncalibrated "

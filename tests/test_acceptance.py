@@ -86,8 +86,8 @@ def test_criterion_02_shapley_efficiency():
     bg = rng.normal(0.0, 1.0, (50, 6))
     model = lambda z: (z[:, 0] * z[:, 1] * z[:, 2] + np.abs(z[:, 3])
                        - z[:, 4] * z[:, 5] + 0.3 * z[:, 5])
-    out = marginal_shapley(model, x, bg, mode="exact")
-    residual = out.per_row_per_predictor.sum(axis=1) + float(np.mean(model(bg))) - model(x)
+    phi = marginal_shapley(model, x, bg, mode="exact")
+    residual = phi.sum(axis=1) + float(np.mean(model(bg))) - model(x)
     worst = float(np.max(np.abs(residual)))
     report(2, "exact Shapley efficiency", worst <= 1e-9,
            f"max residual {worst:.2e} (tol 1e-9) over 100 rows")

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fairpost import attribution, explain, learn
 from fairpost.attribution import (
     basic_bias_explanations,
     expected_ibe,
@@ -11,8 +16,9 @@ from fairpost.attribution import (
 from fairpost.bias import PartitionSpec, model_bias
 from fairpost.empirical import build_distribution, wasserstein1
 from fairpost.explain import marginal_shapley, pdp_output
+from fairpost.learn import MAX_LEAVES, TrainedModel
 
-from helpers import conditional_shapley
+from helpers import conditional_shapley, random_tree
 
 
 def two_class_frame(rng, n_per_class, shifts, scales=None):
@@ -69,6 +75,13 @@ class TestBasicBiasExplanations:
         table = basic_bias_explanations(pdp_output(model, x, x[::2]), g)
         np.testing.assert_allclose(table.beta, table.beta_pos + table.beta_neg,
                                    atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_matrix(self, bad):
+        matrix = np.ones((6, 2))
+        matrix[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            basic_bias_explanations(matrix, np.array([0, 1] * 3))
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("partition", ["sp", "eo"])
@@ -247,6 +260,74 @@ class TestExpectedIbe:
         ibe = ibe_table(model, x, g, n_anchors=150, seed=2)
         np.testing.assert_allclose(ibe.beta, pdp_table.beta, rtol=0.02)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_leaves=st.integers(2, MAX_LEAVES),
+           n_trees=st.integers(0, 6), n_rows=st.integers(4, 40),
+           anchors_per_chunk=st.integers(1, 5), pairs_per_pass=st.integers(1, 200),
+           sign=st.sampled_from([1, -1]))
+    def test_gbm_kernel_matches_tiled_path(self, seed, max_leaves, n_trees, n_rows,
+                                           anchors_per_chunk, pairs_per_pass, sign):
+        # anchor counts below and above one chunk of anchors, and GBM passes
+        # that end inside a chunk; every bit must match the tiled path
+        rng = np.random.default_rng(seed)
+        p = 3
+        pool = np.round(rng.normal(0.0, 2.0, 8), 1)
+        trees = tuple(random_tree(rng, int(rng.integers(1, max_leaves + 1)), 4, p,
+                                  lambda: float(rng.choice(pool)))
+                      for _ in range(n_trees))
+        model = TrainedModel(kind="gbm", init_score=float(rng.normal()),
+                             learning_rate=float(rng.uniform(0.01, 1.0)), trees=trees)
+        x = rng.normal(0.0, 2.0, (n_rows, p))
+        tie = rng.random(x.shape) < 0.4
+        x[tie] = rng.choice(pool, int(tie.sum()))
+        # every (label, group) cell is nonempty
+        g = np.concatenate([[0, 1, 0, 1], rng.integers(0, 2, n_rows - 4)])
+        y = np.concatenate([[0, 0, 1, 1], rng.integers(0, 2, n_rows - 4)])
+        columns = {"y": y}
+        oracle = lambda z: model(z)  # noqa: E731
+        with mock.patch.object(attribution, "_EVAL_CHUNK", n_rows * anchors_per_chunk), \
+                mock.patch.object(explain, "_EVAL_CHUNK", n_rows * anchors_per_chunk), \
+                mock.patch.object(learn, "COALITION_PAIRS", pairs_per_pass):
+            for n_anchors in (max(1, anchors_per_chunk - 1), 2 * anchors_per_chunk + 1):
+                for partition in (PartitionSpec.all_rows(), PartitionSpec.by_label()):
+                    i = int(rng.integers(p))
+                    got = expected_ibe(model, x, g, i, n_anchors, partition, columns,
+                                       sign, seed)
+                    want = expected_ibe(oracle, x, g, i, n_anchors, partition, columns,
+                                        sign, seed)
+                    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_one_pair_pass_per_chunk_of_anchors(self):
+        rng = np.random.default_rng(17)
+        x, g = two_class_frame(rng, 10, shifts=(0.5, 0.0))
+        model = lambda z: z[:, 0] * z[:, 1]  # noqa: E731
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].shape[0])
+            return explain.pair_scores(*args)
+
+        with mock.patch.object(attribution, "_EVAL_CHUNK", 20 * 3), \
+                mock.patch.object(attribution, "pair_scores", counted):
+            expected_ibe(model, x, g, 0, n_anchors=7, seed=1)
+        assert calls == [3, 3, 1]
+
+    def test_matches_one_section_per_anchor(self):
+        rng = np.random.default_rng(18)
+        x, g = two_class_frame(rng, 30, shifts=(0.4, -0.3))
+        model = lambda z: np.tanh(z[:, 0]) * z[:, 1] + z[:, 1] ** 2  # noqa: E731
+        anchors = np.random.default_rng(3).choice(60, size=9, replace=False)
+        pos = neg = 0.0
+        for a in anchors:
+            section = explain.ice_explainer(model, x, 1, x[a])
+            report = model_bias(section(x[:, 1]), g)
+            pos += report.positive
+            neg += report.negative
+        with mock.patch.object(attribution, "_EVAL_CHUNK", 60 * 4):
+            beta, beta_pos, beta_neg = expected_ibe(model, x, g, 1, n_anchors=9, seed=3)
+        assert (beta_pos, beta_neg) == (pos / 9, neg / 9)
+        assert beta == beta_pos + beta_neg
+
     def test_anchor_validation(self):
         x = np.zeros((5, 2))
         g = np.array([0, 1, 0, 1, 0])
@@ -277,6 +358,13 @@ class TestSelectImpactful:
         assert out.N_plus == (0, 1)
         assert out.N_minus == (2, 3)
         assert out.M == (0, 1, 2, 3)
+
+    def test_negative_m_star_rejected(self):
+        table = self._table([0.5, 0.4, 0.3], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="m_star"):
+            select_impactful(table, eps_plus=0.05, eps_minus=0.05, m_star=-1)
+        with pytest.warns(UserWarning, match="empty"):
+            assert select_impactful(table, eps_plus=0.05, eps_minus=0.05, m_star=0).M == ()
 
     def test_all_zero_emits_warning(self):
         table = self._table([0.0, 0.0], [0.0, 0.0])

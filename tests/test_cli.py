@@ -4,8 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from fairpost.attribution import basic_bias_explanations, select_impactful
+from fairpost.bias import PartitionSpec
 from fairpost.cli import main
-from fairpost.learn import Dataset, SyntheticSpec, generate
+from fairpost.explain import default_background, pdp_output
+from fairpost.learn import Dataset, SyntheticSpec, TrainedModel, generate, split_dataset
 
 from helpers import chain_gbm_json
 
@@ -50,6 +53,28 @@ class TestGenerate:
         manifest = json.load(open(out + ".manifest.json"))
         assert manifest["command"] == "generate"
         assert manifest["settings"]["seed"] == 5
+
+
+class TestTrain:
+    def test_manifest_records_hyperparameters(self, workdir, tmp_path):
+        _, data, _ = workdir
+        out = str(tmp_path / "small.json")
+        assert main(["train", "--data", data, "--n-estimators", "7", "--max-depth", "2",
+                     "--max-leaves", "4", "--learning-rate", "0.3",
+                     "--min-samples-leaf", "20", "--sign", "-1", "--out", out]) == 0
+        manifest = json.load(open(out + ".manifest.json"))
+        assert manifest["command"] == "train"
+        assert manifest["settings"] == {
+            "data": data, "kind": "gbm", "n_estimators": 7, "max_depth": 2,
+            "max_leaves": 4, "learning_rate": 0.3, "min_samples_leaf": 20,
+            "sign": -1, "out": out}
+        # the recorded flags rebuild the same model
+        again = str(tmp_path / "again.json")
+        argv = ["train"]
+        for key, value in manifest["settings"].items():
+            argv += ["--" + key.replace("_", "-"), str(again if key == "out" else value)]
+        assert main(argv) == 0
+        assert open(again).read() == open(out).read()
 
 
 class TestBias:
@@ -169,6 +194,31 @@ class TestMitigate:
                      "--sign", "-1", "--out", out]) == 0
         manifest = json.load(open(out + ".manifest.json"))
         assert manifest["settings"]["predictors"]
+
+    def test_auto_selection_follows_partition(self, workdir, tmp_path):
+        _, data, model = workdir
+        out = str(tmp_path / "feo.csv")
+        assert main(["mitigate", "--data", data, "--model", model, "--partition", "eo",
+                     "--n-prior", "4", "--n-bo", "0", "--omega-steps", "2",
+                     "--sign", "-1", "--seed", "0", "--out", out]) == 0
+        manifest = json.load(open(out + ".manifest.json"))
+        train, _, _ = split_dataset(Dataset.from_csv(data), seed=0)
+        background = default_background(train.x, seed=0, max_rows=200)
+        with open(model) as fh:
+            explanations = pdp_output(TrainedModel.from_json(fh.read()), train.x, background)
+        eo, sp = (select_impactful(basic_bias_explanations(
+            explanations, train.g, partition, -1, columns=train.columns), m_star=2).M
+            for partition in (PartitionSpec.by_label(), PartitionSpec.all_rows()))
+        assert eo != sp  # on this split the two partitions select differently
+        assert manifest["settings"]["predictors"] == list(eo)
+
+    def test_negative_m_star_is_exit_two(self, workdir, tmp_path, capsys):
+        _, data, model = workdir
+        code = main(["mitigate", "--data", data, "--model", model, "--m-star", "-1",
+                     "--n-prior", "4", "--n-bo", "0", "--omega-steps", "2",
+                     "--out", str(tmp_path / "neg.csv")])
+        assert code == 2
+        assert "m_star" in capsys.readouterr().err
 
 
 class TestCalibrateCommand:

@@ -93,8 +93,7 @@ class TestMarginalShapley:
         rng = np.random.default_rng(4)
         x = rng.normal(0, 1, (400, 2))
         x -= x.mean(axis=0)
-        out = marginal_shapley(product_model, x, x, mode="exact")
-        phi = out.per_row_per_predictor
+        phi = marginal_shapley(product_model, x, x, mode="exact")
         target = 0.5 * x[:, 0] * x[:, 1]
         for i in (0, 1):
             err = np.max(np.abs(phi[:, i] - target))
@@ -106,12 +105,12 @@ class TestMarginalShapley:
         bg = rng.normal(0, 1, (30, 3))
         out = marginal_shapley(additive_model, x, bg, mode="exact")
         expected = additive_shapley(ADDITIVE_PARTS, x, bg)
-        np.testing.assert_allclose(out.per_row_per_predictor, expected, atol=1e-10)
+        np.testing.assert_allclose(out, expected, atol=1e-10)
 
     def test_constant_model_null_player(self):
         x = np.random.default_rng(6).normal(0, 1, (20, 4))
         out = marginal_shapley(lambda z: np.full(z.shape[0], 1.5), x, x, mode="exact")
-        np.testing.assert_allclose(out.per_row_per_predictor, 0.0, atol=1e-12)
+        np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_efficiency(self):
         rng = np.random.default_rng(7)
@@ -119,7 +118,7 @@ class TestMarginalShapley:
         bg = rng.normal(0, 1, (40, 6))
         model = lambda z: z[:, 0] * z[:, 1] + np.abs(z[:, 2]) - z[:, 3] * z[:, 4] ** 2 + z[:, 5]
         out = marginal_shapley(model, x, bg, mode="exact")
-        lhs = out.per_row_per_predictor.sum(axis=1) + np.mean(model(bg))
+        lhs = out.sum(axis=1) + np.mean(model(bg))
         np.testing.assert_allclose(lhs, model(x), atol=1e-9)
 
     def test_symmetry(self):
@@ -127,8 +126,7 @@ class TestMarginalShapley:
         base = rng.normal(0, 1, (60, 1))
         x = np.column_stack([base, base])  # identical symmetric columns
         model = lambda z: z[:, 0] + z[:, 1] + z[:, 0] * z[:, 1]
-        out = marginal_shapley(model, x, x, mode="exact")
-        phi = out.per_row_per_predictor
+        phi = marginal_shapley(model, x, x, mode="exact")
         np.testing.assert_allclose(phi[:, 0], phi[:, 1], atol=1e-10)
 
     def test_sampled_converges_to_exact(self):
@@ -137,7 +135,7 @@ class TestMarginalShapley:
         x = rng.normal(0, 1, (25, 4))
         bg = rng.normal(0, 1, (20, 4))
         model = lambda z: z[:, 0] * z[:, 1] * z[:, 2] + np.abs(z[:, 1]) * z[:, 3] - z[:, 2]
-        exact = marginal_shapley(model, x, bg, mode="exact").per_row_per_predictor
+        exact = marginal_shapley(model, x, bg, mode="exact")
 
         counts = (8, 32, 128)
         errors = []
@@ -146,7 +144,7 @@ class TestMarginalShapley:
             for seed in range(12):
                 sampled = marginal_shapley(model, x, bg, mode="sampled",
                                            n_permutations=n_perm,
-                                           seed=seed).per_row_per_predictor
+                                           seed=seed)
                 reps.append(np.sqrt(np.mean((sampled - exact) ** 2)))
             errors.append(np.mean(reps))
         assert errors[0] > errors[1] > errors[2]
@@ -158,8 +156,8 @@ class TestMarginalShapley:
         rng = np.random.default_rng(10)
         x = rng.normal(0, 1, (30, 3))
         bg = rng.normal(0, 1, (25, 3))
-        shap = marginal_shapley(additive_model, x, bg, mode="exact").per_row_per_predictor
-        pdp = pdp_output(additive_model, x, bg).per_row_per_predictor
+        shap = marginal_shapley(additive_model, x, bg, mode="exact")
+        pdp = pdp_output(additive_model, x, bg)
         for i in range(3):
             diff = pdp[:, i] - shap[:, i]
             np.testing.assert_allclose(diff, diff[0], atol=1e-10)

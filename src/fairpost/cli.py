@@ -149,6 +149,8 @@ def _predictor_indices(data: Dataset, text: str) -> tuple[int, ...]:
 
 
 def cmd_mitigate(args) -> int:
+    if args.m_star < 0:  # checked here too, since --predictors leaves it unused
+        raise ValueError("m_star must be nonnegative")
     data = Dataset.from_csv(args.data)
     model = _load_model(args.model)
     train, holdout, test = split_dataset(data, seed=args.seed)

@@ -24,7 +24,9 @@ each side, found once per source row and combined per pair.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -89,22 +91,30 @@ class Dataset:
 
     @staticmethod
     def from_csv(path) -> "Dataset":
+        """A header ending in g,y, then rows in ``np.loadtxt``'s number grammar."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])  # an empty file has no header
             if header[-2:] != ["g", "y"]:
                 raise ValueError("dataset CSV must start with a header ending in columns g,y")
-            names = tuple(header[:-2])
-            rows = [[float(v) for v in row] for row in reader if row]
-        if not rows:
+            read = [reader.line_num]  # the last line loadtxt took: it takes one at a time
+            body = (line for read[0], line in enumerate(fh, read[0] + 1))
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # no rows: reported below
+                    data = np.loadtxt(body, delimiter=",", comments=None, quotechar='"',
+                                      ndmin=2, dtype=float)
+            except ValueError as exc:  # loadtxt counts data rows; name the file line
+                message = re.sub(r"at row \d+(;.*)?", f"at line {read[0]}", str(exc))
+                raise ValueError(message) from None
+        if data.size == 0:
             raise ValueError("dataset CSV has no rows")
-        if any(len(row) != len(header) for row in rows):
+        if data.shape[1] != len(header):
             raise ValueError("every row of a dataset CSV must have as many cells as its header")
-        data = np.asarray(rows, dtype=float)
         if not np.all(np.isin(data[:, -2:], (0.0, 1.0))):
             raise ValueError("dataset CSV columns g and y must hold 0 or 1")
         return Dataset(x=data[:, :-2], g=data[:, -2].astype(int),
-                       y=data[:, -1].astype(int), feature_names=names)
+                       y=data[:, -1].astype(int), feature_names=tuple(header[:-2]))
 
 
 def split_dataset(data: Dataset, fractions=(0.5, 0.25, 0.25), seed: int = 0):
@@ -208,6 +218,10 @@ class GbmConfig:
             raise ValueError("min_samples_leaf must be >= 1")
 
 
+_TREE_FIELDS = (("feature", int), ("threshold", float), ("left", int), ("right", int),
+                ("value", float))
+
+
 @dataclass
 class _Tree:
     feature: np.ndarray  # -1 marks a leaf
@@ -220,55 +234,43 @@ class _Tree:
         if not (self.feature.shape == self.threshold.shape == self.left.shape
                 == self.right.shape == self.value.shape):
             raise ValueError("tree node arrays differ in length")
-        if np.sum(self.feature < 0) > MAX_LEAVES:
-            raise ValueError(f"a tree has more than {MAX_LEAVES} leaves")
-        if np.any(np.isnan(self.threshold[self.feature >= 0])):
-            raise ValueError("a tree has a NaN split threshold")
-        # every node reached from the root exactly once, so the walks end
-        left, right, leaf = self.left.tolist(), self.right.tolist(), (self.feature < 0).tolist()
-        seen = [False] * len(leaf)
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            if not 0 <= node < len(seen):
-                raise ValueError(f"a tree refers to node {node}, outside its "
-                                 f"{len(seen)} nodes")
-            if seen[node]:
-                raise ValueError(f"a tree reaches node {node} twice from its root")
-            seen[node] = True
-            if not leaf[node]:
-                stack += (left[node], right[node])
 
     def to_dict(self) -> dict:
-        return {"feature": self.feature.tolist(),
-                "threshold": self.threshold.tolist(),
-                "left": self.left.tolist(), "right": self.right.tolist(),
-                "value": self.value.tolist()}
+        return {key: getattr(self, key).tolist() for key, _ in _TREE_FIELDS}
 
     @staticmethod
-    def from_dict(d) -> "_Tree":
-        return _Tree(feature=np.asarray(d["feature"], dtype=int),
-                     threshold=np.asarray(d["threshold"], dtype=float),
-                     left=np.asarray(d["left"], dtype=int),
-                     right=np.asarray(d["right"], dtype=int),
-                     value=np.asarray(d["value"], dtype=float))
+    def from_dicts(dicts) -> tuple:
+        """Trees from ``to_dict`` forms, each field decoded for all at once."""
+        columns = []
+        for key, dtype in _TREE_FIELDS:
+            flat = np.asarray([v for d in dicts for v in d[key]], dtype=dtype)
+            stops = list(itertools.accumulate(len(d[key]) for d in dicts))
+            columns.append([flat[a:b] for a, b in zip([0] + stops, stops)])
+        return tuple(_Tree(*fields) for fields in zip(*columns))
 
-    def leaves_in_order(self):
-        """Leaves left to right, and each internal node with the range of
-        leaf positions its left subtree covers, as (node, first, stop)."""
-        leaves, splits = [], []
 
-        def walk(node):
-            if self.feature[node] < 0:
-                leaves.append(node)
-                return
-            first = len(leaves)
-            walk(self.left[node])
-            splits.append((node, first, len(leaves)))
-            walk(self.right[node])
-
-        walk(0)
-        return leaves, splits
+def _lay_out(feature, left, right, start, size):
+    """Leaves left to right, internal nodes in order, and each one's left-subtree
+    leaf bits, of the tree at ``start:start + size`` in the lists.  Raises
+    unless every node reached from the root lies in the tree, reached once."""
+    leaves, nodes, bits, seen = [], [], [], [False] * size
+    stack = [(0, None)]  # (node, (parent, first leaf of its left subtree) if a right child)
+    while stack:
+        node, parent = stack.pop()
+        if not 0 <= node < size:
+            raise ValueError(f"a tree refers to node {node}, outside its {size} nodes")
+        if seen[node]:
+            raise ValueError(f"a tree reaches node {node} twice from its root")
+        seen[node] = True
+        if parent is not None:  # the parent's left subtree is laid out
+            nodes.append(parent[0])
+            bits.append((1 << len(leaves)) - (1 << parent[1]))
+        node += start
+        if feature[node] < 0:
+            leaves.append(node)
+        else:
+            stack += ((right[node], (node, len(leaves))), (left[node], None))
+    return leaves, nodes, bits
 
 
 @dataclass(frozen=True)
@@ -288,28 +290,42 @@ class _PackedTrees:
 
     @staticmethod
     def pack(trees, learning_rate: float) -> "_PackedTrees":
-        n_features = max((int(t.feature.max()) + 1 for t in trees), default=0)
-        thresholds = tuple(
-            np.unique(np.concatenate([t.threshold[t.feature == f] for t in trees]))
-            for f in range(n_features))
+        """The layout of ``trees``, each checked to have at most MAX_LEAVES
+        leaves, no NaN split threshold and its nodes reached once at most."""
+        feature, threshold, left, right, value = (
+            np.concatenate([np.empty(0, dtype)] + [getattr(t, key) for t in trees])
+            for key, dtype in _TREE_FIELDS)
+        sizes = [t.feature.size for t in trees]
+        leaf_counts = np.bincount(np.repeat(np.arange(len(trees)), sizes)[feature < 0])
+        if leaf_counts.max(initial=0) > MAX_LEAVES:
+            raise ValueError(f"a tree has more than {MAX_LEAVES} leaves")
+        if np.any(np.isnan(threshold[feature >= 0])):
+            raise ValueError("a tree has a NaN split threshold")
+        lists = feature.tolist(), left.tolist(), right.tolist()
+        layouts = [_lay_out(*lists, start, size)
+                   for start, size in zip(itertools.accumulate([0] + sizes), sizes)]
+        thresholds, rank_of = [], np.zeros(feature.size, dtype=np.intp)
+        for f in range(int(feature.max(initial=-1)) + 1):
+            on_f = feature == f
+            thresholds.append(np.unique(threshold[on_f]))
+            rank_of[on_f] = np.searchsorted(thresholds[-1], threshold[on_f])
         # codes run from 0 to the threshold count; size them to it so they never wrap
         code_dtype = np.min_scalar_type(max((th.size for th in thresholds), default=0))
-        layouts = [t.leaves_in_order() for t in trees]
-        n_leaves = max((len(leaves) for leaves, _ in layouts), default=1)
-        n_nodes = max((len(splits) for _, splits in layouts), default=0)
+        n_leaves = max((len(layout[0]) for layout in layouts), default=1)
+        n_nodes = max((len(layout[1]) for layout in layouts), default=0)
         mask_dtype = np.min_scalar_type((1 << n_leaves) - 1)
-        feature = np.zeros((n_nodes, len(trees)), dtype=np.intp)
-        rank = np.zeros((n_nodes, len(trees)), dtype=code_dtype)
-        clear = np.zeros((n_nodes, len(trees)), dtype=mask_dtype)
+        # (position, tree, node) of each internal node and of each leaf in its tree's order
+        splits, cells = ([(k, t, node) for t, layout in enumerate(layouts)
+                          for k, node in enumerate(layout[part])] for part in (1, 0))
+        k, t, node = np.array(splits, dtype=np.intp).reshape(-1, 3).T
+        split_feature, rank, clear = (np.zeros((n_nodes, len(trees)), dtype=dtype)
+                                      for dtype in (np.intp, code_dtype, mask_dtype))
+        split_feature[k, t], rank[k, t] = feature[node], rank_of[node]
+        clear[k, t] = np.array([b for layout in layouts for b in layout[2]], dtype=mask_dtype)
+        j, t, node = np.array(cells, dtype=np.intp).reshape(-1, 3).T
         leaf = np.zeros((len(trees), n_leaves))
-        for t, (tree, (leaves, splits)) in enumerate(zip(trees, layouts)):
-            leaf[t, :len(leaves)] = learning_rate * tree.value[leaves]
-            for k, (node, first, stop) in enumerate(splits):
-                f = int(tree.feature[node])
-                feature[k, t] = f
-                rank[k, t] = np.searchsorted(thresholds[f], tree.threshold[node])
-                clear[k, t] = (1 << stop) - (1 << first)
-        return _PackedTrees(thresholds, feature, rank, clear, leaf)
+        leaf[t, j] = learning_rate * value[node]
+        return _PackedTrees(tuple(thresholds), split_feature, rank, clear, leaf)
 
     def codes(self, x: np.ndarray, features=None) -> np.ndarray:
         """(features, rows) rank of each row's value among each feature's
@@ -505,11 +521,8 @@ def _grow_tree(xt, order, grad, hess, config: GbmConfig, work):
         left[node] = new_node(rows_l, sub[in_left].reshape(n_features, rows_l.size), depth)
         right[node] = new_node(rows_r, sub[~in_left].reshape(n_features, rows_r.size), depth)
         n_leaves += 1
-    tree = _Tree(feature=np.asarray(feature, dtype=int),
-                 threshold=np.asarray(threshold, dtype=float),
-                 left=np.asarray(left, dtype=int),
-                 right=np.asarray(right, dtype=int),
-                 value=np.asarray(value, dtype=float))
+    tree = _Tree(*(np.asarray(column, dtype=dtype) for column, (_, dtype)
+                   in zip((feature, threshold, left, right, value), _TREE_FIELDS)))
     return tree, [(node_rows[nd], tree.value[nd]) for nd in node_rows
                   if tree.feature[nd] < 0]
 
@@ -530,13 +543,9 @@ class TrainedModel:
     coef: np.ndarray | None = None
     intercept: float = 0.0
 
-    @property
-    def _packed(self) -> _PackedTrees:
-        packed = self.__dict__.get("_packed_cache")
-        if packed is None:
-            packed = _PackedTrees.pack(self.trees, self.learning_rate)
-            object.__setattr__(self, "_packed_cache", packed)
-        return packed
+    def __post_init__(self):
+        if self.kind == "gbm":  # checks the trees and lays them out for the kernel, once
+            object.__setattr__(self, "_packed", _PackedTrees.pack(self.trees, self.learning_rate))
 
     def raw_score(self, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=float)
@@ -608,13 +617,13 @@ class TrainedModel:
                 return TrainedModel(kind="gbm", favorable_sign=int(d["favorable_sign"]),
                                     init_score=float(d["init_score"]),
                                     learning_rate=float(d["learning_rate"]),
-                                    trees=tuple(_Tree.from_dict(t) for t in d["trees"]))
+                                    trees=_Tree.from_dicts(d["trees"]))
             if d["kind"] == "logistic":
                 return TrainedModel(kind="logistic",
                                     favorable_sign=int(d["favorable_sign"]),
                                     coef=np.asarray(d["coef"], dtype=float),
                                     intercept=float(d["intercept"]))
-        except TypeError as exc:  # a field of the wrong JSON type, such as "trees": 5
+        except (TypeError, OverflowError) as exc:  # a field of the wrong JSON type or size
             raise ValueError(f"malformed model: {exc}") from exc
         raise ValueError(f"unknown model kind '{d['kind']}'")
 

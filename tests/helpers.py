@@ -1,5 +1,6 @@
 """Shared test oracles, all independent of the library's production paths."""
 
+import csv
 import itertools
 import json
 from typing import NamedTuple
@@ -9,7 +10,7 @@ import numpy as np
 from fairpost.bias import model_bias
 from fairpost.calibrate import CalibrationError, link_linear_calibrate, sigmoid
 from fairpost.explain import marginal_game_values
-from fairpost.learn import PRED_CLAMP, _Tree, log_loss
+from fairpost.learn import PRED_CLAMP, Dataset, _Tree, log_loss
 
 
 def riemann_w1(a, b, n_points=100_000):
@@ -439,10 +440,75 @@ def pdp_direct(model, x, background, i):
     return out
 
 
+def read_csv_direct(path) -> Dataset:
+    """A dataset CSV read with the csv module and ``float()`` per cell, the
+    grammar of ``Dataset.from_csv`` before it parsed in bulk (``float()``
+    also takes digit-group underscores such as ``1_5``).  Raises ValueError
+    on the same files, with its own messages."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header[-2:] != ["g", "y"]:
+            raise ValueError("dataset CSV must start with a header ending in columns g,y")
+        rows = [[float(v) for v in row] for row in reader if row]
+    if not rows:
+        raise ValueError("dataset CSV has no rows")
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError("every row of a dataset CSV must have as many cells as its header")
+    data = np.asarray(rows, dtype=float)
+    if not np.all(np.isin(data[:, -2:], (0.0, 1.0))):
+        raise ValueError("dataset CSV columns g and y must hold 0 or 1")
+    return Dataset(x=data[:, :-2], g=data[:, -2].astype(int), y=data[:, -1].astype(int),
+                   feature_names=tuple(header[:-2]))
+
+
+def pack_direct(trees, learning_rate):
+    """The fields of ``_PackedTrees.pack(trees, learning_rate)``, as a tuple,
+    built one tree and one node at a time with a recursive in-order walk."""
+    n_features = max((int(t.feature.max()) + 1 for t in trees), default=0)
+    thresholds = tuple(
+        np.unique(np.concatenate([t.threshold[t.feature == f] for t in trees]))
+        for f in range(n_features))
+    code_dtype = np.min_scalar_type(max((th.size for th in thresholds), default=0))
+
+    def in_order(tree):
+        leaves, splits = [], []
+
+        def walk(node):
+            if tree.feature[node] < 0:
+                leaves.append(node)
+                return
+            first = len(leaves)
+            walk(tree.left[node])
+            splits.append((node, first, len(leaves)))
+            walk(tree.right[node])
+
+        walk(0)
+        return leaves, splits
+
+    layouts = [in_order(t) for t in trees]
+    n_leaves = max((len(leaves) for leaves, _ in layouts), default=1)
+    n_nodes = max((len(splits) for _, splits in layouts), default=0)
+    mask_dtype = np.min_scalar_type((1 << n_leaves) - 1)
+    feature = np.zeros((n_nodes, len(trees)), dtype=np.intp)
+    rank = np.zeros((n_nodes, len(trees)), dtype=code_dtype)
+    clear = np.zeros((n_nodes, len(trees)), dtype=mask_dtype)
+    leaf = np.zeros((len(trees), n_leaves))
+    for t, (tree, (leaves, splits)) in enumerate(zip(trees, layouts)):
+        leaf[t, :len(leaves)] = learning_rate * tree.value[leaves]
+        for k, (node, first, stop) in enumerate(splits):
+            f = int(tree.feature[node])
+            feature[k, t] = f
+            rank[k, t] = np.searchsorted(thresholds[f], tree.threshold[node])
+            clear[k, t] = (1 << stop) - (1 << first)
+    return thresholds, feature, rank, clear, leaf
+
+
 __all__ = [
     "riemann_w1", "brute_force_isotonic", "brute_force_pareto",
     "brute_force_half_bias", "GridOptimum",
     "additive_shapley", "conditional_game_values", "conditional_shapley",
     "exact_game_shapley", "shapley_by_orderings", "pdp_direct", "marginal_game_values",
-    "tree_scores_direct", "train_gbm_direct", "chain_gbm_json",
+    "tree_scores_direct", "train_gbm_direct", "chain_gbm_json", "read_csv_direct",
+    "pack_direct",
 ]

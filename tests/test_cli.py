@@ -220,6 +220,16 @@ class TestMitigate:
         assert code == 2
         assert "m_star" in capsys.readouterr().err
 
+    def test_negative_m_star_with_predictors_is_exit_two(self, workdir, tmp_path, capsys):
+        _, data, model = workdir
+        out = tmp_path / "neg.csv"
+        code = main(["mitigate", "--data", data, "--model", model, "--predictors", "x1",
+                     "--m-star", "-1", "--n-prior", "4", "--n-bo", "0", "--omega-steps", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert "m_star" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "neg.csv.manifest.json").exists()
+
 
 class TestCalibrateCommand:
     def test_fit_and_dump(self, workdir, tmp_path):
@@ -280,11 +290,25 @@ class TestExitCodes:
         # a split on x10 of a five-column dataset
         ({"feature": [9, -1, -1], "left": [1, -1, -1], "right": [2, -1, -1]},
          "splits on 10 columns"),
-    ], ids=["child-out-of-range", "cycle", "too-few-columns"])
+        ({"feature": [0, -1, -1], "left": [1, -1, -1], "right": [2, -1, -1],
+          "value": [0.0, 0.1]}, "differ in length"),
+        ({"feature": [0, -1, -1], "left": [1, -1, -1], "right": [2, -1, -1],
+          "threshold": [float("nan"), 0.0, 0.0]}, "NaN split threshold"),
+        # nodes 0 and 1 both send rows to node 2: a DAG, not a cycle
+        ({"feature": [0, 1, -1, -1], "left": [1, 2, -1, -1], "right": [2, 3, -1, -1]},
+         "reaches node 2 twice"),
+        ({"feature": [0, -1, -1], "left": [1, -1, -1], "right": [-1, -1, -1]},
+         "refers to node -1"),
+        ({"feature": [0, -1, -1], "left": [1, -1, -1], "right": [2, -1, -1],
+          "threshold": ["abc", 0.0, 0.0]}, "could not convert string to float: 'abc'"),
+        ({"feature": [0, -1, -1], "left": [1, -1, -1], "right": [2 ** 70, -1, -1]},
+         "malformed model"),
+    ], ids=["child-out-of-range", "cycle", "too-few-columns", "lengths-differ",
+            "nan-threshold", "dag", "negative-child", "string-threshold", "huge-child"])
     def test_malformed_model_is_exit_two(self, workdir, tmp_path, capsys, tree, message):
         _, data, _ = workdir
         n = len(tree["feature"])
-        tree = {**tree, "threshold": [0.0] * n, "value": [0.1 * i for i in range(n)]}
+        tree = {"threshold": [0.0] * n, "value": [0.1 * i for i in range(n)], **tree}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"kind": "gbm", "favorable_sign": 1, "init_score": 0.0,
                                     "learning_rate": 0.1, "trees": [tree]}))
@@ -330,6 +354,9 @@ MALFORMED_CSV = {
     + _ROW.format(g=1, y=0.4),
     "no-g-y-columns": "x1,x2,x3,x4,x5\n5.0,4.5,5.5,5.0,4.0\n",
     "directory": None,
+    "trailing-comma": _HEADER + _ROW.format(g=0, y=1).replace("\n", ",\n"),
+    "hash-cell": _HEADER + _ROW.format(g=0, y=1) + "#" + _ROW.format(g=1, y=0),
+    "digit-underscore": _HEADER + _ROW.format(g=0, y=1) + "1_5," + _ROW.format(g=1, y=0)[4:],
 }
 
 
@@ -349,6 +376,15 @@ class TestMalformedInput:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_bad_cell_names_its_line(self, workdir, tmp_path, capsys):
+        _, _, model = workdir
+        path = tmp_path / "bad.csv"
+        path.write_text(_HEADER + _ROW.format(g=0, y=1) + "\n" + _ROW.format(g=1, y="yes"))
+        assert main(["bias", "--data", str(path), "--model", model,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: could not convert string 'yes' to float64 at line 4, column 7.\n")
 
     @pytest.mark.parametrize("command", ["bias", "explain"])
     def test_model_directory_is_exit_two(self, workdir, tmp_path, capsys, command):

@@ -23,7 +23,30 @@ from fairpost.learn import (
     train_logistic,
 )
 
-from helpers import chain_gbm_json, random_tree, train_gbm_direct, tree_scores_direct
+from helpers import (
+    chain_gbm_json,
+    pack_direct,
+    random_tree,
+    read_csv_direct,
+    train_gbm_direct,
+    tree_scores_direct,
+)
+
+# cells that to_csv writes as repr() and a parser must read back bit for bit
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308,
+                   1.7976931348623157e308, np.nan, np.inf, -np.inf]
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def _packed_fields(model):
+    packed = model._packed
+    return packed.thresholds, (packed.feature, packed.rank, packed.clear, packed.leaf)
 
 
 class TestGenerators:
@@ -109,6 +132,87 @@ class TestDatasetIO:
         np.testing.assert_array_equal(restored.g, data.g)
         np.testing.assert_array_equal(restored.y, data.y)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(1, 6), n_features=st.integers(0, 3))
+    def test_roundtrip_matches_direct_reader(self, tmp_path_factory, data, n_rows,
+                                             n_features):
+        """to_csv then from_csv gives the direct reader's arrays, bit for bit,
+        for any finite, subnormal, huge, NaN or infinite cell and for names
+        that need quoting."""
+        names = tuple(data.draw(st.lists(st.text(st.sampled_from('ab1 ,"\n\r#_'), max_size=4),
+                                         min_size=n_features, max_size=n_features)))
+        cell = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+        x = np.array(data.draw(st.lists(st.lists(cell, min_size=n_features,
+                                                 max_size=n_features),
+                                        min_size=n_rows, max_size=n_rows)),
+                     dtype=float).reshape(n_rows, n_features)
+        g, y = (np.array(data.draw(st.lists(st.integers(0, 1), min_size=n_rows,
+                                             max_size=n_rows))) for _ in range(2))
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        Dataset(x=x, g=g, y=y, feature_names=names).to_csv(path)
+        got, want = Dataset.from_csv(path), read_csv_direct(path)
+        assert got.feature_names == want.feature_names == names
+        _assert_same_arrays((got.x, got.g, got.y), (want.x, want.g, want.y))
+        number = ~np.isnan(x)  # NaN payloads and signs are not written
+        assert got.x[number].tobytes() == x[number].tobytes() and np.isnan(got.x[~number]).all()
+
+    @pytest.mark.parametrize("text", [
+        "x1,x2,g,y\r\n1.5,-2e-3,0,1\r\n3,4,1,0\r\n",
+        '"x1","x,2","g","y"\n"1.5","-2e-3","0","1"\n',
+        "x1,x2,g,y\n\n1.5,-2e-3,0,1\n\n\n3,4,1,0\n\n",
+        "x1,x2,g,y\n 1.5 ,\t-2e-3\t, 0,1 \n\" 3 \",4 ,1,0\n",
+        "x1,x2,g,y\r1.5,2,0,1\r3,4,1,0",
+        '"x\n1",x2,g,y\n1.5,2,0,1\n',
+    ], ids=["crlf", "quoted", "blank-lines", "padded", "cr-no-final-newline",
+            "header-with-newline"])
+    def test_edge_files_match_direct_reader(self, tmp_path, text):
+        path = tmp_path / "edge.csv"
+        path.write_bytes(text.encode())
+        got, want = Dataset.from_csv(path), read_csv_direct(path)
+        assert got.feature_names == want.feature_names
+        _assert_same_arrays((got.x, got.g, got.y), (want.x, want.g, want.y))
+
+    @pytest.mark.parametrize("row, direct_x1", [
+        ("1.5,2,0,1,\n", None),  # a trailing comma adds an empty cell
+        ("1,2,0,1\n#1.5,2,0,1\n", None),  # '#' starts no comment
+        ("1.5,0,1\n", None),  # ragged
+        ("1_5,2,0,1\n", 15.0),  # float() reads digit groups; the bulk parser does not
+    ], ids=["trailing-comma", "hash-cell", "ragged", "digit-underscore"])
+    def test_rejected_cells(self, tmp_path, row, direct_x1):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,g,y\n" + row)
+        with pytest.raises(ValueError):
+            Dataset.from_csv(path)
+        if direct_x1 is None:
+            with pytest.raises(ValueError):
+                read_csv_direct(path)
+        else:
+            assert read_csv_direct(path).x[0, 0] == direct_x1
+
+    @pytest.mark.parametrize("text", ["x1,g,y\n", "x1,g,y\n\n\r\n"], ids=["header", "blank"])
+    def test_no_rows_is_an_error_not_a_warning(self, tmp_path, text):
+        """The CLI prints the error alone, with no warning from the parser."""
+        path = tmp_path / "empty.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no rows"):
+                Dataset.from_csv(path)
+
+    @pytest.mark.parametrize("tail, message", [
+        ("5,yes,1,0\n", "could not convert string 'yes' to float64 at line 7, column 2."),
+        ("5,1,0\n", "the number of columns changed from 4 to 3 at line 7"),
+        ("5,6,1,0\n\n8,9,1,0,2\n", "the number of columns changed from 4 to 5 at line 9"),
+    ], ids=["non-numeric", "ragged", "ragged-after-blank"])
+    def test_errors_name_the_file_line(self, tmp_path, tail, message):
+        # the header spans lines 1-2 and blank lines 4-5 hold no row, so the
+        # data rows on lines 3 and 6 are rows 0 and 1 of the body
+        path = tmp_path / "bad.csv"
+        path.write_bytes(('"x\n1",x2,g,y\r\n1,2,0,1\r\n\r\n\n3,4,1,0\n' + tail).encode())
+        with pytest.raises(ValueError) as info:
+            Dataset.from_csv(path)
+        assert str(info.value) == message
+
     def test_split_disjoint_and_exhaustive(self):
         data = generate(SyntheticSpec("M1", 1000, seed=10))
         tr, ho, te = split_dataset(data, (0.5, 0.25, 0.25), seed=4)
@@ -179,6 +283,31 @@ class TestGbm:
         _, counts = np.unique(node, return_counts=True)
         assert counts.min() >= 100
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_estimators=st.integers(1, 6),
+           max_leaves=st.integers(2, 16), max_depth=st.integers(1, 5),
+           learning_rate=st.floats(0.01, 1.0), min_samples_leaf=st.integers(1, 20),
+           n_features=st.integers(1, 3))
+    def test_json_roundtrip_packs_alike(self, seed, n_estimators, max_leaves, max_depth,
+                                        learning_rate, min_samples_leaf, n_features):
+        """from_json(to_json()) packs the same arrays, of the same dtypes, as
+        the fitted model and the per-node layout, and scores the same bits."""
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(0.0, 1.0, (120, n_features)), 1)
+        y = (x.sum(axis=1) + rng.normal(0.0, 1.0, 120) > 0).astype(int)
+        y[:2] = (0, 1)
+        model = train_gbm(x, y, GbmConfig(n_estimators, max_leaves, max_depth,
+                                          learning_rate, min_samples_leaf))
+        restored = TrainedModel.from_json(model.to_json())
+        assert restored.to_json() == model.to_json()
+        want = pack_direct(model.trees, model.learning_rate)
+        for fitted in (model, restored):
+            thresholds, arrays = _packed_fields(fitted)
+            _assert_same_arrays(thresholds, want[0])
+            _assert_same_arrays(arrays, want[1:])
+        probe = np.concatenate([x, rng.choice([np.nan, np.inf, -np.inf, 0.0], (8, n_features))])
+        assert restored(probe).tobytes() == model(probe).tobytes()
+
     def test_json_roundtrip(self):
         data = generate(SyntheticSpec("M1", 1500, seed=18))
         model = train_gbm(data.x, data.y, GbmConfig(n_estimators=10))
@@ -223,6 +352,27 @@ class TestTreeKernel:
         special = rng.random(x.shape) < 0.1
         x[special] = rng.choice([np.nan, np.inf, -np.inf], int(special.sum()))
         _assert_matches_direct(model, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_leaves=st.integers(2, MAX_LEAVES),
+           max_depth=st.integers(1, 8), n_trees=st.integers(0, 4),
+           n_features=st.integers(1, 4))
+    def test_pack_matches_direct(self, seed, max_leaves, max_depth, n_trees, n_features):
+        """The bulk layout equals the per-node one, field by field and dtype by
+        dtype, with ties, signed zeros and infinite thresholds across trees."""
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([np.round(rng.normal(0.0, 2.0, 6), 1),
+                               [-np.inf, np.inf, -0.0, 0.0]])
+        trees = tuple(random_tree(rng, int(rng.integers(1, max_leaves + 1)),
+                                   max_depth, n_features,
+                                   lambda: float(rng.choice(pool)))
+                      for _ in range(n_trees))
+        model = TrainedModel(kind="gbm", learning_rate=float(rng.uniform(0.01, 1.0)),
+                             trees=trees)
+        thresholds, arrays = _packed_fields(model)
+        want = pack_direct(trees, model.learning_rate)
+        _assert_same_arrays(thresholds, want[0])
+        _assert_same_arrays(arrays, want[1:])
 
     def test_more_thresholds_than_uint16_codes(self):
         rng = np.random.default_rng(24)

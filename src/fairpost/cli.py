@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -29,7 +30,7 @@ from .mitigate import (
     run_hyperparam_baseline,
     transform_search_space,
 )
-from .transform import CompressiveParams, PredictorTransform, build_postprocessed, focal_point
+from .transform import CompressiveParams, PredictorTransform, focal_point, post_scorer
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -151,11 +152,11 @@ def _predictor_indices(data: Dataset, text: str) -> tuple[int, ...]:
 def cmd_mitigate(args) -> int:
     if args.m_star < 0:  # checked here too, since --predictors leaves it unused
         raise ValueError("m_star must be nonnegative")
-    data = Dataset.from_csv(args.data)
+    # only the splits are kept: the whole dataset would live as long as the search
+    train, holdout, test = split_dataset(Dataset.from_csv(args.data), seed=args.seed)
     model = _load_model(args.model)
-    train, holdout, test = split_dataset(data, seed=args.seed)
     if args.predictors:
-        indices = _predictor_indices(data, args.predictors)
+        indices = _predictor_indices(train, args.predictors)
     else:
         background = default_background(train.x, seed=args.seed, max_rows=200)
         table = basic_bias_explanations(pdp_output(model, train.x, background),
@@ -169,7 +170,7 @@ def cmd_mitigate(args) -> int:
                                    sigma_bounds=(args.sigma_lo, args.sigma_hi),
                                    omegas=omegas, n_prior=args.n_prior,
                                    n_bo=args.n_bo, seed=args.seed,
-                                   feature_names=data.feature_names)
+                                   feature_names=train.feature_names)
     frontier = run_algorithm1(model, train, holdout, test, indices, space,
                               transform_kind=args.transform,
                               focal_rule=args.focal,
@@ -188,15 +189,15 @@ def cmd_curve(args) -> int:
     indices = _predictor_indices(data, args.predictors)
     grid = _parse_grid(args.a_grid)
     partition = _partition(args.partition)
+    focals = [focal_point(data.x, i, rule=args.focal, g=data.g) for i in indices]
+    score = post_scorer(model, data.x, indices)
     rows = []
     for a in grid:
         transforms = tuple(
-            PredictorTransform(predictor=i, kind="global", params=(float(a),),
-                               focal=focal_point(data.x, i, rule=args.focal, g=data.g),
+            PredictorTransform(predictor=i, kind="global", params=(float(a),), focal=focal,
                                focal_rule=args.focal, name=data.feature_names[i])
-            for i in indices)
-        post = build_postprocessed(model, indices, CompressiveParams(transforms))
-        report = model_bias(post(data.x), data.g, partition,
+            for i, focal in zip(indices, focals))
+        report = model_bias(score(CompressiveParams(transforms)), data.g, partition,
                             favorable_sign=args.sign, columns=data.columns)
         rows.append((a, report.total, report.positive, report.negative))
     with open(args.out, "w") as fh:
@@ -355,9 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CalibrationError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -18,7 +18,10 @@ as the lowest leaf bit that survives the masks of the nodes whose test fails
 (QuickScorer; Lucchese et al., SIGIR 2015), and adds the leaf values tree by
 tree.  A row assembled from two sources, the columns of a coalition from one
 row and the others from a background row, is scored from the failed nodes of
-each side, found once per source row and combined per pair.
+each side, found once per source row and combined per pair.  An input whose
+few columns are replaced again and again, as in a frontier search over
+monotone maps of those columns, keeps the failed nodes of its other columns:
+each call ranks and re-tests only the nodes on the replaced columns.
 """
 
 from __future__ import annotations
@@ -220,6 +223,8 @@ class GbmConfig:
 
 _TREE_FIELDS = (("feature", int), ("threshold", float), ("left", int), ("right", int),
                 ("value", float))
+_JSON_TYPES = {int: {int}, float: {int, float}}  # the JSON values each field dtype takes
+_JSON_NAMES = {str: "string", bool: "boolean", type(None): "null", list: "array", dict: "object"}
 
 
 @dataclass
@@ -240,10 +245,21 @@ class _Tree:
 
     @staticmethod
     def from_dicts(dicts) -> tuple:
-        """Trees from ``to_dict`` forms, each field decoded for all at once."""
+        """Trees from ``to_dict`` forms, each field decoded for all at once.
+
+        Integer fields take JSON integers and float fields JSON numbers; any
+        other value, such as a string, a fraction or a boolean, is refused
+        rather than converted.
+        """
         columns = []
         for key, dtype in _TREE_FIELDS:
-            flat = np.asarray([v for d in dicts for v in d[key]], dtype=dtype)
+            values = [v for d in dicts for v in d[key]]
+            if not set(map(type, values)) <= _JSON_TYPES[dtype]:
+                bad = next(v for v in values if type(v) not in _JSON_TYPES[dtype])
+                kind = _JSON_NAMES.get(type(bad), type(bad).__name__)
+                raise ValueError(f"malformed model: could not convert {kind} to "
+                                 f"{dtype.__name__}: {bad!r} in tree field '{key}'")
+            flat = np.asarray(values, dtype=dtype)
             stops = list(itertools.accumulate(len(d[key]) for d in dicts))
             columns.append([flat[a:b] for a, b in zip([0] + stops, stops)])
         return tuple(_Tree(*fields) for fields in zip(*columns))
@@ -279,14 +295,22 @@ class _PackedTrees:
 
     Node ``k`` of tree ``t`` sits at ``[k, t]``; trees with fewer internal
     nodes are padded with nodes that clear nothing.  Leaf ``j`` of a tree owns
-    bit ``j`` of its mask, leaves numbered left to right.
+    bit ``j`` of its mask, leaves numbered left to right.  Features are the
+    input columns the trees split on, in ascending order, so no structure is
+    sized by the largest column index.
     """
 
+    columns: tuple          # per feature, its input column
     thresholds: tuple       # per feature, the sorted unique split thresholds
     feature: np.ndarray     # (nodes, trees) feature of the node
     rank: np.ndarray        # (nodes, trees) index of its threshold in thresholds
     clear: np.ndarray       # (nodes, trees) bits of the leaves of its left subtree
     leaf: np.ndarray        # (trees, leaves) learning_rate * leaf value
+
+    @property
+    def width(self) -> int:
+        """Columns an input needs: one past the last column split on."""
+        return self.columns[-1] + 1 if self.columns else 0
 
     @staticmethod
     def pack(trees, learning_rate: float) -> "_PackedTrees":
@@ -304,9 +328,16 @@ class _PackedTrees:
         lists = feature.tolist(), left.tolist(), right.tolist()
         layouts = [_lay_out(*lists, start, size)
                    for start, size in zip(itertools.accumulate([0] + sizes), sizes)]
-        thresholds, rank_of = [], np.zeros(feature.size, dtype=np.intp)
-        for f in range(int(feature.max(initial=-1)) + 1):
-            on_f = feature == f
+        # one stable sort groups the split nodes by feature, each group in model order
+        nodes = np.flatnonzero(feature >= 0)
+        columns, local = np.unique(feature[nodes], return_inverse=True)
+        by_feature = nodes[np.argsort(local, kind="stable")]
+        feature_of, rank_of = (np.zeros(feature.size, dtype=np.intp) for _ in range(2))
+        feature_of[nodes] = local
+        counts = np.bincount(local, minlength=columns.size)
+        thresholds = []
+        for stop, count in zip(np.cumsum(counts).tolist(), counts.tolist()):
+            on_f = by_feature[stop - count:stop]
             thresholds.append(np.unique(threshold[on_f]))
             rank_of[on_f] = np.searchsorted(thresholds[-1], threshold[on_f])
         # codes run from 0 to the threshold count; size them to it so they never wrap
@@ -320,12 +351,18 @@ class _PackedTrees:
         k, t, node = np.array(splits, dtype=np.intp).reshape(-1, 3).T
         split_feature, rank, clear = (np.zeros((n_nodes, len(trees)), dtype=dtype)
                                       for dtype in (np.intp, code_dtype, mask_dtype))
-        split_feature[k, t], rank[k, t] = feature[node], rank_of[node]
+        split_feature[k, t], rank[k, t] = feature_of[node], rank_of[node]
         clear[k, t] = np.array([b for layout in layouts for b in layout[2]], dtype=mask_dtype)
         j, t, node = np.array(cells, dtype=np.intp).reshape(-1, 3).T
         leaf = np.zeros((len(trees), n_leaves))
         leaf[t, j] = learning_rate * value[node]
-        return _PackedTrees(tuple(thresholds), split_feature, rank, clear, leaf)
+        return _PackedTrees(tuple(columns.tolist()), tuple(thresholds), split_feature, rank,
+                            clear, leaf)
+
+    def on_columns(self, columns) -> np.ndarray:
+        """A flag per feature: whether its input column is one of ``columns``."""
+        columns = set(columns)
+        return np.array([c in columns for c in self.columns], dtype=bool)
 
     def codes(self, x: np.ndarray, features=None) -> np.ndarray:
         """(features, rows) rank of each row's value among each feature's
@@ -336,13 +373,13 @@ class _PackedTrees:
         thresholds below x is at most the threshold's rank, so ties go left,
         and NaN sorts last and goes right.
         """
-        if x.ndim != 2 or x.shape[1] < len(self.thresholds):
-            raise ValueError(f"the model splits on {len(self.thresholds)} columns; "
+        if x.ndim != 2 or x.shape[1] < self.width:
+            raise ValueError(f"the model splits on {self.width} columns; "
                              f"the input has shape {x.shape}")
         codes = np.zeros((len(self.thresholds), x.shape[0]), dtype=self.rank.dtype)
-        for f, th in enumerate(self.thresholds):
+        for f, (column, th) in enumerate(zip(self.columns, self.thresholds)):
             if features is None or features[f]:
-                codes[f] = np.searchsorted(th, x[:, f])
+                codes[f] = np.searchsorted(th, x[:, column])
         return codes
 
     def cleared(self, codes: np.ndarray, features=None) -> np.ndarray:
@@ -382,8 +419,7 @@ class _PackedTrees:
         COALITION_PAIRS pairs per pass (one representative when b exceeds it),
         and row ``r`` of ``x`` exits as representative ``inverse[r]``.
         """
-        in_subset = np.zeros(len(self.thresholds), dtype=bool)
-        in_subset[[f for f in subset if f < in_subset.size]] = True
+        in_subset = self.on_columns(subset)
         x_codes = self.codes(x, in_subset)
         inverse = np.zeros(x.shape[0], dtype=np.intp)
         for f in np.flatnonzero(in_subset):  # one feature at a time, so keys never overflow
@@ -400,6 +436,42 @@ class _PackedTrees:
                 yield _exit_leaf(from_x[:, start:start + step, None] | from_b[:, None, :])
 
         return inverse, passes()
+
+    def replaced_exits(self, x: np.ndarray, columns):
+        """Exit leaves of the rows of ``x`` with the input ``columns``
+        replaced, as a function of the replacement values.
+
+        A node on any other column reads the same value of a row in every
+        call, so the bits those nodes clear are found once.  Returns
+        ``exits(values)``, ``values`` mapping each column in ``columns`` to
+        one value per row of x: it ranks only those values, ORs in the bits
+        of only the nodes on them, BLOCK_ROWS rows at a time, and returns the
+        (trees, rows) exit leaves.
+        """
+        replaced = self.on_columns(columns)
+        frozen = self.cleared(self.codes(x, ~replaced), ~replaced)
+        moving = [(c, th) for c, th, r in zip(self.columns, self.thresholds, replaced) if r]
+        slot = np.cumsum(replaced) - 1  # a replaced feature's row in the codes below
+        # per position, the trees whose node there splits on a replaced column
+        positions = []
+        for feature, rank, clear in zip(self.feature, self.rank, self.clear):
+            trees = np.flatnonzero(replaced[feature] & (clear != 0))
+            if trees.size:
+                positions.append((trees, slot[feature[trees]], rank[trees, None],
+                                  clear[trees, None]))
+
+        def exits(values):
+            codes = np.empty((len(moving), frozen.shape[1]), dtype=self.rank.dtype)
+            for code, (column, th) in zip(codes, moving):
+                code[:] = np.searchsorted(th, values[column])
+            cleared = frozen.copy()
+            for start in range(0, cleared.shape[1], BLOCK_ROWS):
+                rows = slice(start, start + BLOCK_ROWS)
+                for trees, features, rank, bits in positions:
+                    cleared[trees, rows] |= (codes[features, rows] > rank) * bits
+            return _exit_leaf(cleared)
+
+        return exits
 
     def add_leaves(self, raw: np.ndarray, exit_leaf: np.ndarray) -> None:
         """Add to ``raw``, in place and tree by tree in tree order, each
@@ -583,6 +655,27 @@ class TrainedModel:
                 yield _probability(raw)
 
         return inverse, blocks()
+
+    def replaced_scores(self, x: np.ndarray, columns):
+        """Probabilities of the rows of ``x`` with the input ``columns``
+        replaced, as a function of the replacement values (gbm only).
+
+        Returns ``score(values)``, ``values`` mapping each column in
+        ``columns`` to one value per row of x.  Only the nodes on those
+        columns are tested again per call; each probability has the bits of
+        ``self`` on the assembled rows, leaves added in tree order.
+        """
+        if self.kind != "gbm":
+            raise ValueError("replaced-column scores are defined for gbm models only")
+        x = np.asarray(x, dtype=float)
+        exits = self._packed.replaced_exits(x, columns)
+
+        def score(values):
+            raw = np.full(x.shape[0], self.init_score)
+            self._packed.add_leaves(raw, exits(values))
+            return _probability(raw)
+
+        return score
 
     def staged_scores(self, x: np.ndarray):
         """Probability predictions after each boosting round (gbm only)."""

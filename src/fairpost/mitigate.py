@@ -27,7 +27,7 @@ from .bias import PartitionSpec, model_bias
 from .calibrate import CalibrationError, link_linear_calibrate, logistic_refit, pava_isotonic
 from .learn import Dataset, GbmConfig, log_loss, train_gbm
 from .transform import (CompressiveParams, PredictorTransform, build_postprocessed, focal_point,
-                        impact_indices, transform_params)
+                        impact_indices, post_scorer, transform_params)
 
 SURROGATES = ("tpe", "gp", "random")
 TPE_GOOD_FRACTION = 0.25
@@ -360,11 +360,12 @@ def _fit_calibration(method, post_scores, base_scores, labels):
 
 def build_calibrated(model, impact_list, params: CompressiveParams, data: Dataset,
                      calibration: str | None = "link_linear", base_scores=None,
-                     return_scores: bool = False):
+                     return_scores: bool = False, post_scores=None):
     """Post-process then calibrate against the base model on ``data``.
 
-    ``base_scores`` are the base model's scores on ``data`` when the caller
-    already has them; they are computed otherwise.  Returns
+    ``base_scores`` are the base model's scores on ``data``, and
+    ``post_scores`` its scores on the transformed rows of ``data``, when the
+    caller already has them; they are computed otherwise.  Returns
     ``(post_processed_model, calibration_failed)``, and with ``return_scores``
     also that model's scores on ``data``; a failed fit (non-monotone or
     degenerate) leaves the model uncalibrated.
@@ -372,7 +373,7 @@ def build_calibrated(model, impact_list, params: CompressiveParams, data: Datase
     post = build_postprocessed(model, impact_list, params)
     if base_scores is None:
         base_scores = model(data.x)
-    scores = post(data.x)
+    scores = post(data.x) if post_scores is None else np.asarray(post_scores, dtype=float)
     failed = False
     calib = None
     try:
@@ -382,9 +383,7 @@ def build_calibrated(model, impact_list, params: CompressiveParams, data: Datase
         failed = True
     if calib is not None:
         post = replace(post, calibration=calib)
-        if return_scores:
-            scores = np.asarray(calib(scores), dtype=float)
-    return (post, failed, scores) if return_scores else (post, failed)
+    return (post, failed, post.calibrate(scores)) if return_scores else (post, failed)
 
 
 def _loss_and_bias(scores, data: Dataset, partition, favorable_sign):
@@ -438,17 +437,19 @@ def run_algorithm1(model, train: Dataset, holdout: Dataset, test: Dataset,
             f"{dims_per * len(indices)}")
 
     base_holdout = np.asarray(model(holdout.x), dtype=float)
+    score_holdout, score_test = (post_scorer(model, split.x, indices)
+                                 for split in (holdout, test))
 
     def evaluate(vec):
         params = _params_from_vector(vec, indices, transform_kind, focals,
                                      focal_rule, names)
         fitted, failed, scores_h = build_calibrated(
-            model, indices, params, holdout, calibration,
-            base_scores=base_holdout, return_scores=True)
+            model, indices, params, holdout, calibration, base_scores=base_holdout,
+            return_scores=True, post_scores=score_holdout(params))
         loss_h, bias_h = _loss_and_bias(scores_h, holdout, partition,
                                         favorable_sign)
-        loss_t, bias_t = _loss_and_bias(fitted(test.x), test, partition,
-                                        favorable_sign)
+        loss_t, bias_t = _loss_and_bias(fitted.calibrate(score_test(params)), test,
+                                        partition, favorable_sign)
         return loss_h, bias_h, loss_t, bias_t, failed
 
     def describe(vec):

@@ -154,17 +154,18 @@ class PostProcessedModel:
         return self.params.apply(np.asarray(x, dtype=float))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        scores = np.asarray(self.base_model(self.transform_inputs(x)), dtype=float)
+        return self.calibrate(self.base_model(self.transform_inputs(x)))
+
+    def calibrate(self, scores) -> np.ndarray:
+        """The last step of the model: the calibration map, if any, applied to
+        the base model's scores of transformed rows."""
+        scores = np.asarray(scores, dtype=float)
         if self.calibration is not None:
             scores = np.asarray(self.calibration(scores), dtype=float)
         return scores
 
 
-def build_postprocessed(model, impact_list, params: CompressiveParams) -> PostProcessedModel:
-    """Assemble the intermediate post-processed model.
-
-    ``params`` must cover exactly the impact-list indices.
-    """
+def _covered_indices(impact_list, params: CompressiveParams) -> tuple[int, ...]:
     indices = impact_indices(impact_list)
     if sorted(params.indices) != sorted(indices):
         raise ValueError(
@@ -172,7 +173,39 @@ def build_postprocessed(model, impact_list, params: CompressiveParams) -> PostPr
             f"but the impact list is {sorted(indices)}")
     if len(set(indices)) != len(indices):
         raise ValueError("impact list contains duplicate indices")
-    return PostProcessedModel(base_model=model, impact_list=indices, params=params)
+    return indices
+
+
+def build_postprocessed(model, impact_list, params: CompressiveParams) -> PostProcessedModel:
+    """Assemble the intermediate post-processed model.
+
+    ``params`` must cover exactly the impact-list indices.
+    """
+    return PostProcessedModel(base_model=model, impact_list=_covered_indices(impact_list, params),
+                              params=params)
+
+
+def post_scorer(model, x: np.ndarray, impact_list):
+    """The base model's scores of the rows of ``x`` post-processed by any
+    parameters over the impact list.
+
+    Returns ``score(params)``, the scores ``model(params.apply(x))``, where
+    ``params`` must cover exactly the impact-list indices.  A GBM scores
+    through ``TrainedModel.replaced_scores``, which tests the nodes on the
+    other columns once, here; any other model scores the transformed rows.
+    """
+    x = np.asarray(x, dtype=float)
+    indices = impact_indices(impact_list)
+    replaced = (model.replaced_scores(x, indices) if getattr(model, "kind", None) == "gbm"
+                else None)
+
+    def score(params):
+        _covered_indices(indices, params)
+        if replaced is None:
+            return np.asarray(model(params.apply(x)), dtype=float)
+        return replaced({tr.predictor: tr.apply(x[:, tr.predictor]) for tr in params.transforms})
+
+    return score
 
 
 def focal_point(x: np.ndarray, predictor_index: int, rule: str = "mean",

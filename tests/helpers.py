@@ -464,11 +464,13 @@ def read_csv_direct(path) -> Dataset:
 
 def pack_direct(trees, learning_rate):
     """The fields of ``_PackedTrees.pack(trees, learning_rate)``, as a tuple,
-    built one tree and one node at a time with a recursive in-order walk."""
-    n_features = max((int(t.feature.max()) + 1 for t in trees), default=0)
+    built one tree and one node at a time with a recursive in-order walk.
+    Features are the columns split on, ascending; the tuple holds their
+    thresholds, then their columns, then the other arrays."""
+    columns = sorted({int(f) for t in trees for f in t.feature if f >= 0})
     thresholds = tuple(
         np.unique(np.concatenate([t.threshold[t.feature == f] for t in trees]))
-        for f in range(n_features))
+        for f in columns)
     code_dtype = np.min_scalar_type(max((th.size for th in thresholds), default=0))
 
     def in_order(tree):
@@ -497,11 +499,11 @@ def pack_direct(trees, learning_rate):
     for t, (tree, (leaves, splits)) in enumerate(zip(trees, layouts)):
         leaf[t, :len(leaves)] = learning_rate * tree.value[leaves]
         for k, (node, first, stop) in enumerate(splits):
-            f = int(tree.feature[node])
+            f = columns.index(int(tree.feature[node]))
             feature[k, t] = f
             rank[k, t] = np.searchsorted(thresholds[f], tree.threshold[node])
             clear[k, t] = (1 << stop) - (1 << first)
-    return thresholds, feature, rank, clear, leaf
+    return thresholds, tuple(columns), feature, rank, clear, leaf
 
 
 __all__ = [

@@ -1,9 +1,11 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
 
+from fairpost import cli
 from fairpost.attribution import basic_bias_explanations, select_impactful
 from fairpost.bias import PartitionSpec
 from fairpost.cli import main
@@ -154,6 +156,19 @@ class TestCurve:
         assert main(["curve", "--data", data, "--model", model, "--predictors",
                      "x1", "--a-grid", "2.0", "--out", out]) == 0
         assert len(open(out).read().splitlines()) == 2
+
+    def test_gbm_scorer_matches_assembled_rows(self, workdir, tmp_path, monkeypatch):
+        """The model wrapped in a plain callable scores the transformed rows;
+        both curves have the same bytes."""
+        _, data, model = workdir
+        argv = ["curve", "--data", data, "--model", model, "--predictors", "x1,x3",
+                "--a-grid", "0.5:15:8", "--sign", "-1", "--out"]
+        assert main(argv + [str(tmp_path / "gbm.csv")]) == 0
+        loaded = cli._load_model(model)
+        monkeypatch.setattr(cli, "_load_model", lambda path: lambda z: loaded(z))
+        assert main(argv + [str(tmp_path / "callable.csv")]) == 0
+        assert ((tmp_path / "gbm.csv").read_bytes()
+                == (tmp_path / "callable.csv").read_bytes())
 
     def test_unknown_predictor(self, workdir, tmp_path):
         _, data, model = workdir
@@ -319,6 +334,44 @@ class TestExitCodes:
         assert message in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("field, values, message", [
+        ("feature", [0.7, -1, -1], "could not convert float to int: 0.7"),
+        ("threshold", ["0.5", 0.0, 0.0], "could not convert string to float: '0.5'"),
+        ("left", [1.5, -1, -1], "could not convert float to int: 1.5"),
+        ("right", [True, -1, -1], "could not convert boolean to int: True"),
+        ("value", [0.0, None, 0.2], "could not convert null to float: None"),
+    ], ids=["feature", "threshold", "left", "right", "value"])
+    def test_wrong_json_type_is_exit_two(self, workdir, tmp_path, capsys, field, values,
+                                         message):
+        """A field value of the wrong JSON type is refused, not converted."""
+        _, data, _ = workdir
+        tree = {"feature": [0, -1, -1], "threshold": [0.0] * 3, "left": [1, -1, -1],
+                "right": [2, -1, -1], "value": [0.0, 0.1, 0.2], field: values}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": "gbm", "favorable_sign": 1, "init_score": 0.0,
+                                    "learning_rate": 0.1, "trees": [tree]}))
+        code = main(["bias", "--data", data, "--model", str(path),
+                     "--out", str(tmp_path / "b.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and f"field '{field}'" in err and "Traceback" not in err
+
+    def test_huge_feature_index_is_exit_two_at_once(self, workdir, tmp_path, capsys):
+        """Loading a model costs nothing per column index below its largest."""
+        _, data, _ = workdir
+        tree = {"feature": [10 ** 8, -1, -1], "threshold": [0.0] * 3, "left": [1, -1, -1],
+                "right": [2, -1, -1], "value": [0.0, 0.1, 0.2]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"kind": "gbm", "favorable_sign": 1, "init_score": 0.0,
+                                    "learning_rate": 0.1, "trees": [tree]}))
+        start = time.perf_counter()
+        code = main(["bias", "--data", data, "--model", str(path),
+                     "--out", str(tmp_path / "b.json")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"splits on {10 ** 8 + 1} columns" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("text, message", [
         ("[]", "JSON object"),
         ('"x"', "JSON object"),
@@ -460,6 +513,35 @@ class TestScipyFree:
         assert len((tmp_path / "gp.csv").read_text().splitlines()) == 1 + 6 + 2 * 3
         manifest = json.loads((tmp_path / "calib.json.manifest.json").read_text())
         assert manifest["settings"]["auc"] > 0.5
+
+
+class TestParser:
+    def test_successive_calls_write_fresh_process_manifests(self, tmp_path, monkeypatch):
+        """The parser is built once per process; a call after another with
+        other flags writes the manifest a fresh process writes."""
+        import os
+        import subprocess
+        import sys
+
+        import fairpost
+        calls = [["generate", "--model", "M2", "--n", "40", "--seed", "7", "--out", "a.csv"],
+                 ["generate", "--model", "M1", "--n", "30", "--out", "b.csv"]]
+        (tmp_path / "same").mkdir()
+        (tmp_path / "fresh").mkdir()
+        monkeypatch.chdir(tmp_path / "same")
+        for argv in calls:
+            assert main(argv) == 0
+        src = os.path.dirname(os.path.dirname(fairpost.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv in calls:
+            subprocess.run([sys.executable, "-m", "fairpost.cli", *argv], check=True,
+                           cwd=tmp_path / "fresh", env=env)
+        for name in ("a.csv.manifest.json", "b.csv.manifest.json"):
+            assert ((tmp_path / "same" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
+        assert json.loads((tmp_path / "same" / "b.csv.manifest.json").read_text()
+                          )["settings"]["seed"] == 0
 
 
 class TestEntryPoint:

@@ -46,7 +46,8 @@ def _assert_same_arrays(got, want):
 
 def _packed_fields(model):
     packed = model._packed
-    return packed.thresholds, (packed.feature, packed.rank, packed.clear, packed.leaf)
+    return packed.thresholds, packed.columns, (packed.feature, packed.rank, packed.clear,
+                                               packed.leaf)
 
 
 class TestGenerators:
@@ -302,9 +303,10 @@ class TestGbm:
         assert restored.to_json() == model.to_json()
         want = pack_direct(model.trees, model.learning_rate)
         for fitted in (model, restored):
-            thresholds, arrays = _packed_fields(fitted)
+            thresholds, columns, arrays = _packed_fields(fitted)
             _assert_same_arrays(thresholds, want[0])
-            _assert_same_arrays(arrays, want[1:])
+            assert columns == want[1]
+            _assert_same_arrays(arrays, want[2:])
         probe = np.concatenate([x, rng.choice([np.nan, np.inf, -np.inf, 0.0], (8, n_features))])
         assert restored(probe).tobytes() == model(probe).tobytes()
 
@@ -369,10 +371,11 @@ class TestTreeKernel:
                       for _ in range(n_trees))
         model = TrainedModel(kind="gbm", learning_rate=float(rng.uniform(0.01, 1.0)),
                              trees=trees)
-        thresholds, arrays = _packed_fields(model)
+        thresholds, columns, arrays = _packed_fields(model)
         want = pack_direct(trees, model.learning_rate)
         _assert_same_arrays(thresholds, want[0])
-        _assert_same_arrays(arrays, want[1:])
+        assert columns == want[1]
+        _assert_same_arrays(arrays, want[2:])
 
     def test_more_thresholds_than_uint16_codes(self):
         rng = np.random.default_rng(24)

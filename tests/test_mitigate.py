@@ -197,6 +197,19 @@ class TestRunAlgorithm1:
         assert [p.gamma for p in a.points] == [p.gamma for p in b.points]
         assert a.frontier_indices == b.frontier_indices
 
+    @pytest.mark.parametrize("kind", ["global", "asymmetric", "local"])
+    def test_gbm_scorer_matches_assembled_rows(self, m1_setup, tmp_path, kind):
+        """The same GBM wrapped in a plain callable scores the transformed rows;
+        both searches write the same bytes."""
+        model, train, holdout, test = m1_setup
+        space = transform_search_space((0, 2), kind, omegas=(0.0, 1.0), n_prior=6,
+                                       n_bo=2, seed=5)
+        paths = [tmp_path / "gbm.csv", tmp_path / "callable.csv"]
+        for scorer, path in zip((model, lambda z: model(z)), paths):
+            run_algorithm1(scorer, train, holdout, test, (0, 2), space, transform_kind=kind,
+                           favorable_sign=-1).to_csv(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_nbo_zero_equals_prior_pareto(self, m1_setup):
         model, train, holdout, test = m1_setup
         space = transform_search_space((0, 2), "global", omegas=(0.0, 1.0),

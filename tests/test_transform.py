@@ -8,16 +8,21 @@ from hypothesis import strategies as st
 from fairpost.bias import model_bias
 from fairpost.calibrate import sigmoid
 from fairpost.empirical import build_distribution, ks_distance, wasserstein1
+from fairpost.learn import TrainedModel
 from fairpost.transform import (
     LOCAL_A_MIN,
+    TRANSFORM_PARAMS,
     CompressiveParams,
     PredictorTransform,
     build_postprocessed,
     focal_point,
+    post_scorer,
     transform_asymmetric,
     transform_global,
     transform_local,
 )
+
+from helpers import random_tree
 
 
 def true_m1_model(z):
@@ -226,6 +231,69 @@ class TestBuildPostprocessed:
         bound = 1.0 / a if a >= 1.0 else 1.0 - 2.0 * np.exp(-1.5) * (1.0 / a - 1.0)
         assert bound >= min(1.0 / a, 0.33)
         assert slope >= bound - 1e-7  # rounding in the difference quotient
+
+
+class TestPostScorer:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(TRANSFORM_PARAMS)),
+           n_trees=st.integers(1, 4), n_features=st.integers(1, 4),
+           extra_columns=st.integers(0, 2),
+           n_rows=st.sampled_from([0, 1, 37, 511, 512, 513, 1100]))
+    def test_gbm_matches_transformed_rows(self, seed, kind, n_trees, n_features,
+                                          extra_columns, n_rows):
+        """One scorer per input, called with several parameter draws, gives the
+        bits of the model on the transformed rows.  The impact list may hold
+        columns no tree splits on and columns past the model's width, and the
+        inputs hit thresholds, NaN and +-inf."""
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([np.round(rng.normal(0.0, 2.0, 10), 1),
+                               [-np.inf, np.inf, -0.0]])
+        trees = tuple(random_tree(rng, int(rng.integers(1, 9)), 4, n_features,
+                                  lambda: float(rng.choice(pool)))
+                      for _ in range(n_trees))
+        model = TrainedModel(kind="gbm", init_score=float(rng.normal()),
+                             learning_rate=float(rng.uniform(0.01, 1.0)), trees=trees)
+        p = n_features + extra_columns
+        x = rng.normal(0.0, 2.0, (n_rows, p))
+        tie = rng.random(x.shape) < 0.3
+        x[tie] = rng.choice(pool, int(tie.sum()))
+        special = rng.random(x.shape) < 0.1
+        x[special] = rng.choice([np.nan, np.inf, -np.inf], int(special.sum()))
+        indices = tuple(rng.choice(p, int(rng.integers(1, p + 1)), replace=False).tolist())
+        score = post_scorer(model, x, indices)
+
+        def draw(i):
+            if kind == "local":
+                values = (rng.uniform(LOCAL_A_MIN, 3.0), rng.uniform(0.2, 3.0))
+            else:
+                values = tuple(rng.uniform(0.2, 3.0, len(TRANSFORM_PARAMS[kind])))
+            return PredictorTransform(predictor=i, kind=kind, params=values,
+                                      focal=float(rng.normal(0.0, 2.0)))
+
+        for _ in range(3):  # transforms listed in any order
+            params = CompressiveParams(tuple(draw(i) for i in rng.permutation(indices)))
+            post = build_postprocessed(model, indices, params)
+            with np.errstate(invalid="ignore"):  # the local map of +-inf is NaN
+                got, want = score(params), model(post.transform_inputs(x))
+            assert np.array_equal(got, want)
+
+    def test_other_models_score_transformed_rows(self):
+        x = np.random.default_rng(7).normal(5.0, 1.0, (300, 5))
+        params = CompressiveParams((PredictorTransform(2, "global", (1.7,), 5.0),
+                                    PredictorTransform(0, "local", (0.8, 1.2), 4.5)))
+        want = true_m1_model(params.apply(x))
+        assert np.array_equal(post_scorer(true_m1_model, x, (0, 2))(params), want)
+
+    def test_params_must_cover_the_impact_list(self):
+        model = TrainedModel(kind="gbm", trees=(random_tree(
+            np.random.default_rng(8), 4, 3, 3, lambda: 0.5),), learning_rate=0.1)
+        x = np.zeros((10, 3))
+        params = CompressiveParams((PredictorTransform(0, "global", (2.0,), 0.0),))
+        for scorer in (model, lambda z: model(z)):
+            with pytest.raises(ValueError, match="impact list is"):
+                post_scorer(scorer, x, (0, 1))(params)
+            with pytest.raises(ValueError, match="duplicate"):
+                post_scorer(scorer, x, (0, 0))(CompressiveParams(params.transforms * 2))
 
 
 class TestFocalPoint:

@@ -25,6 +25,8 @@ from .calibrate import CalibrationError, auc
 from .explain import default_background, marginal_shapley, pdp_output
 from .learn import Dataset, GbmConfig, SyntheticSpec, generate, split_dataset, train_gbm, train_logistic
 from .mitigate import (
+    GBM_BASELINE_BOUNDS,
+    SearchSpace,
     build_calibrated,
     run_algorithm1,
     run_hyperparam_baseline,
@@ -231,9 +233,9 @@ def cmd_compare_baseline(args) -> int:
     data = Dataset.from_csv(args.data)
     train, holdout, test = split_dataset(data, seed=args.seed)
     omegas = _omegas(args)
-    frontier = run_hyperparam_baseline(train, holdout, test, omegas=omegas,
-                                       n_prior=args.n_prior, n_bo=args.n_bo,
-                                       seed=args.seed,
+    space = SearchSpace(bounds=GBM_BASELINE_BOUNDS, omegas=tuple(omegas),
+                        n_prior=args.n_prior, n_bo=args.n_bo, seed=args.seed)
+    frontier = run_hyperparam_baseline(train, holdout, test, space,
                                        partition=_partition(args.partition),
                                        favorable_sign=args.sign,
                                        surrogate=args.surrogate)

@@ -1,15 +1,11 @@
 """Empirical distributions on the line and exact transport distances.
 
-Two exact forms of the 1-Wasserstein distance live here.  The CDF form
-``W1 = integral |F0 - F1| dt`` (Vallender 1973) is what the model bias uses:
-``signed_transport`` sorts a cell's pooled scores once, takes integer
-cumulative class counts, and divides by ``n0 * n1`` once per cell.  The
-quantile form ``W1 = integral |Q0 - Q1| dp`` over ``EmpiricalDistribution``
-atoms (ties merged, right-continuous step CDF, generalized-inverse quantile
-``Q(p) = inf{x : p <= F(x)}``) is kept as the reference the CDF form is
-tested against, and serves quantile bias, the KS distance and the KS focal
-rule.  Both integrate step functions over their breakpoints, so neither
-involves a grid approximation.
+Every W1 and KS number comes from one sort of a labelled pooled sample and
+its integer class CDF gap (``_cdf_gap``).  W1 is the CDF form ``integral
+|F0 - F1| dt`` (Vallender 1973), exact over the step function's breakpoints;
+KS is the largest gap.  ``EmpiricalDistribution`` (ties merged,
+right-continuous step CDF, generalized-inverse quantile ``Q(p) = inf{x : p
+<= F(x)}``) serves the classifier and quantile bias.
 """
 
 from __future__ import annotations
@@ -60,13 +56,24 @@ class SignedTransport:
     negative_part: float
 
 
-def build_distribution(samples) -> EmpiricalDistribution:
-    """Sort samples and merge ties into atoms of equal weight per sample."""
+def _sample(samples) -> np.ndarray:
     values = np.asarray(samples, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("empty sample list")
     if np.any(np.isnan(values)):
         raise ValueError("NaN sample")
+    return values
+
+
+def _pooled(a, b):
+    """Samples ``a`` and ``b`` pooled, with labels 0 for ``a`` and 1 for ``b``."""
+    a, b = _sample(a), _sample(b)
+    return np.concatenate((a, b)), np.repeat([0, 1], (a.size, b.size))
+
+
+def build_distribution(samples) -> EmpiricalDistribution:
+    """Sort samples and merge ties into atoms of equal weight per sample."""
+    values = _sample(samples)
     # merge tied values into single atoms so integration intervals are nonempty
     uniq, inverse = np.unique(np.sort(values, kind="stable"), return_inverse=True)
     merged = np.bincount(inverse, weights=np.full(values.size, 1.0 / values.size))
@@ -78,75 +85,60 @@ def build_distribution(samples) -> EmpiricalDistribution:
     return EmpiricalDistribution(values=uniq, cum_weights=cum)
 
 
-def _quantile_segments(d0: EmpiricalDistribution, d1: EmpiricalDistribution):
-    """Pooled probability breakpoints and the quantile gap on each segment.
-
-    Returns (lengths, q0 - q1) where each segment (p_k, p_{k+1}] has constant
-    quantiles for both distributions; quantiles are evaluated at the right
-    endpoint since Q is left-continuous.
-    """
-    breaks = np.union1d(d0.cum_weights, d1.cum_weights)
-    breaks = breaks[(breaks > 0.0) & (breaks <= 1.0)]
-    lengths = np.diff(np.concatenate(([0.0], breaks)))
-    i0 = np.minimum(np.searchsorted(d0.cum_weights, breaks, side="left"), d0.n_atoms - 1)
-    i1 = np.minimum(np.searchsorted(d1.cum_weights, breaks, side="left"), d1.n_atoms - 1)
-    return lengths, d0.values[i0] - d1.values[i1]
-
-
-def wasserstein1(d0: EmpiricalDistribution, d1: EmpiricalDistribution) -> float:
-    """Exact W1 between two empirical distributions."""
-    lengths, gap = _quantile_segments(d0, d1)
-    return float(np.sum(lengths * np.abs(gap)))
-
-
-def wasserstein1_signed(d0: EmpiricalDistribution, d1: EmpiricalDistribution,
-                        favorable_sign: int) -> SignedTransport:
-    """W1 decomposed over the sets where the signed quantile gap is positive
-    or negative.
-
-    With ``d0`` the non-protected class, the positive part is the transport
-    effort over quantiles where ``(Q0 - Q1) * favorable_sign > 0`` (the
-    non-protected class is favored there) and the negative part covers the
-    complementary quantiles.
-    """
-    if favorable_sign not in (-1, 1):
-        raise ValueError("favorable_sign must be -1 or +1")
-    lengths, gap = _quantile_segments(d0, d1)
-    signed = gap * favorable_sign
-    pos = float(np.sum(lengths * np.maximum(signed, 0.0)))
-    neg = float(np.sum(lengths * np.maximum(-signed, 0.0)))
-    return SignedTransport(total=pos + neg, positive_part=pos, negative_part=neg)
+def _cdf_gap(values: np.ndarray, labels: np.ndarray):
+    """One sort of the pooled sample: the sorted values, the integer gap
+    ``c1 * n0 - c0 * n1`` after each (``c0, c1`` the running counts of labels
+    0 and 1), and ``n0 * n1``.  At the last index of a run of ties,
+    ``gap / (n0 * n1)`` is ``F1 - F0`` at that value."""
+    n1 = int(np.count_nonzero(labels))
+    n0 = values.size - n1
+    order = np.argsort(values)
+    c1 = np.cumsum(labels[order])
+    c0 = np.arange(1, values.size + 1) - c1
+    return values[order], c1 * n0 - c0 * n1, n0 * n1
 
 
 def signed_transport(values: np.ndarray, labels: np.ndarray,
                      favorable_sign: int) -> SignedTransport:
-    """``wasserstein1_signed`` between the ``labels == 0`` and ``labels == 1``
-    samples of ``values``, in CDF form.
+    """W1 between the ``labels == 0`` (non-protected) and ``labels == 1``
+    samples of ``values``; the positive part covers the quantiles where
+    ``(Q0 - Q1) * favorable_sign > 0`` and the negative part the others.
 
     Both classes must be present.  ``integral (Q0 - Q1)+ dp`` equals
-    ``integral (F1 - F0)+ dt``: between consecutive pooled sorted values the
-    gap ``F1 - F0`` is ``(c1 * n0 - c0 * n1) / (n0 * n1)`` with integer
-    cumulative class counts ``c0, c1``.  The order inside a run of tied
-    values does not matter, because that run has zero length, so the
-    default (unstable) sort gives the same bits for any row order.
+    ``integral (F1 - F0)+ dt``, summed between consecutive pooled values; a
+    run of ties has zero length, so any row order gives the same bits.
     """
     if favorable_sign not in (-1, 1):
         raise ValueError("favorable_sign must be -1 or +1")
-    n1 = int(np.count_nonzero(labels))
-    n0 = values.size - n1
-    order = np.argsort(values)
-    c1 = np.cumsum(labels[order[:-1]])
-    c0 = np.arange(1, values.size) - c1
-    gap = c1 * n0 - c0 * n1
-    dv = np.diff(values[order])
-    pos = float(np.sum(np.maximum(gap, 0) * dv)) / (n0 * n1)
-    neg = float(np.sum(np.maximum(-gap, 0) * dv)) / (n0 * n1)
+    v, gap, n01 = _cdf_gap(values, labels)
+    dv = np.diff(v)
+    pos = float(np.sum(np.maximum(gap[:-1], 0) * dv)) / n01
+    neg = float(np.sum(np.maximum(-gap[:-1], 0) * dv)) / n01
     if favorable_sign == -1:
         pos, neg = neg, pos
     return SignedTransport(total=pos + neg, positive_part=pos, negative_part=neg)
 
 
-def ks_distance(d0: EmpiricalDistribution, d1: EmpiricalDistribution) -> float:
-    """Kolmogorov-Smirnov distance: sup |F0 - F1| over pooled atoms."""
-    grid = np.union1d(d0.values, d1.values)
-    return float(np.max(np.abs(d0.cdf(grid) - d1.cdf(grid))))
+def wasserstein1(a, b) -> float:
+    """Exact W1 between samples ``a`` and ``b``."""
+    return wasserstein1_signed(a, b, 1).total
+
+
+def wasserstein1_signed(a, b, favorable_sign: int) -> SignedTransport:
+    """``signed_transport`` with sample ``a`` as class 0 and ``b`` as class 1."""
+    return signed_transport(*_pooled(a, b), favorable_sign)
+
+
+def _ks(a, b) -> tuple[float, float]:
+    """KS distance ``sup |F0 - F1|`` between samples ``a`` and ``b``, and the
+    pooled value attaining it: the smallest one where the exact integer gaps
+    tie."""
+    v, gap, n01 = _cdf_gap(*_pooled(a, b))
+    ends = np.flatnonzero(np.append(v[1:] != v[:-1], True))  # last index of each run of ties
+    k = ends[np.argmax(np.abs(gap[ends]))]
+    return float(abs(gap[k])) / n01, float(v[k])
+
+
+def ks_distance(a, b) -> float:
+    """Kolmogorov-Smirnov distance between samples ``a`` and ``b``."""
+    return _ks(a, b)[0]

@@ -438,37 +438,31 @@ class _PackedTrees:
         return inverse, passes()
 
     def replaced_exits(self, x: np.ndarray, columns):
-        """Exit leaves of the rows of ``x`` with the input ``columns``
-        replaced, as a function of the replacement values.
+        """Exit leaves of rows that equal those of ``x`` outside the input
+        ``columns``, as a function of those rows.
 
         A node on any other column reads the same value of a row in every
         call, so the bits those nodes clear are found once.  Returns
-        ``exits(values)``, ``values`` mapping each column in ``columns`` to
-        one value per row of x: it ranks only those values, ORs in the bits
-        of only the nodes on them, BLOCK_ROWS rows at a time, and returns the
-        (trees, rows) exit leaves.
+        ``exits(rows)``: it ranks only the ``columns`` of ``rows``, ORs in
+        the bits of only the nodes on them, BLOCK_ROWS rows at a time, and
+        returns the (trees, rows) exit leaves.
         """
         replaced = self.on_columns(columns)
         frozen = self.cleared(self.codes(x, ~replaced), ~replaced)
-        moving = [(c, th) for c, th, r in zip(self.columns, self.thresholds, replaced) if r]
-        slot = np.cumsum(replaced) - 1  # a replaced feature's row in the codes below
         # per position, the trees whose node there splits on a replaced column
         positions = []
         for feature, rank, clear in zip(self.feature, self.rank, self.clear):
             trees = np.flatnonzero(replaced[feature] & (clear != 0))
             if trees.size:
-                positions.append((trees, slot[feature[trees]], rank[trees, None],
-                                  clear[trees, None]))
+                positions.append((trees, feature[trees], rank[trees, None], clear[trees, None]))
 
-        def exits(values):
-            codes = np.empty((len(moving), frozen.shape[1]), dtype=self.rank.dtype)
-            for code, (column, th) in zip(codes, moving):
-                code[:] = np.searchsorted(th, values[column])
+        def exits(rows):
+            codes = self.codes(rows, replaced)
             cleared = frozen.copy()
             for start in range(0, cleared.shape[1], BLOCK_ROWS):
-                rows = slice(start, start + BLOCK_ROWS)
+                block = slice(start, start + BLOCK_ROWS)
                 for trees, features, rank, bits in positions:
-                    cleared[trees, rows] |= (codes[features, rows] > rank) * bits
+                    cleared[trees, block] |= (codes[features, block] > rank) * bits
             return _exit_leaf(cleared)
 
         return exits
@@ -657,22 +651,21 @@ class TrainedModel:
         return inverse, blocks()
 
     def replaced_scores(self, x: np.ndarray, columns):
-        """Probabilities of the rows of ``x`` with the input ``columns``
-        replaced, as a function of the replacement values (gbm only).
+        """The model on rows that equal those of ``x`` outside the input
+        ``columns`` (gbm only).
 
-        Returns ``score(values)``, ``values`` mapping each column in
-        ``columns`` to one value per row of x.  Only the nodes on those
-        columns are tested again per call; each probability has the bits of
-        ``self`` on the assembled rows, leaves added in tree order.
+        Returns ``score(rows)``.  Only the nodes on ``columns`` are tested
+        again per call; each probability has the bits of ``self`` on
+        ``rows``, leaves added in tree order.
         """
         if self.kind != "gbm":
             raise ValueError("replaced-column scores are defined for gbm models only")
-        x = np.asarray(x, dtype=float)
-        exits = self._packed.replaced_exits(x, columns)
+        exits = self._packed.replaced_exits(np.asarray(x, dtype=float), columns)
 
-        def score(values):
-            raw = np.full(x.shape[0], self.init_score)
-            self._packed.add_leaves(raw, exits(values))
+        def score(rows):
+            exit_leaf = exits(np.asarray(rows, dtype=float))
+            raw = np.full(exit_leaf.shape[1], self.init_score)
+            self._packed.add_leaves(raw, exit_leaf)
             return _probability(raw)
 
         return score

@@ -360,15 +360,14 @@ def _fit_calibration(method, post_scores, base_scores, labels):
 
 def build_calibrated(model, impact_list, params: CompressiveParams, data: Dataset,
                      calibration: str | None = "link_linear", base_scores=None,
-                     return_scores: bool = False, post_scores=None):
+                     post_scores=None):
     """Post-process then calibrate against the base model on ``data``.
 
     ``base_scores`` are the base model's scores on ``data``, and
     ``post_scores`` its scores on the transformed rows of ``data``, when the
     caller already has them; they are computed otherwise.  Returns
-    ``(post_processed_model, calibration_failed)``, and with ``return_scores``
-    also that model's scores on ``data``; a failed fit (non-monotone or
-    degenerate) leaves the model uncalibrated.
+    ``(post_processed_model, calibration_failed)``; a failed fit
+    (non-monotone or degenerate) leaves the model uncalibrated.
     """
     post = build_postprocessed(model, impact_list, params)
     if base_scores is None:
@@ -383,7 +382,7 @@ def build_calibrated(model, impact_list, params: CompressiveParams, data: Datase
         failed = True
     if calib is not None:
         post = replace(post, calibration=calib)
-    return (post, failed, post.calibrate(scores)) if return_scores else (post, failed)
+    return post, failed
 
 
 def _loss_and_bias(scores, data: Dataset, partition, favorable_sign):
@@ -443,10 +442,10 @@ def run_algorithm1(model, train: Dataset, holdout: Dataset, test: Dataset,
     def evaluate(vec):
         params = _params_from_vector(vec, indices, transform_kind, focals,
                                      focal_rule, names)
-        fitted, failed, scores_h = build_calibrated(
-            model, indices, params, holdout, calibration, base_scores=base_holdout,
-            return_scores=True, post_scores=score_holdout(params))
-        loss_h, bias_h = _loss_and_bias(scores_h, holdout, partition,
+        scores_h = score_holdout(params)
+        fitted, failed = build_calibrated(model, indices, params, holdout, calibration,
+                                          base_scores=base_holdout, post_scores=scores_h)
+        loss_h, bias_h = _loss_and_bias(fitted.calibrate(scores_h), holdout, partition,
                                         favorable_sign)
         loss_t, bias_t = _loss_and_bias(fitted.calibrate(score_test(params)), test,
                                         partition, favorable_sign)
@@ -478,17 +477,13 @@ GBM_BASELINE_BOUNDS = (
 
 
 def run_hyperparam_baseline(train: Dataset, holdout: Dataset, test: Dataset,
-                            space: SearchSpace | None = None,
-                            omegas=(0.0,), n_prior=50, n_bo=10, seed=0,
-                            partition: PartitionSpec | None = None,
+                            space: SearchSpace, partition: PartitionSpec | None = None,
                             favorable_sign: int = 1, min_samples_leaf: int = 50,
                             surrogate: str = "tpe") -> Frontier:
     """Frontier search over boosted-tree hyperparameters, retraining at every
-    evaluation; the comparison baseline for the post-processing family."""
-    if space is None:
-        space = SearchSpace(bounds=GBM_BASELINE_BOUNDS,
-                            omegas=tuple(float(w) for w in omegas),
-                            n_prior=n_prior, n_bo=n_bo, seed=seed)
+    evaluation; the comparison baseline for the post-processing family.
+    ``space`` names n_estimators, max_leaves, max_depth and learning_rate;
+    the CLI searches ``GBM_BASELINE_BOUNDS``."""
 
     def config_from(vec):
         named = dict(zip(space.names, vec))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import build_distribution
+from .empirical import _ks
 
 # The local map t - d (1 - 1/a) exp(-u), with d = t - t* and u = d^2 / (2 sigma^2),
 # has slope 1 - (1 - 1/a) exp(-u) (1 - 2u), and exp(-u) (1 - 2u) lies in
@@ -146,7 +146,6 @@ class PostProcessedModel:
     model, calibration."""
 
     base_model: object
-    impact_list: tuple[int, ...]
     params: CompressiveParams
     calibration: object | None = None
 
@@ -181,8 +180,8 @@ def build_postprocessed(model, impact_list, params: CompressiveParams) -> PostPr
 
     ``params`` must cover exactly the impact-list indices.
     """
-    return PostProcessedModel(base_model=model, impact_list=_covered_indices(impact_list, params),
-                              params=params)
+    _covered_indices(impact_list, params)
+    return PostProcessedModel(base_model=model, params=params)
 
 
 def post_scorer(model, x: np.ndarray, impact_list):
@@ -192,18 +191,15 @@ def post_scorer(model, x: np.ndarray, impact_list):
     Returns ``score(params)``, the scores ``model(params.apply(x))``, where
     ``params`` must cover exactly the impact-list indices.  A GBM scores
     through ``TrainedModel.replaced_scores``, which tests the nodes on the
-    other columns once, here; any other model scores the transformed rows.
+    other columns once, here.
     """
     x = np.asarray(x, dtype=float)
     indices = impact_indices(impact_list)
-    replaced = (model.replaced_scores(x, indices) if getattr(model, "kind", None) == "gbm"
-                else None)
+    scorer = model.replaced_scores(x, indices) if getattr(model, "kind", None) == "gbm" else model
 
     def score(params):
         _covered_indices(indices, params)
-        if replaced is None:
-            return np.asarray(model(params.apply(x)), dtype=float)
-        return replaced({tr.predictor: tr.apply(x[:, tr.predictor]) for tr in params.transforms})
+        return np.asarray(scorer(params.apply(x)), dtype=float)
 
     return score
 
@@ -212,7 +208,7 @@ def focal_point(x: np.ndarray, predictor_index: int, rule: str = "mean",
                 g=None) -> float:
     """Focal point of one predictor column: its mean, median, or the pooled
     sample point where the KS distance between the two protected-class
-    distributions is attained."""
+    distributions is attained (the smallest such point)."""
     x = np.asarray(x, dtype=float)
     column = x[:, predictor_index] if x.ndim == 2 else x
     if column.size == 0:
@@ -228,9 +224,5 @@ def focal_point(x: np.ndarray, predictor_index: int, rule: str = "mean",
         c0, c1 = column[g == 0], column[g == 1]
         if c0.size == 0 or c1.size == 0:
             raise ValueError("ks_argmax requires both protected classes")
-        d0 = build_distribution(c0)
-        d1 = build_distribution(c1)
-        grid = np.union1d(d0.values, d1.values)
-        gaps = np.abs(d0.cdf(grid) - d1.cdf(grid))
-        return float(grid[int(np.argmax(gaps))])
+        return _ks(c0, c1)[1]
     raise ValueError(f"unknown focal rule '{rule}'")

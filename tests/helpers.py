@@ -9,6 +9,7 @@ import numpy as np
 
 from fairpost.bias import model_bias
 from fairpost.calibrate import CalibrationError, link_linear_calibrate, sigmoid
+from fairpost.empirical import EmpiricalDistribution, SignedTransport, build_distribution
 from fairpost.explain import marginal_game_values
 from fairpost.learn import PRED_CLAMP, Dataset, _Tree, log_loss
 
@@ -19,6 +20,50 @@ def riemann_w1(a, b, n_points=100_000):
     qa = np.quantile(np.asarray(a, dtype=float), p, method="inverted_cdf")
     qb = np.quantile(np.asarray(b, dtype=float), p, method="inverted_cdf")
     return float(np.mean(np.abs(qa - qb)))
+
+
+def _quantile_segments(d0: EmpiricalDistribution, d1: EmpiricalDistribution):
+    """Pooled probability breakpoints and the quantile gap on each segment.
+
+    Returns (lengths, q0 - q1) where each segment (p_k, p_{k+1}] has constant
+    quantiles for both distributions; quantiles are evaluated at the right
+    endpoint since Q is left-continuous.
+    """
+    breaks = np.union1d(d0.cum_weights, d1.cum_weights)
+    breaks = breaks[(breaks > 0.0) & (breaks <= 1.0)]
+    lengths = np.diff(np.concatenate(([0.0], breaks)))
+    i0 = np.minimum(np.searchsorted(d0.cum_weights, breaks, side="left"), d0.n_atoms - 1)
+    i1 = np.minimum(np.searchsorted(d1.cum_weights, breaks, side="left"), d1.n_atoms - 1)
+    return lengths, d0.values[i0] - d1.values[i1]
+
+
+def quantile_w1(a, b) -> float:
+    """Exact W1 between samples ``a`` and ``b`` in quantile form,
+    ``integral |Q0 - Q1| dp`` over the pooled probability breakpoints."""
+    lengths, gap = _quantile_segments(build_distribution(a), build_distribution(b))
+    return float(np.sum(lengths * np.abs(gap)))
+
+
+def quantile_w1_signed(a, b, favorable_sign: int) -> SignedTransport:
+    """W1 in quantile form, decomposed over the quantiles where the signed
+    quantile gap ``(Q0 - Q1) * favorable_sign`` is positive or negative."""
+    if favorable_sign not in (-1, 1):
+        raise ValueError("favorable_sign must be -1 or +1")
+    lengths, gap = _quantile_segments(build_distribution(a), build_distribution(b))
+    signed = gap * favorable_sign
+    pos = float(np.sum(lengths * np.maximum(signed, 0.0)))
+    neg = float(np.sum(lengths * np.maximum(-signed, 0.0)))
+    return SignedTransport(total=pos + neg, positive_part=pos, negative_part=neg)
+
+
+def grid_ks(a, b) -> tuple[float, float]:
+    """KS distance between samples ``a`` and ``b`` from the step CDFs on the
+    union grid of their atoms, and the first grid point attaining it."""
+    d0, d1 = build_distribution(a), build_distribution(b)
+    grid = np.union1d(d0.values, d1.values)
+    gaps = np.abs(d0.cdf(grid) - d1.cdf(grid))
+    k = int(np.argmax(gaps))
+    return float(gaps[k]), float(grid[k])
 
 
 def brute_force_isotonic(x, y, w=None):

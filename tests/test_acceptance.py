@@ -9,7 +9,7 @@ import pytest
 from fairpost.attribution import shapley_bias_game
 from fairpost.bias import model_bias
 from fairpost.calibrate import auc, pava_isotonic, sigmoid
-from fairpost.empirical import build_distribution, ks_distance, wasserstein1
+from fairpost.empirical import ks_distance, wasserstein1
 from fairpost.explain import marginal_shapley, pdp_output
 from fairpost.learn import GbmConfig, SyntheticSpec, generate, log_loss, train_gbm
 from fairpost.mitigate import (
@@ -26,7 +26,7 @@ from fairpost.transform import (
     focal_point,
 )
 
-from helpers import brute_force_half_bias, brute_force_isotonic, brute_force_pareto
+from helpers import brute_force_half_bias, brute_force_isotonic, brute_force_pareto, quantile_w1
 
 FAVOR = -1  # lower scores favorable: the orientation of the M1/M2 experiments
 M1_IMPACT = (0, 1, 2, 4)  # x1, x2, x3, x5: the criterion-7 impact list
@@ -97,11 +97,11 @@ def test_criterion_03_w1_gaussian_shift_and_scaling():
     rng = np.random.default_rng(11)
     a = rng.normal(5.0, 1.0, 50_000)
     b = rng.normal(5.5, 1.0, 50_000)
-    w = wasserstein1(build_distribution(a), build_distribution(b))
+    w = wasserstein1(a, b)
     shift_ok = abs(w - 0.5) <= 0.02 * 0.5 / 0.5  # within 2% of 0.5 -> 0.01
 
-    base = wasserstein1(build_distribution(a), build_distribution(b))
-    scaled = wasserstein1(build_distribution(2.5 * a), build_distribution(2.5 * b))
+    base = wasserstein1(a, b)
+    scaled = wasserstein1(2.5 * a, 2.5 * b)
     scaling_err = abs(scaled - 2.5 * base) / (2.5 * base)
     report(3, "W1 gaussian shift and scaling",
            abs(w - 0.5) <= 0.01 and scaling_err <= 1e-12,
@@ -111,10 +111,8 @@ def test_criterion_03_w1_gaussian_shift_and_scaling():
 def test_criterion_04_separation_example():
     checks = []
     for eps in (0.5, 1e-3, 1e-8):
-        d0 = build_distribution([eps])
-        d1 = build_distribution([-eps])
-        checks.append(wasserstein1(d0, d1) == pytest.approx(2 * eps, rel=1e-12))
-        checks.append(ks_distance(d0, d1) == 1.0)
+        checks.append(wasserstein1([eps], [-eps]) == pytest.approx(2 * eps, rel=1e-12))
+        checks.append(ks_distance([eps], [-eps]) == 1.0)
         scores = np.array([1.0] * 10 + [0.0] * 10)  # f = 1{x>0} on the two masses
         g = np.array([0] * 10 + [1] * 10)
         checks.append(model_bias(scores, g).total == 1.0)
@@ -291,8 +289,7 @@ def test_criterion_10_ibe_formulas():
         return 0.2 * z[:, 0] - 5.0 * z[:, 1] + 10.0 * z[:, 1] * (z[:, 2] >= 0)
 
     def predictor_bias(col):
-        return wasserstein1(build_distribution(col[g == 0]),
-                            build_distribution(col[g == 1]))
+        return quantile_w1(col[g == 0], col[g == 1])
 
     expected = (
         0.2 * predictor_bias(x[:, 0]),

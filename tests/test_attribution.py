@@ -14,11 +14,10 @@ from fairpost.attribution import (
     shapley_bias_game,
 )
 from fairpost.bias import PartitionSpec, model_bias
-from fairpost.empirical import build_distribution, wasserstein1
 from fairpost.explain import marginal_shapley, pdp_output
 from fairpost.learn import MAX_LEAVES, TrainedModel
 
-from helpers import conditional_shapley, random_tree
+from helpers import conditional_shapley, quantile_w1, random_tree
 
 
 def two_class_frame(rng, n_per_class, shifts, scales=None):
@@ -33,7 +32,7 @@ def two_class_frame(rng, n_per_class, shifts, scales=None):
 
 
 def predictor_bias(col, g):
-    return wasserstein1(build_distribution(col[g == 0]), build_distribution(col[g == 1]))
+    return quantile_w1(col[g == 0], col[g == 1])
 
 
 class TestBasicBiasExplanations:

@@ -11,7 +11,8 @@ from fairpost.bias import (
     model_bias,
     quantile_bias,
 )
-from fairpost.empirical import build_distribution, wasserstein1, wasserstein1_signed
+
+from helpers import quantile_w1, quantile_w1_signed
 
 
 def interleaved_scores(rng, n_per_class):
@@ -70,8 +71,7 @@ class TestModelBias:
         cells = []
         for label in (0, 1):
             mask = y == label
-            cells.append(wasserstein1(build_distribution(scores[mask & (g == 0)]),
-                                      build_distribution(scores[mask & (g == 1)])))
+            cells.append(quantile_w1(scores[mask & (g == 0)], scores[mask & (g == 1)]))
         assert report.total == pytest.approx(0.5 * cells[0] + 0.5 * cells[1], abs=1e-12)
         assert abs(report.total - (report.positive + report.negative)) <= 1e-10
 
@@ -90,10 +90,9 @@ def random_cells(rng, sizes, decimals):
 
 
 def quantile_form_report(scores, g, partition, favorable_sign, y):
-    """The model bias from the quantile form ``wasserstein1_signed``, cell by cell."""
+    """The model bias from the quantile-form oracle, cell by cell."""
     masks = partition.masks({"y": y}, scores.size)
-    cells = [wasserstein1_signed(build_distribution(scores[m & (g == 0)]),
-                                 build_distribution(scores[m & (g == 1)]), favorable_sign)
+    cells = [quantile_w1_signed(scores[m & (g == 0)], scores[m & (g == 1)], favorable_sign)
              for m in masks]
     weighted = [sum(w * getattr(c, part) for w, c in zip(partition.weights, cells))
                 for part in ("total", "positive_part", "negative_part")]

@@ -83,11 +83,12 @@ class TestObjective:
         model, train, holdout, _ = m1_setup
         params = global_params(indices, (a,) * len(indices), train)
         fitted, failed = build_calibrated(model, indices, params, holdout)
-        reused, reused_failed, scores = build_calibrated(
+        post_scores = model(params.apply(holdout.x))
+        reused, reused_failed = build_calibrated(
             model, indices, params, holdout, base_scores=model(holdout.x),
-            return_scores=True)
+            post_scores=post_scores)
         assert reused_failed == failed == (a == 1e12)
-        assert np.array_equal(scores, fitted(holdout.x))
+        assert np.array_equal(reused.calibrate(post_scores), fitted(holdout.x))
         assert np.array_equal(reused(holdout.x), fitted(holdout.x))
 
     def test_negative_omega_rejected(self, m1_setup):

@@ -49,8 +49,8 @@ def sigmoid(z):
     e = np.abs(z, out=np.empty_like(z))
     np.exp(np.negative(e, out=e), out=e)
     d = np.add(e, 1.0, out=np.empty_like(z))
-    np.divide(e, d, out=e)
-    return np.divide(1.0, d, out=e, where=z >= 0)
+    np.maximum(e, z >= 0, out=e)  # 0 <= e <= 1: 1 where z >= 0, e elsewhere, NaN kept
+    return np.divide(e, d, out=e)
 
 
 @dataclass(frozen=True)

@@ -218,14 +218,15 @@ def cmd_calibrate(args) -> int:
     if not all(0 <= i < data.x.shape[1] for i in params.indices):
         raise ValueError(f"--params names predictors {list(params.indices)}; the data "
                          f"has {data.x.shape[1]}")
+    scores = model(params.apply(data.x))
     fitted, failed = build_calibrated(model, params.indices, params, data,
-                                      calibration=args.method)
+                                      calibration=args.method, post_scores=scores)
     if failed:
         raise CalibrationError("calibration failed: fitted map would not be monotone")
     with open(args.out, "w") as fh:
         fh.write(fitted.calibration.to_json())
         fh.write("\n")
-    _write_manifest(args, auc=auc(fitted(data.x), data.y))
+    _write_manifest(args, auc=auc(fitted.calibrate(scores), data.y))
     return EXIT_OK
 
 

@@ -594,7 +594,8 @@ def _grow_tree(xt, order, grad, hess, config: GbmConfig, work):
 
 
 def _probability(raw: np.ndarray) -> np.ndarray:
-    return np.clip(sigmoid(raw), PRED_CLAMP, 1.0 - PRED_CLAMP)
+    p = sigmoid(raw)
+    return np.clip(p, PRED_CLAMP, 1.0 - PRED_CLAMP, out=p)
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,7 @@ def pareto_extract(points) -> tuple[int, ...]:
         while j < n and bias[order[j]] == bias[order[i]]:
             group_min = min(group_min, loss[order[j]])
             j += 1
-        if group_min < best_prefix:
+        if i == 0 or group_min < best_prefix:  # the first group's minimum, even an infinite one
             keep.extend(int(order[k]) for k in range(i, j)
                         if loss[order[k]] == group_min)
         best_prefix = min(best_prefix, group_min)
@@ -403,12 +403,13 @@ def objective(model, params: CompressiveParams, data: Dataset, omega: float,
     """
     if omega < 0:
         raise ValueError("omega must be nonnegative")
+    scores = model(params.apply(data.x))
     fitted, failed = build_calibrated(model, params.indices, params, data,
-                                      calibration)
+                                      calibration, post_scores=scores)
     if failed:
         warnings.warn("calibration failed; objective uses the uncalibrated "
                       "post-processed model", stacklevel=2)
-    loss, bias = _loss_and_bias(fitted(data.x), data, partition, favorable_sign)
+    loss, bias = _loss_and_bias(fitted.calibrate(scores), data, partition, favorable_sign)
     return loss + omega * bias
 
 

@@ -173,6 +173,42 @@ class TestSigmoid:
         assert isinstance(out, np.ndarray) and out.shape == ()
         assert out.tobytes() == sigmoid_masked(2.0).tobytes()
 
+    @pytest.mark.parametrize("layout", ["strided", "negative-stride", "fortran"])
+    def test_non_contiguous_layouts(self, layout):
+        base = np.random.default_rng(13).normal(0.0, 30.0, (60, 50))
+        z = {"strided": base[::3, 1::2], "negative-stride": base[::-2, ::-1],
+             "fortran": np.asfortranarray(base)}[layout]
+        out = sigmoid(z)
+        assert out.shape == z.shape
+        assert np.ascontiguousarray(out).tobytes() == sigmoid_masked(
+            np.ascontiguousarray(z)).tobytes()
+
+    @pytest.mark.parametrize("z", [np.arange(-800, 801, 7, dtype=np.int64),
+                                   np.arange(-100, 101, dtype=np.int8),
+                                   np.array([True, False, True])],
+                             ids=["int64", "int8", "bool"])
+    def test_integer_and_bool_inputs(self, z):
+        out = sigmoid(z)
+        assert out.dtype == np.float64 and out.shape == z.shape
+        assert out.tobytes() == sigmoid_masked(z.astype(float)).tobytes()
+
+    def test_input_unchanged_and_not_aliased(self):
+        z = np.random.default_rng(14).normal(0.0, 10.0, 1000)
+        z[:len(SIGMOID_EDGES)] = SIGMOID_EDGES
+        before = z.copy()
+        out = sigmoid(z)
+        assert z.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, z)
+
+    def test_large_mixed_sign_vector(self):
+        rng = np.random.default_rng(15)
+        # scales where exp(-|z|) rounds to 1, falls just below it, and under- or overflows
+        z = rng.normal(0.0, 20.0, 150_000) * rng.choice([1e-300, 1e-14, 1.0, 40.0], 150_000)
+        z[::1000] = 0.0
+        z[1::1000] = -0.0
+        assert (z < 0).sum() > 70_000 and (z > 0).sum() > 70_000
+        assert sigmoid(z).tobytes() == sigmoid_masked(z).tobytes()
+
 
 class TestAuc:
     @settings(max_examples=200, deadline=None)
@@ -246,6 +282,27 @@ class TestCalibrationComposition:
         for cal in (link_linear_calibrate(s, sigmoid(1.3 * logit(s) - 0.2)),
                     logistic_refit(s, y)):
             assert abs(auc(cal(s), y) - base) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           coef=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+    def test_json_roundtrip_random(self, seed, n, coef):
+        """Every kind restores with exactly equal fields, and the restored
+        map's outputs have the same bits."""
+        rng = np.random.default_rng(seed)
+        x = rng.choice(rng.normal(0, 1, n), n)  # ties pooled by the fit
+        y = rng.normal(0, 1, n) * rng.choice([1e-12, 1.0, 1e6], n)
+        grid = np.concatenate([rng.normal(0, 2, 50), [-np.inf, 0.0, np.inf]])
+        probs = np.concatenate([rng.random(50), [0.0, 1e-7, 0.5, 1.0 - 1e-7, 1.0]])
+        for cal, at in ((pava_isotonic(x, y), grid),
+                        (CalibrationMap(kind="link_linear", coef=coef), probs),
+                        (CalibrationMap(kind="logistic_refit", coef=coef), probs)):
+            restored = CalibrationMap.from_json(cal.to_json())
+            assert restored.kind == cal.kind and restored.coef == cal.coef
+            for field in ("knots", "levels"):
+                a, b = getattr(restored, field), getattr(cal, field)
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+            assert restored(at).tobytes() == cal(at).tobytes()
 
     def test_json_roundtrip(self):
         rng = np.random.default_rng(12)

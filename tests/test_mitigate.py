@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairpost.bias import model_bias
-from fairpost.learn import GbmConfig, SyntheticSpec, generate, log_loss, train_gbm
+from fairpost.bias import PartitionSpec, model_bias
+from fairpost.learn import GbmConfig, SyntheticSpec, generate, log_loss, train_gbm, train_logistic
 from fairpost.mitigate import (
     SearchSpace,
     best_gamma_at_omega,
@@ -91,6 +93,31 @@ class TestObjective:
         assert np.array_equal(reused.calibrate(post_scores), fitted(holdout.x))
         assert np.array_equal(reused(holdout.x), fitted(holdout.x))
 
+    @pytest.mark.parametrize("kind", ["gbm", "logistic"])
+    @pytest.mark.parametrize("calibration", ["link_linear", "pava", "logistic_refit", None])
+    def test_two_model_calls_and_unchanged_value(self, m1_setup, kind, calibration):
+        """One call for the base scores and one for the post-processed rows;
+        the value has the bits of scoring the calibrated model again."""
+        gbm, train, holdout, _ = m1_setup
+        base = gbm if kind == "gbm" else train_logistic(train.x, train.y)
+
+        class Counting:
+            calls = 0
+
+            def __call__(self, x):
+                self.calls += 1
+                return base(x)
+
+        counting = Counting()
+        params = global_params((0, 2), (1.5, 0.8), train)
+        partition = PartitionSpec.by_label()
+        got = objective(counting, params, holdout, 0.7, partition, -1, calibration)
+        assert counting.calls == 2
+        fitted, _ = build_calibrated(base, (0, 2), params, holdout, calibration)
+        scores = fitted(holdout.x)
+        report = model_bias(scores, holdout.g, partition, -1, columns=holdout.columns)
+        assert got == log_loss(holdout.y, scores) + 0.7 * report.total
+
     def test_negative_omega_rejected(self, m1_setup):
         model, train, holdout, _ = m1_setup
         params = global_params((0,), (1.0,), train)
@@ -121,6 +148,19 @@ class TestParetoExtract:
     def test_matches_oracle_with_ties(self):
         rng = np.random.default_rng(6)
         points = rng.integers(0, 8, size=(300, 2)).astype(float)
+        assert pareto_extract(points) == brute_force_pareto(points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120),
+           levels=st.integers(1, 10), special=st.booleans())
+    def test_matches_oracle_random_ties(self, seed, n, levels, special):
+        """Few distinct values per coordinate, so ties in bias, in loss and
+        whole duplicate points are common."""
+        rng = np.random.default_rng(seed)
+        pool = rng.normal(0.0, 1.0, levels)
+        if special:  # signed zeros tie; an infinite coordinate
+            pool[: min(3, levels)] = [0.0, -0.0, np.inf][: min(3, levels)]
+        points = rng.choice(pool, (n, 2))
         assert pareto_extract(points) == brute_force_pareto(points)
 
 

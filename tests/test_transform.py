@@ -335,6 +335,26 @@ class TestFocalPoint:
 
 
 class TestParamsSerialization:
+    @settings(max_examples=150, deadline=None)
+    @given(specs=st.lists(st.tuples(
+        st.sampled_from(sorted(TRANSFORM_PARAMS)),
+        st.tuples(st.floats(LOCAL_A_MIN, 1e6), st.floats(1e-6, 1e6)),
+        st.floats(-1e6, 1e6), st.sampled_from(["mean", "median", "ks_argmax", "fixed"]),
+        st.text(max_size=8)), min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
+    def test_json_roundtrip_random(self, specs, seed):
+        """Exactly equal fields after the round trip, and transformed rows
+        with the same bits."""
+        params = CompressiveParams(tuple(
+            PredictorTransform(j, kind, values[:len(TRANSFORM_PARAMS[kind])], focal, rule, name)
+            for j, (kind, values, focal, rule, name) in enumerate(specs)))
+        restored = CompressiveParams.from_json(params.to_json())
+        assert restored == params
+        for a, b in zip(restored.transforms, params.transforms):
+            assert all(type(getattr(a, f)) is type(getattr(b, f))
+                       for f in ("predictor", "focal", "focal_rule", "name"))
+        x = np.random.default_rng(seed).normal(0.0, 100.0, (64, len(specs)))
+        assert restored.apply(x).tobytes() == params.apply(x).tobytes()
+
     def test_json_roundtrip(self):
         params = CompressiveParams((
             PredictorTransform(0, "global", (2.0,), 5.0, "mean", "x1"),

@@ -23,7 +23,8 @@ from .attribution import basic_bias_explanations, ibe_table, select_impactful
 from .bias import PartitionSpec, model_bias
 from .calibrate import CalibrationError, auc
 from .explain import default_background, marginal_shapley, pdp_output
-from .learn import Dataset, GbmConfig, SyntheticSpec, generate, split_dataset, train_gbm, train_logistic
+from .learn import (Dataset, GbmConfig, SyntheticSpec, TrainedModel, generate, split_dataset,
+                    train_gbm, train_logistic)
 from .mitigate import (
     GBM_BASELINE_BOUNDS,
     SearchSpace,
@@ -58,8 +59,7 @@ def _partition(flag: str) -> PartitionSpec:
     raise ValueError(f"unknown partition flag '{flag}'")
 
 
-def _load_model(path: str):
-    from .learn import TrainedModel
+def _load_model(path: str) -> TrainedModel:
     with open(path) as fh:
         return TrainedModel.from_json(fh.read())
 
@@ -112,24 +112,21 @@ def cmd_explain(args) -> int:
     model = _load_model(args.model)
     partition = _partition(args.partition)
     background = default_background(data.x, seed=args.seed, max_rows=args.background)
-    if args.method == "pdp":
-        out = pdp_output(model, data.x, background)
-        table = basic_bias_explanations(out, data.g, partition, args.sign,
-                                        columns=data.columns,
-                                        names=data.feature_names)
-    elif args.method == "shapley":
-        out = marginal_shapley(model, data.x, background, mode="sampled",
-                               n_permutations=args.permutations, seed=args.seed)
-        table = basic_bias_explanations(out, data.g, partition, args.sign,
-                                        columns=data.columns,
-                                        names=data.feature_names)
-    elif args.method == "ibe":
+    if args.method == "ibe":
         table = ibe_table(model, data.x, data.g, n_anchors=args.anchors,
                           partition=partition, columns=data.columns,
                           favorable_sign=args.sign, seed=args.seed,
                           names=data.feature_names)
     else:
-        raise ValueError(f"unknown explain method '{args.method}'")
+        if args.method == "pdp":
+            out = pdp_output(model, data.x, background)
+        elif args.method == "shapley":
+            out = marginal_shapley(model, data.x, background, mode="sampled",
+                                   n_permutations=args.permutations, seed=args.seed)
+        else:
+            raise ValueError(f"unknown explain method '{args.method}'")
+        table = basic_bias_explanations(out, data.g, partition, args.sign,
+                                        columns=data.columns, names=data.feature_names)
     table.to_csv(args.out)
     _write_manifest(args)
     return EXIT_OK

@@ -12,16 +12,18 @@ exact split search, and depth/leaf/min-samples limits.  The columns are
 presorted once per fit; each node keeps its rows in that order, and one
 vectorized pass scores every cut of every feature (the exact-greedy column
 block of XGBoost; Chen & Guestrin, KDD 2016).  It is deterministic for a given
-configuration.  Prediction ranks each input column once against the model's
-sorted split thresholds, then finds every row's exit leaf in all trees at once
-as the lowest leaf bit that survives the masks of the nodes whose test fails
-(QuickScorer; Lucchese et al., SIGIR 2015), and adds the leaf values tree by
-tree.  A row assembled from two sources, the columns of a coalition from one
-row and the others from a background row, is scored from the failed nodes of
-each side, found once per source row and combined per pair.  An input whose
-few columns are replaced again and again, as in a frontier search over
-monotone maps of those columns, keeps the failed nodes of its other columns:
-each call ranks and re-tests only the nodes on the replaced columns.
+configuration.  Prediction is one pipeline of three steps (QuickScorer;
+Lucchese et al., SIGIR 2015): ``codes`` ranks each input column once against
+the model's sorted split thresholds, ``cleared`` ORs into a per-tree mask the
+leaf bits of the nodes whose test a row fails, and ``raw`` takes each tree's
+exit leaf as the lowest bit that survives and adds the leaf values tree by
+tree.  Rows are scored PASS_ROWS at a time.  A row assembled from two sources,
+the columns of a coalition from one row and the others from a background row,
+is scored from the masks of each side, found once per source row and ORed per
+pair.  An input whose few columns are replaced again and again, as in a
+frontier search over monotone maps of those columns, keeps the masks of its
+other columns: each call ranks and re-tests only the nodes on the replaced
+columns.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ LOG_LOSS_CLAMP = 1e-6
 PRED_CLAMP = 1e-9
 MODEL_IDS = ("M1", "M2", "M3", "M4")
 MAX_LEAVES = 64  # one bit per leaf in a uint64 mask
-BLOCK_ROWS = 512  # rows per prediction pass; bounds the (trees, rows) temporaries
-COALITION_PAIRS = 1 << 13  # (row, background row) pairs per coalition pass
+BLOCK_ROWS = 512  # rows per node-bit OR; bounds the (trees, rows) temporaries
+PASS_ROWS = 1 << 13  # rows, or (row, background row) pairs, scored per pass
 EXIT_BYTES = 1 << 16  # bytes of masks per in-place pass of _exit_leaf
 
 
@@ -215,8 +217,8 @@ class GbmConfig:
             raise ValueError("invalid GBM configuration")
         if self.max_leaves > MAX_LEAVES:
             raise ValueError(f"max_leaves must be <= {MAX_LEAVES}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails both
+            raise ValueError("learning rate must be positive and finite")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
 
@@ -382,97 +384,51 @@ class _PackedTrees:
                 codes[f] = np.searchsorted(th, x[:, column])
         return codes
 
-    def cleared(self, codes: np.ndarray, features=None) -> np.ndarray:
-        """(trees, rows) OR of the leaf bits of the nodes whose test each row
-        of ``codes`` fails, over the nodes on the features flagged in
-        ``features`` (every node when None).
+    def nodes(self, features=None) -> list:
+        """Per node position, ``(trees, feature, rank, bits)`` of the nodes
+        there: in every tree (``trees`` a full slice) when ``features`` is
+        None, else in the trees whose node splits on a feature flagged in
+        ``features``, positions with none left out."""
+        positions = []
+        for feature, rank, clear in zip(self.feature, self.rank, self.clear):
+            trees = (slice(None) if features is None
+                     else np.flatnonzero(features[feature] & (clear != 0)))
+            if features is None or trees.size:
+                positions.append((trees, feature[trees], rank[trees, None], clear[trees, None]))
+        return positions
+
+    def cleared(self, codes: np.ndarray, nodes=None, out=None) -> np.ndarray:
+        """(trees, rows) masks of the rows of ``codes``: the leaf bits of the
+        ``nodes`` (every node when None) whose test each row fails, ORed into
+        ``out`` (new zeros when None) BLOCK_ROWS rows at a time and returned.
 
         A row cannot exit in the left subtree of a node whose test it fails,
         and every other leaf left of its exit leaf lies in such a subtree: the
-        lowest leaf bit that no failed node clears is the exit leaf.
+        lowest leaf bit that no failed node clears is the exit leaf.  A code
+        of 0 fails no node, so the features that ``codes`` leaves at 0 add
+        nothing.
         """
-        clear = self.clear if features is None else self.clear * features[self.feature]
-        out = np.zeros((self.leaf.shape[0], codes.shape[1]), dtype=clear.dtype)
-        for feature, rank, bits in zip(self.feature, self.rank, clear):
-            out |= (codes[feature] > rank[:, None]) * bits[:, None]
+        if out is None:
+            out = np.zeros((self.leaf.shape[0], codes.shape[1]), dtype=self.clear.dtype)
+        nodes = self.nodes() if nodes is None else nodes
+        for start in range(0, out.shape[1], BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            for trees, feature, rank, bits in nodes:
+                out[trees, block] |= (codes[feature, block] > rank) * bits
         return out
 
-    def exits(self, x: np.ndarray):
-        """Per block of at most BLOCK_ROWS rows of ``x``: the block's row
-        slice and the (trees, rows) exit leaf of each row."""
-        codes = self.codes(x)
-        for start in range(0, x.shape[0], BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            yield rows, _exit_leaf(self.cleared(codes[:, rows]))
-
-    def coalition_exits(self, x: np.ndarray, background: np.ndarray, subset):
-        """Exit leaves of the rows that take the features in ``subset`` from a
-        row of ``x`` and the others from a row of ``background``.
-
-        A node on a feature in the subset reads only the ``x`` row and any
-        other node only the background row, so each side's failed nodes are
-        found once per row and a pair's cleared bits are the OR of its two
-        sides.  Rows of ``x`` with the same codes on the subset have the same
-        cleared bits and are represented by one of them.  Returns ``(inverse,
-        passes)``: ``passes`` yields the (trees, m, b) exit leaves of the next
-        m representatives against every background row, at most
-        COALITION_PAIRS pairs per pass (one representative when b exceeds it),
-        and row ``r`` of ``x`` exits as representative ``inverse[r]``.
-        """
-        in_subset = self.on_columns(subset)
-        x_codes = self.codes(x, in_subset)
-        inverse = np.zeros(x.shape[0], dtype=np.intp)
-        for f in np.flatnonzero(in_subset):  # one feature at a time, so keys never overflow
-            _, inverse = np.unique(inverse * (self.thresholds[f].size + 1) + x_codes[f],
-                                   return_inverse=True)
-        keys = np.zeros((x_codes.shape[0], inverse.max(initial=-1) + 1), dtype=x_codes.dtype)
-        keys[:, inverse] = x_codes  # any row with a key represents it
-        from_x = self.cleared(keys, in_subset)
-        from_b = self.cleared(self.codes(background, ~in_subset), ~in_subset)
-        step = max(1, COALITION_PAIRS // from_b.shape[1])
-
-        def passes():
-            for start in range(0, from_x.shape[1], step):
-                yield _exit_leaf(from_x[:, start:start + step, None] | from_b[:, None, :])
-
-        return inverse, passes()
-
-    def replaced_exits(self, x: np.ndarray, columns):
-        """Exit leaves of rows that equal those of ``x`` outside the input
-        ``columns``, as a function of those rows.
-
-        A node on any other column reads the same value of a row in every
-        call, so the bits those nodes clear are found once.  Returns
-        ``exits(rows)``: it ranks only the ``columns`` of ``rows``, ORs in
-        the bits of only the nodes on them, BLOCK_ROWS rows at a time, and
-        returns the (trees, rows) exit leaves.
-        """
-        replaced = self.on_columns(columns)
-        frozen = self.cleared(self.codes(x, ~replaced), ~replaced)
-        # per position, the trees whose node there splits on a replaced column
-        positions = []
-        for feature, rank, clear in zip(self.feature, self.rank, self.clear):
-            trees = np.flatnonzero(replaced[feature] & (clear != 0))
-            if trees.size:
-                positions.append((trees, feature[trees], rank[trees, None], clear[trees, None]))
-
-        def exits(rows):
-            codes = self.codes(rows, replaced)
-            cleared = frozen.copy()
-            for start in range(0, cleared.shape[1], BLOCK_ROWS):
-                block = slice(start, start + BLOCK_ROWS)
-                for trees, features, rank, bits in positions:
-                    cleared[trees, block] |= (codes[features, block] > rank) * bits
-            return _exit_leaf(cleared)
-
-        return exits
-
-    def add_leaves(self, raw: np.ndarray, exit_leaf: np.ndarray) -> None:
-        """Add to ``raw``, in place and tree by tree in tree order, each
-        tree's learning_rate times the value of the leaf ``exit_leaf`` (trees,
-        raw.size) names, so sums match training's."""
-        for leaf, exits in zip(self.leaf, exit_leaf):
-            raw += leaf.take(exits)
+    def raw(self, masks: np.ndarray, init, trees=slice(None)) -> np.ndarray:
+        """Raw scores of the (trees, ...) ``masks``: ``init`` (a number, or an
+        array of the scores' shape) plus, for the ``trees`` (all by default),
+        each tree's learning_rate times the value of its exit leaf, added
+        tree by tree in tree order, so sums match training's.  The masks of
+        those trees are overwritten with their exit leaves."""
+        exit_leaf = _exit_leaf(masks[trees])
+        out = np.full(masks.shape[1:], init)
+        flat = out.reshape(-1)
+        for leaf, exits in zip(self.leaf[trees], exit_leaf.reshape(len(exit_leaf), flat.size)):
+            flat += leaf.take(exits)
+        return out
 
 
 def _exit_leaf(cleared: np.ndarray) -> np.ndarray:
@@ -618,9 +574,11 @@ class TrainedModel:
         x = np.ascontiguousarray(x, dtype=float)
         if self.kind != "gbm":
             return self.intercept + x @ self.coef
-        out = np.full(x.shape[0], self.init_score)
-        for rows, exit_leaf in self._packed.exits(x):
-            self._packed.add_leaves(out[rows], exit_leaf)
+        packed, out = self._packed, np.empty(x.shape[0])
+        codes = packed.codes(x)
+        for start in range(0, x.shape[0], PASS_ROWS):  # bounds the (trees, rows) masks
+            rows = slice(start, start + PASS_ROWS)
+            out[rows] = packed.raw(packed.cleared(codes[:, rows]), self.init_score)
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -630,24 +588,36 @@ class TrainedModel:
         """Probabilities of the rows that take the columns in ``subset`` from
         a row of ``x`` and the others from a row of ``background`` (gbm only).
 
+        A node on a column in the subset reads only the ``x`` row and any
+        other node only the background row, so each side's failed nodes are
+        found once per row and a pair's masks are the OR of its two sides.
         Rows of ``x`` with the same threshold codes on the subset score alike,
         so one representative of each is scored.  Returns ``(inverse,
         blocks)``: ``blocks`` yields the (m, b) probabilities of the next m
-        representatives against every background row, and row ``r`` of ``x``
-        scores as representative ``inverse[r]``.  Each probability has the
-        bits of ``self`` on the assembled row, leaves added in tree order.
+        representatives against every background row, at most PASS_ROWS
+        pairs per block (one representative when b exceeds it), and row ``r``
+        of ``x`` scores as representative ``inverse[r]``.  Each probability
+        has the bits of ``self`` on the assembled row.
         """
         if self.kind != "gbm":
             raise ValueError("coalition scores are defined for gbm models only")
         packed = self._packed
-        inverse, passes = packed.coalition_exits(
-            np.asarray(x, dtype=float), np.asarray(background, dtype=float), subset)
+        in_subset = packed.on_columns(subset)
+        x_codes = packed.codes(np.asarray(x, dtype=float), in_subset)
+        inverse = np.zeros(x_codes.shape[1], dtype=np.intp)
+        for f in np.flatnonzero(in_subset):  # one feature at a time, so keys never overflow
+            _, inverse = np.unique(inverse * (packed.thresholds[f].size + 1) + x_codes[f],
+                                   return_inverse=True)
+        keys = np.zeros((x_codes.shape[0], inverse.max(initial=-1) + 1), dtype=x_codes.dtype)
+        keys[:, inverse] = x_codes  # any row with a key represents it
+        from_x = packed.cleared(keys)
+        from_b = packed.cleared(packed.codes(np.asarray(background, dtype=float), ~in_subset))
+        step = max(1, PASS_ROWS // from_b.shape[1])
 
         def blocks():
-            for exit_leaf in passes:
-                raw = np.full(exit_leaf.shape[1:], self.init_score)
-                packed.add_leaves(raw.reshape(-1), exit_leaf.reshape(len(packed.leaf), raw.size))
-                yield _probability(raw)
+            for start in range(0, from_x.shape[1], step):
+                masks = from_x[:, start:start + step, None] | from_b[:, None, :]
+                yield _probability(packed.raw(masks, self.init_score))
 
         return inverse, blocks()
 
@@ -655,19 +625,24 @@ class TrainedModel:
         """The model on rows that equal those of ``x`` outside the input
         ``columns`` (gbm only).
 
-        Returns ``score(rows)``.  Only the nodes on ``columns`` are tested
-        again per call; each probability has the bits of ``self`` on
-        ``rows``, leaves added in tree order.
+        A node on any other column reads the same value of a row in every
+        call, so the masks of those nodes are found once.  Returns
+        ``score(rows)``: it ranks only the ``columns`` of ``rows`` and ORs in
+        the bits of only the nodes on them.  Each probability has the bits of
+        ``self`` on ``rows``.
         """
         if self.kind != "gbm":
             raise ValueError("replaced-column scores are defined for gbm models only")
-        exits = self._packed.replaced_exits(np.asarray(x, dtype=float), columns)
+        packed = self._packed
+        replaced = packed.on_columns(columns)
+        frozen = packed.cleared(packed.codes(np.asarray(x, dtype=float), ~replaced),
+                                packed.nodes(~replaced))
+        nodes = packed.nodes(replaced)
 
         def score(rows):
-            exit_leaf = exits(np.asarray(rows, dtype=float))
-            raw = np.full(exit_leaf.shape[1], self.init_score)
-            self._packed.add_leaves(raw, exit_leaf)
-            return _probability(raw)
+            codes = packed.codes(np.asarray(rows, dtype=float), replaced)
+            return _probability(packed.raw(packed.cleared(codes, nodes, frozen.copy()),
+                                           self.init_score))
 
         return score
 
@@ -675,13 +650,10 @@ class TrainedModel:
         """Probability predictions after each boosting round (gbm only)."""
         if self.kind != "gbm":
             raise ValueError("staged scores are defined for gbm models only")
-        x = np.asarray(x, dtype=float)
-        exit_leaf = np.empty((len(self.trees), x.shape[0]), dtype=np.uint8)
-        for rows, block in self._packed.exits(x):
-            exit_leaf[:, rows] = block
-        z = np.full(x.shape[0], self.init_score)
-        for leaf, exits in zip(self._packed.leaf, exit_leaf):
-            z = z + leaf.take(exits)
+        masks = self._packed.cleared(self._packed.codes(np.asarray(x, dtype=float)))
+        z = np.full(masks.shape[1], self.init_score)
+        for t in range(len(self.trees)):
+            z = self._packed.raw(masks, z, slice(t, t + 1))
             yield _probability(z)
 
     def to_json(self) -> str:

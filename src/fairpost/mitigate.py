@@ -57,8 +57,8 @@ class SearchSpace:
             raise ValueError("n_prior must be >= 1")
         if self.n_bo < 0:
             raise ValueError("n_bo must be >= 0")
-        if any(w < 0 for w in self.omegas):
-            raise ValueError("omega values must be nonnegative")
+        if not all(0 <= w < np.inf for w in self.omegas):  # NaN fails both
+            raise ValueError("omega values must be nonnegative and finite")
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -286,7 +286,7 @@ class TestExpectedIbe:
         oracle = lambda z: model(z)  # noqa: E731
         with mock.patch.object(attribution, "_EVAL_CHUNK", n_rows * anchors_per_chunk), \
                 mock.patch.object(explain, "_EVAL_CHUNK", n_rows * anchors_per_chunk), \
-                mock.patch.object(learn, "COALITION_PAIRS", pairs_per_pass):
+                mock.patch.object(learn, "PASS_ROWS", pairs_per_pass):
             for n_anchors in (max(1, anchors_per_chunk - 1), 2 * anchors_per_chunk + 1):
                 for partition in (PartitionSpec.all_rows(), PartitionSpec.by_label()):
                     i = int(rng.integers(p))

@@ -78,6 +78,14 @@ class TestTrain:
         assert main(argv) == 0
         assert open(again).read() == open(out).read()
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0"])
+    def test_invalid_learning_rate_is_exit_two(self, workdir, tmp_path, capsys, rate):
+        _, data, _ = workdir
+        out = tmp_path / "bad.json"
+        assert main(["train", "--data", data, "--learning-rate", rate, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: learning rate must be positive and finite\n"
+        assert not out.exists()
+
 
 class TestBias:
     def test_statistical_parity_report(self, workdir, tmp_path):
@@ -244,6 +252,20 @@ class TestMitigate:
         assert code == 2
         assert "m_star" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "neg.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["mitigate", "compare-baseline"])
+    @pytest.mark.parametrize("omega_max", ["nan", "inf"])
+    def test_non_finite_omega_max_is_exit_two(self, workdir, tmp_path, capsys, command,
+                                              omega_max):
+        _, data, model = workdir
+        out = tmp_path / "omega.csv"
+        argv = [command, "--data", data, "--omega-max", omega_max, "--n-prior", "4",
+                "--n-bo", "0", "--omega-steps", "2", "--out", str(out)]
+        if command == "mitigate":
+            argv += ["--model", model, "--predictors", "x1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: omega values must be nonnegative and finite\n"
+        assert not out.exists() and not (tmp_path / "omega.csv.manifest.json").exists()
 
 
 class TestCalibrateCommand:

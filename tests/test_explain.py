@@ -183,10 +183,10 @@ class TestGbmCoalitionScores:
            max_depth=st.integers(1, 8), n_trees=st.integers(0, 8),
            n_features=st.integers(1, 4), extra_columns=st.integers(0, 2),
            n_rows=st.integers(1, 90), n_background=st.integers(1, 40),
-           pairs_per_pass=st.integers(1, 300))
+           pairs_per_pass=st.integers(1, 300), block_rows=st.integers(1, 50))
     def test_matches_tiled_black_box(self, seed, max_leaves, max_depth, n_trees,
                                      n_features, extra_columns, n_rows,
-                                     n_background, pairs_per_pass):
+                                     n_background, pairs_per_pass, block_rows):
         rng = np.random.default_rng(seed)
         pool = np.concatenate([np.round(rng.normal(0.0, 2.0, 10), 1),
                                [-np.inf, np.inf, -0.0]])
@@ -217,8 +217,10 @@ class TestGbmCoalitionScores:
             raw = tree_scores_direct(model, z)[:, -1]
             return np.clip(sigmoid(raw), PRED_CLAMP, 1.0 - PRED_CLAMP)
 
-        # at most pairs_per_pass pairs per pass, so passes end inside x
-        with mock.patch.object(learn, "COALITION_PAIRS", pairs_per_pass):
+        # at most pairs_per_pass pairs or rows per pass and block_rows rows per
+        # node-bit OR, so passes end inside x and blocks inside a side
+        with mock.patch.object(learn, "PASS_ROWS", pairs_per_pass), \
+                mock.patch.object(learn, "BLOCK_ROWS", block_rows):
             for size in range(p + 1):
                 subset = sorted(rng.choice(p, size, replace=False).tolist())
                 got = marginal_game_values(model, x, background, subset)

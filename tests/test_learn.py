@@ -243,6 +243,11 @@ class TestGbm:
         with pytest.raises(ValueError):
             train_gbm(x, np.ones(50, dtype=int))
 
+    @pytest.mark.parametrize("rate", [0.0, -0.1, np.nan, np.inf, -np.inf])
+    def test_learning_rate_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="learning rate"):
+            GbmConfig(learning_rate=rate)
+
     def test_training_loss_monotone_in_rounds(self):
         data = generate(SyntheticSpec("M2", 3000, seed=14))
         model = train_gbm(data.x, data.y, GbmConfig(n_estimators=40))
@@ -326,6 +331,10 @@ def _assert_matches_direct(model, x):
     for t, stage in enumerate(stages, start=1):
         expected = np.clip(sigmoid(direct[:, t]), PRED_CLAMP, 1.0 - PRED_CLAMP)
         assert stage.tobytes() == expected.tobytes()
+    # every node re-tested per call, or none: both give the model's bits
+    expected = np.clip(sigmoid(direct[:, -1]), PRED_CLAMP, 1.0 - PRED_CLAMP)
+    for columns in (range(x.shape[1]), ()):
+        assert model.replaced_scores(x, columns)(x).tobytes() == expected.tobytes()
 
 
 class TestTreeKernel:
@@ -333,9 +342,10 @@ class TestTreeKernel:
     @given(seed=st.integers(0, 2**32 - 1), max_leaves=st.integers(2, MAX_LEAVES),
            max_depth=st.integers(1, 8), n_trees=st.integers(1, 4),
            n_features=st.integers(1, 4),
-           n_rows=st.sampled_from([0, 1, 2, 37, 511, 512, 513, 1025]))
+           n_rows=st.sampled_from([0, 1, 2, 37, 511, 512, 513, 1025]),
+           pass_rows=st.integers(1, 1100), block_rows=st.integers(1, 600))
     def test_matches_direct_walk(self, seed, max_leaves, max_depth, n_trees,
-                                 n_features, n_rows):
+                                 n_features, n_rows, pass_rows, block_rows):
         rng = np.random.default_rng(seed)
         pool = np.concatenate([np.round(rng.normal(0.0, 2.0, 10), 1),
                                [-np.inf, np.inf, -0.0]])
@@ -352,7 +362,10 @@ class TestTreeKernel:
         x[tie] = rng.choice(pool, int(tie.sum()))
         special = rng.random(x.shape) < 0.1
         x[special] = rng.choice([np.nan, np.inf, -np.inf], int(special.sum()))
-        _assert_matches_direct(model, x)
+        # passes and node-bit OR blocks end inside the rows and inside each other
+        with mock.patch.object(learn, "PASS_ROWS", pass_rows), \
+                mock.patch.object(learn, "BLOCK_ROWS", block_rows):
+            _assert_matches_direct(model, x)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), max_leaves=st.integers(2, MAX_LEAVES),

@@ -188,8 +188,9 @@ class TestSearchSpace:
             SearchSpace(bounds=(), omegas=(0.0,), n_prior=5, n_bo=1)
         with pytest.raises(ValueError):
             SearchSpace(bounds=(("a", 0.0, np.inf),), omegas=(0.0,), n_prior=5, n_bo=1)
-        with pytest.raises(ValueError):
-            SearchSpace(bounds=(("a", 0.0, 1.0),), omegas=(-0.5,), n_prior=5, n_bo=1)
+        for omega in (-0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="omega"):
+                SearchSpace(bounds=(("a", 0.0, 1.0),), omegas=(0.0, omega), n_prior=5, n_bo=1)
         with pytest.raises(ValueError):
             SearchSpace(bounds=(("a", 0.0, 1.0),), omegas=(0.0,), n_prior=0, n_bo=1)
 

@@ -1,10 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairpost import learn
 from fairpost.bias import model_bias
 from fairpost.calibrate import sigmoid
 from fairpost.empirical import build_distribution, ks_distance, wasserstein1
@@ -238,9 +240,10 @@ class TestPostScorer:
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(TRANSFORM_PARAMS)),
            n_trees=st.integers(1, 4), n_features=st.integers(1, 4),
            extra_columns=st.integers(0, 2),
-           n_rows=st.sampled_from([0, 1, 37, 511, 512, 513, 1100]))
+           n_rows=st.sampled_from([0, 1, 37, 511, 512, 513, 1100]),
+           pass_rows=st.integers(1, 1200), block_rows=st.integers(1, 600))
     def test_gbm_matches_transformed_rows(self, seed, kind, n_trees, n_features,
-                                          extra_columns, n_rows):
+                                          extra_columns, n_rows, pass_rows, block_rows):
         """One scorer per input, called with several parameter draws, gives the
         bits of the model on the transformed rows.  The impact list may hold
         columns no tree splits on and columns past the model's width, and the
@@ -260,7 +263,6 @@ class TestPostScorer:
         special = rng.random(x.shape) < 0.1
         x[special] = rng.choice([np.nan, np.inf, -np.inf], int(special.sum()))
         indices = tuple(rng.choice(p, int(rng.integers(1, p + 1)), replace=False).tolist())
-        score = post_scorer(model, x, indices)
 
         def draw(i):
             if kind == "local":
@@ -270,12 +272,16 @@ class TestPostScorer:
             return PredictorTransform(predictor=i, kind=kind, params=values,
                                       focal=float(rng.normal(0.0, 2.0)))
 
-        for _ in range(3):  # transforms listed in any order
-            params = CompressiveParams(tuple(draw(i) for i in rng.permutation(indices)))
-            post = build_postprocessed(model, indices, params)
-            with np.errstate(invalid="ignore"):  # the local map of +-inf is NaN
-                got, want = score(params), model(post.transform_inputs(x))
-            assert np.array_equal(got, want)
+        # passes and node-bit OR blocks end inside the rows and inside each other
+        with mock.patch.object(learn, "PASS_ROWS", pass_rows), \
+                mock.patch.object(learn, "BLOCK_ROWS", block_rows):
+            score = post_scorer(model, x, indices)
+            for _ in range(3):  # transforms listed in any order
+                params = CompressiveParams(tuple(draw(i) for i in rng.permutation(indices)))
+                post = build_postprocessed(model, indices, params)
+                with np.errstate(invalid="ignore"):  # the local map of +-inf is NaN
+                    got, want = score(params), model(post.transform_inputs(x))
+                assert np.array_equal(got, want)
 
     def test_other_models_score_transformed_rows(self):
         x = np.random.default_rng(7).normal(5.0, 1.0, (300, 5))

@@ -31,6 +31,7 @@ from .empirical import build_distribution, wasserstein1_signed  # noqa: F401
 from .explain import (
     _EVAL_CHUNK,
     EXACT_SHAPLEY_MAX_PREDICTORS,
+    _check_mode,
     default_background,
     exact_shapley,
     marginal_game_values,
@@ -176,15 +177,7 @@ def shapley_bias_game(model, x: np.ndarray, g, group_explainer: str = "shapley_s
         background = default_background(x, seed=seed)
     if group_explainer not in ("shapley_sum", "game"):
         raise ValueError(f"unknown group explainer '{group_explainer}'")
-    if mode == "exact":
-        if p > EXACT_GAME_MAX_PREDICTORS:
-            raise ValueError(
-                f"exact mode enumerates 2^p coalitions; p={p} exceeds the "
-                f"bound of {EXACT_GAME_MAX_PREDICTORS}")
-    elif mode != "sampled":
-        raise ValueError(f"unknown mode '{mode}'")
-    elif n_permutations is None or n_permutations < 1:
-        raise ValueError("sampled mode requires n_permutations >= 1")
+    _check_mode(mode, p, n_permutations, EXACT_GAME_MAX_PREDICTORS)
 
     if mode == "exact" and group_explainer == "game":
         def group_values(subset):

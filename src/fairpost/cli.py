@@ -68,8 +68,12 @@ def _parse_grid(text: str) -> list[float]:
     # "1:15:15" -> 15 points from 1 to 15; "1,2,5" -> explicit list
     if ":" in text:
         lo, hi, count = text.split(":")
-        return list(np.linspace(float(lo), float(hi), int(count)))
-    return [float(v) for v in text.split(",")]
+        grid = list(np.linspace(float(lo), float(hi), int(count)))
+    else:
+        grid = [float(v) for v in text.split(",")]
+    if not grid:
+        raise ValueError("--a-grid holds no values")
+    return grid
 
 
 def cmd_generate(args) -> int:

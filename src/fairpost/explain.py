@@ -153,6 +153,19 @@ def sampled_shapley(game, p: int, n_permutations: int, seed: int) -> np.ndarray:
     return phi / len(perms)
 
 
+def _check_mode(mode: str, p: int, n_permutations: int | None, bound: int) -> None:
+    """Reject an unknown ``mode``, an exact game over more than ``bound``
+    players, or a sampled one without a positive ``n_permutations``."""
+    if mode == "exact":
+        if p > bound:
+            raise ValueError(f"exact mode enumerates 2^p coalitions; p={p} exceeds the "
+                             f"bound of {bound}")
+    elif mode != "sampled":
+        raise ValueError(f"unknown mode '{mode}'")
+    elif n_permutations is None or n_permutations < 1:
+        raise ValueError("sampled mode requires n_permutations >= 1")
+
+
 def marginal_shapley(model, x: np.ndarray, background: np.ndarray,
                      mode: str = "exact", n_permutations: int | None = None,
                      seed: int = 0) -> np.ndarray:
@@ -164,17 +177,9 @@ def marginal_shapley(model, x: np.ndarray, background: np.ndarray,
     def game(subset):
         return marginal_game_values(model, x, background, subset)
 
-    if mode == "exact":
-        if p > EXACT_SHAPLEY_MAX_PREDICTORS:
-            raise ValueError(
-                f"exact mode enumerates 2^p coalitions; p={p} exceeds the "
-                f"bound of {EXACT_SHAPLEY_MAX_PREDICTORS}")
-        return exact_shapley(game, p)
-    if mode == "sampled":
-        if n_permutations is None or n_permutations < 1:
-            raise ValueError("sampled mode requires n_permutations >= 1")
-        return sampled_shapley(game, p, n_permutations, seed)
-    raise ValueError(f"unknown mode '{mode}'")
+    _check_mode(mode, p, n_permutations, EXACT_SHAPLEY_MAX_PREDICTORS)
+    return (exact_shapley(game, p) if mode == "exact"
+            else sampled_shapley(game, p, n_permutations, seed))
 
 
 def ice_explainer(model, x: np.ndarray, predictor_index: int, anchor_row: np.ndarray):

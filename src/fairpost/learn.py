@@ -417,16 +417,15 @@ class _PackedTrees:
                 out[trees, block] |= (codes[feature, block] > rank) * bits
         return out
 
-    def raw(self, masks: np.ndarray, init, trees=slice(None)) -> np.ndarray:
-        """Raw scores of the (trees, ...) ``masks``: ``init`` (a number, or an
-        array of the scores' shape) plus, for the ``trees`` (all by default),
-        each tree's learning_rate times the value of its exit leaf, added
-        tree by tree in tree order, so sums match training's.  The masks of
-        those trees are overwritten with their exit leaves."""
-        exit_leaf = _exit_leaf(masks[trees])
+    def raw(self, masks: np.ndarray, init: float) -> np.ndarray:
+        """Raw scores of the (trees, ...) ``masks``: ``init`` plus each tree's
+        learning_rate times the value of its exit leaf, added tree by tree in
+        tree order, so sums match training's.  The masks are overwritten with
+        the exit leaves."""
+        exit_leaf = _exit_leaf(masks)
         out = np.full(masks.shape[1:], init)
         flat = out.reshape(-1)
-        for leaf, exits in zip(self.leaf[trees], exit_leaf.reshape(len(exit_leaf), flat.size)):
+        for leaf, exits in zip(self.leaf, exit_leaf.reshape(len(exit_leaf), flat.size)):
             flat += leaf.take(exits)
         return out
 
@@ -645,16 +644,6 @@ class TrainedModel:
                                            self.init_score))
 
         return score
-
-    def staged_scores(self, x: np.ndarray):
-        """Probability predictions after each boosting round (gbm only)."""
-        if self.kind != "gbm":
-            raise ValueError("staged scores are defined for gbm models only")
-        masks = self._packed.cleared(self._packed.codes(np.asarray(x, dtype=float)))
-        z = np.full(masks.shape[1], self.init_score)
-        for t in range(len(self.trees)):
-            z = self._packed.raw(masks, z, slice(t, t + 1))
-            yield _probability(z)
 
     def to_json(self) -> str:
         payload = {"kind": self.kind, "favorable_sign": self.favorable_sign}

@@ -57,6 +57,8 @@ class SearchSpace:
             raise ValueError("n_prior must be >= 1")
         if self.n_bo < 0:
             raise ValueError("n_bo must be >= 0")
+        if not self.omegas:
+            raise ValueError("search space has no omega values")
         if not all(0 <= w < np.inf for w in self.omegas):  # NaN fails both
             raise ValueError("omega values must be nonnegative and finite")
 
@@ -107,12 +109,13 @@ class Frontier:
 
 
 def pareto_extract(points) -> tuple[int, ...]:
-    """Indices of nondominated points under (minimize bias, minimize loss).
+    """Indices of the nondominated ``(bias, loss)`` pairs under (minimize
+    bias, minimize loss).
 
     A point is dominated when another point is no worse in both coordinates
     and strictly better in one.
     """
-    bias, loss = _bias_loss_arrays(points)
+    bias, loss = np.asarray(points, dtype=float).reshape(len(points), 2).T
     n = bias.size
     if n == 0:
         raise ValueError("no points to extract a frontier from")
@@ -135,13 +138,14 @@ def pareto_extract(points) -> tuple[int, ...]:
 
 
 def convex_envelope(points) -> tuple[int, ...]:
-    """Vertices of the lower-left convex hull of the nondominated set.
+    """Vertices of the lower-left convex hull of the nondominated ``(bias,
+    loss)`` pairs.
 
     The envelope can hide attainable nondominated points, so it is an
     optional filter on top of :func:`pareto_extract`.
     """
     frontier = pareto_extract(points)
-    bias, loss = _bias_loss_arrays(points)
+    bias, loss = np.asarray(points, dtype=float).reshape(len(points), 2).T
     pts = sorted(frontier, key=lambda i: (bias[i], loss[i]))
     hull: list[int] = []
     for i in pts:
@@ -155,16 +159,6 @@ def convex_envelope(points) -> tuple[int, ...]:
                 break
         hull.append(i)
     return tuple(hull)
-
-
-def _bias_loss_arrays(points):
-    if len(points) and isinstance(points[0], FrontierPoint):
-        bias = np.array([p.bias for p in points])
-        loss = np.array([p.loss for p in points])
-    else:
-        arr = np.asarray(points, dtype=float)
-        bias, loss = arr[:, 0], arr[:, 1]
-    return bias, loss
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +183,9 @@ def _tpe_propose(rng, lo, hi, xs, ys):
     n_good = max(1, min(int(np.ceil(TPE_GOOD_FRACTION * n)), n - 1))
     order = np.argsort(ys, kind="stable")
     good, bad = xs[order[:n_good]], xs[order[n_good:]]
-    d = lo.size
-    cands = np.empty((TPE_CANDIDATES, d))
-    for j in range(d):
+    cands = np.empty((TPE_CANDIDATES, lo.size))
+    score = np.zeros(TPE_CANDIDATES)
+    for j in range(lo.size):
         bw = _bandwidth(good[:, j], lo[j], hi[j])
         comp = rng.integers(0, good.shape[0] + 1, size=TPE_CANDIDATES)
         uniform = rng.uniform(lo[j], hi[j], size=TPE_CANDIDATES)
@@ -199,10 +193,7 @@ def _tpe_propose(rng, lo, hi, xs, ys):
         normal = centers + bw * rng.standard_normal(TPE_CANDIDATES)
         cands[:, j] = np.clip(np.where(comp == good.shape[0], uniform, normal),
                               lo[j], hi[j])
-    score = np.zeros(TPE_CANDIDATES)
-    for j in range(d):
-        score += _kde_log_density(good[:, j], _bandwidth(good[:, j], lo[j], hi[j]),
-                                  cands[:, j], lo[j], hi[j])
+        score += _kde_log_density(good[:, j], bw, cands[:, j], lo[j], hi[j])
         score -= _kde_log_density(bad[:, j], _bandwidth(bad[:, j], lo[j], hi[j]),
                                   cands[:, j], lo[j], hi[j])
     return cands[int(np.argmax(score))]
@@ -241,11 +232,7 @@ def _propose(surrogate, rng, lo, hi, xs, ys):
     if surrogate == "random" or ys.size < 2:
         return rng.uniform(lo, hi)
     try:
-        if surrogate == "tpe":
-            return _tpe_propose(rng, lo, hi, xs, ys)
-        if surrogate == "gp":
-            return _gp_propose(rng, lo, hi, xs, ys)
-        raise ValueError(f"unknown surrogate '{surrogate}'")
+        return (_tpe_propose if surrogate == "tpe" else _gp_propose)(rng, lo, hi, xs, ys)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         warnings.warn(f"surrogate proposal failed ({exc}); falling back to a "
                       "random draw", stacklevel=2)
@@ -313,7 +300,7 @@ def _frontier_search(space: SearchSpace, evaluate, describe, surrogate: str,
     }
     manifest.update(manifest_extra)
     return Frontier(points=tuple(test_points),
-                    frontier_indices=pareto_extract(test_points),
+                    frontier_indices=pareto_extract([(p.bias, p.loss) for p in test_points]),
                     holdout_points=tuple(holdout_points), manifest=manifest)
 
 

@@ -43,8 +43,8 @@ def impact_indices(impact_list) -> tuple[int, ...]:
 
 def transform_global(t, a: float, t_star: float):
     """Linear pull toward the focal point: ``(t - t*)/a + t*``."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0 < a < np.inf:  # NaN fails both
+        raise ValueError("a must be positive and finite")
     t = np.asarray(t, dtype=float)
     out = (t - t_star) / a + t_star
     return float(out) if out.ndim == 0 else out
@@ -53,8 +53,8 @@ def transform_global(t, a: float, t_star: float):
 def transform_asymmetric(t, a_minus: float, a_plus: float, t_star: float):
     """Two-sided linear compression with separate rates below and above the
     focal point."""
-    if a_minus <= 0 or a_plus <= 0:
-        raise ValueError("a_minus and a_plus must be positive")
+    if not (0 < a_minus < np.inf and 0 < a_plus < np.inf):
+        raise ValueError("a_minus and a_plus must be positive and finite")
     t = np.asarray(t, dtype=float)
     d = t - t_star
     out = np.minimum(d, 0.0) / a_minus + np.maximum(d, 0.0) / a_plus + t_star
@@ -64,11 +64,11 @@ def transform_asymmetric(t, a_minus: float, a_plus: float, t_star: float):
 def transform_local(t, a: float, sigma: float, t_star: float):
     """Gaussian-window compression: near-linear pull within ~sigma of the
     focal point, near-identity far from it."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if a < LOCAL_A_MIN:
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
+    if not LOCAL_A_MIN <= a < np.inf:
         raise ValueError(f"a={a} is outside the certified-monotone region "
-                         f"a >= {LOCAL_A_MIN}")
+                         f"{LOCAL_A_MIN} <= a < inf")
     t = np.asarray(t, dtype=float)
     d = t - t_star
     out = t - d * (1.0 - 1.0 / a) * np.exp(-d * d / (2.0 * sigma * sigma))

@@ -184,6 +184,21 @@ class TestCurve:
                      "x9", "--a-grid", "1:2:2", "--out", str(tmp_path / "c.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("grid, message", [
+        ("nan", "a must be positive and finite"),
+        ("inf", "a must be positive and finite"),
+        ("2,-inf", "a must be positive and finite"),
+        ("1:2:0", "--a-grid holds no values"),
+    ], ids=["nan", "inf", "minus-inf", "empty"])
+    def test_empty_or_non_finite_grid_is_exit_two(self, workdir, tmp_path, capsys, grid,
+                                                  message):
+        _, data, model = workdir
+        out = tmp_path / "c.csv"
+        assert main(["curve", "--data", data, "--model", model, "--predictors", "x1",
+                     "--a-grid", grid, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not (tmp_path / "c.csv.manifest.json").exists()
+
 
 class TestMitigate:
     def test_run_and_reproducibility(self, workdir, tmp_path):
@@ -267,6 +282,19 @@ class TestMitigate:
         assert capsys.readouterr().err == "error: omega values must be nonnegative and finite\n"
         assert not out.exists() and not (tmp_path / "omega.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["mitigate", "compare-baseline"])
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_no_omegas_is_exit_two(self, workdir, tmp_path, capsys, command, steps):
+        _, data, model = workdir
+        out = tmp_path / "steps.csv"
+        argv = [command, "--data", data, "--omega-steps", steps, "--n-prior", "4",
+                "--n-bo", "1", "--out", str(out)]
+        if command == "mitigate":
+            argv += ["--model", model, "--predictors", "x1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: search space has no omega values\n"
+        assert not out.exists() and not (tmp_path / "steps.csv.manifest.json").exists()
+
 
 class TestCalibrateCommand:
     def test_fit_and_dump(self, workdir, tmp_path):
@@ -282,6 +310,26 @@ class TestCalibrateCommand:
                      ppath, "--method", "link_linear", "--out", out]) == 0
         payload = json.load(open(out))
         assert payload["kind"] == "link_linear" and payload["coef"][1] > 0
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("global", [float("nan")], "a must be positive and finite"),
+        ("global", [float("inf")], "a must be positive and finite"),
+        ("asymmetric", [1.5, float("inf")], "a_minus and a_plus must be positive and finite"),
+        ("local", [1.5, float("nan")], "sigma must be positive and finite"),
+        ("local", [float("inf"), 1.0], "a=inf is outside the certified-monotone region "
+                                       "0.4 <= a < inf"),
+    ], ids=["global-nan", "global-inf", "asymmetric-inf", "local-sigma-nan", "local-a-inf"])
+    def test_non_finite_params_is_exit_two(self, workdir, tmp_path, capsys, kind, params,
+                                           message):
+        _, data, model = workdir
+        ppath = tmp_path / "params.json"
+        ppath.write_text(json.dumps([{"predictor": 0, "kind": kind, "params": params,
+                                      "focal": 5.0}]))  # NaN and Infinity, as json writes them
+        out = tmp_path / "calib.json"
+        assert main(["calibrate", "--data", data, "--model", model, "--params", str(ppath),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not (tmp_path / "calib.json.manifest.json").exists()
 
 
 class TestExitCodes:

@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,8 @@ from hypothesis import strategies as st
 from fairpost.bias import PartitionSpec, model_bias
 from fairpost.learn import GbmConfig, SyntheticSpec, generate, log_loss, train_gbm, train_logistic
 from fairpost.mitigate import (
+    Frontier,
+    FrontierPoint,
     SearchSpace,
     best_gamma_at_omega,
     build_calibrated,
@@ -163,6 +168,18 @@ class TestParetoExtract:
         points = rng.choice(pool, (n, 2))
         assert pareto_extract(points) == brute_force_pareto(points)
 
+    @pytest.mark.parametrize("extract", [pareto_extract, convex_envelope])
+    def test_no_points(self, extract):
+        for points in ([], np.empty((0, 2))):
+            with pytest.raises(ValueError, match="no points"):
+                extract(points)
+
+    @pytest.mark.parametrize("points", [[(1.0, 2.0, 3.0)], [(1.0, 2.0, 3.0, 4.0)], [1.0, 2.0]],
+                             ids=["triple", "two-pairs-in-one-row", "flat"])
+    def test_rejects_anything_but_pairs(self, points):
+        with pytest.raises(ValueError):
+            pareto_extract(points)
+
 
 class TestConvexEnvelope:
     def test_subset_of_frontier_containing_extremes(self):
@@ -193,6 +210,8 @@ class TestSearchSpace:
                 SearchSpace(bounds=(("a", 0.0, 1.0),), omegas=(0.0, omega), n_prior=5, n_bo=1)
         with pytest.raises(ValueError):
             SearchSpace(bounds=(("a", 0.0, 1.0),), omegas=(0.0,), n_prior=0, n_bo=1)
+        with pytest.raises(ValueError, match="no omega values"):
+            SearchSpace(bounds=(("a", 0.0, 1.0),), omegas=(), n_prior=5, n_bo=1)
 
     def test_transform_space_dimensions(self):
         for kind, dims in (("global", 3), ("asymmetric", 6), ("local", 6)):
@@ -217,7 +236,7 @@ class TestRunAlgorithm1:
 
     def test_weakly_dominates_prior_frontier(self, frontier):
         prior = [p for p in frontier.points if p.omega is None]
-        prior_front = pareto_extract(prior)
+        prior_front = pareto_extract([(p.bias, p.loss) for p in prior])
         for j in prior_front:
             q = prior[j]
             assert any(frontier.points[i].bias <= q.bias
@@ -324,7 +343,6 @@ class TestRunAlgorithm1:
         lines = path.read_text().splitlines()
         assert lines[0] == "omega,bias,loss,dominated_flag,gamma_json"
         assert len(lines) == len(frontier.points) + 1
-        import json
         manifest = json.loads(frontier.manifest_json())
         assert manifest["n_prior"] == 40 and manifest["surrogate"] == "tpe"
 
@@ -416,3 +434,31 @@ class TestHyperparamBaseline:
         best = best_gamma_at_omega(fr, 0.0)
         losses = [p.loss for p in fr.holdout_points]
         assert best == fr.holdout_points[int(np.argmin(losses))].gamma
+
+
+_CELLS = st.one_of(st.floats(allow_nan=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.one_of(st.none(), _CELLS), _CELLS, _CELLS,
+                               st.floats(allow_nan=False, allow_infinity=False)),
+                     min_size=1, max_size=12))
+def test_frontier_csv_round_trip(tmp_path_factory, rows):
+    """Every number of a frontier CSV reads back with its bits, ±0.0,
+    subnormals and infinities included, and the rows flagged 0 are the
+    nondominated set of the pairs read back."""
+    points = tuple(FrontierPoint(gamma={"a_x1": a}, bias=bias, loss=loss, omega=omega)
+                   for omega, bias, loss, a in rows)
+    frontier = Frontier(points, pareto_extract([(p.bias, p.loss) for p in points]))
+    path = tmp_path_factory.mktemp("frontier") / "frontier.csv"
+    frontier.to_csv(path)
+    with open(path, newline="") as fh:
+        header, *cells = list(csv.reader(fh))
+    assert header == ["omega", "bias", "loss", "dominated_flag", "gamma_json"]
+    got = np.array([[np.nan if c == "" else float(c) for c in row[:3]] for row in cells])
+    want = np.array([(np.nan if p.omega is None else p.omega, p.bias, p.loss) for p in points])
+    assert got.tobytes() == want.tobytes()  # a prior point's empty omega reads as NaN
+    assert [json.loads(row[4]) for row in cells] == [p.gamma for p in points]
+    assert (tuple(i for i, row in enumerate(cells) if row[3] == "0")
+            == pareto_extract(got[:, 1:]) == frontier.frontier_indices)

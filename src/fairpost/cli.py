@@ -27,17 +27,22 @@ from .learn import (Dataset, GbmConfig, SyntheticSpec, TrainedModel, generate, s
                     train_gbm, train_logistic)
 from .mitigate import (
     GBM_BASELINE_BOUNDS,
+    SURROGATES,
     SearchSpace,
+    _params_from_vector,
     build_calibrated,
     run_algorithm1,
     run_hyperparam_baseline,
     transform_search_space,
 )
-from .transform import CompressiveParams, PredictorTransform, focal_point, post_scorer
+from .transform import TRANSFORM_PARAMS, CompressiveParams, focal_point, post_scorer
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+# --partition's choices, and the partition each one builds
+PARTITIONS = {"sp": PartitionSpec.all_rows, "eo": PartitionSpec.by_label}
 
 
 def _write_manifest(args, **derived) -> None:
@@ -51,14 +56,6 @@ def _write_manifest(args, **derived) -> None:
         fh.write("\n")
 
 
-def _partition(flag: str) -> PartitionSpec:
-    if flag == "sp":
-        return PartitionSpec.all_rows()
-    if flag == "eo":
-        return PartitionSpec.by_label()
-    raise ValueError(f"unknown partition flag '{flag}'")
-
-
 def _load_model(path: str) -> TrainedModel:
     with open(path) as fh:
         return TrainedModel.from_json(fh.read())
@@ -66,11 +63,15 @@ def _load_model(path: str) -> TrainedModel:
 
 def _parse_grid(text: str) -> list[float]:
     # "1:15:15" -> 15 points from 1 to 15; "1,2,5" -> explicit list
-    if ":" in text:
-        lo, hi, count = text.split(":")
-        grid = list(np.linspace(float(lo), float(hi), int(count)))
-    else:
-        grid = [float(v) for v in text.split(",")]
+    try:
+        if ":" in text:
+            lo, hi, count = text.split(":")
+            grid = list(np.linspace(float(lo), float(hi), int(count)))
+        else:
+            grid = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--a-grid '{text}' is neither lo:hi:count (count an integer) "
+                         "nor comma-separated values") from None
     if not grid:
         raise ValueError("--a-grid holds no values")
     return grid
@@ -102,7 +103,7 @@ def cmd_train(args) -> int:
 def cmd_bias(args) -> int:
     data = Dataset.from_csv(args.data)
     model = _load_model(args.model)
-    report = model_bias(model(data.x), data.g, _partition(args.partition),
+    report = model_bias(model(data.x), data.g, PARTITIONS[args.partition](),
                         favorable_sign=args.sign, columns=data.columns)
     with open(args.out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -114,7 +115,7 @@ def cmd_bias(args) -> int:
 def cmd_explain(args) -> int:
     data = Dataset.from_csv(args.data)
     model = _load_model(args.model)
-    partition = _partition(args.partition)
+    partition = PARTITIONS[args.partition]()
     background = default_background(data.x, seed=args.seed, max_rows=args.background)
     if args.method == "ibe":
         table = ibe_table(model, data.x, data.g, n_anchors=args.anchors,
@@ -122,13 +123,9 @@ def cmd_explain(args) -> int:
                           favorable_sign=args.sign, seed=args.seed,
                           names=data.feature_names)
     else:
-        if args.method == "pdp":
-            out = pdp_output(model, data.x, background)
-        elif args.method == "shapley":
-            out = marginal_shapley(model, data.x, background, mode="sampled",
-                                   n_permutations=args.permutations, seed=args.seed)
-        else:
-            raise ValueError(f"unknown explain method '{args.method}'")
+        out = (pdp_output(model, data.x, background) if args.method == "pdp" else
+               marginal_shapley(model, data.x, background, mode="sampled",
+                                n_permutations=args.permutations, seed=args.seed))
         table = basic_bias_explanations(out, data.g, partition, args.sign,
                                         columns=data.columns, names=data.feature_names)
     table.to_csv(args.out)
@@ -163,7 +160,7 @@ def cmd_mitigate(args) -> int:
     else:
         background = default_background(train.x, seed=args.seed, max_rows=200)
         table = basic_bias_explanations(pdp_output(model, train.x, background),
-                                        train.g, _partition(args.partition),
+                                        train.g, PARTITIONS[args.partition](),
                                         args.sign, columns=train.columns,
                                         names=train.feature_names)
         indices = select_impactful(table, m_star=args.m_star).M
@@ -175,11 +172,9 @@ def cmd_mitigate(args) -> int:
                                    n_bo=args.n_bo, seed=args.seed,
                                    feature_names=train.feature_names)
     frontier = run_algorithm1(model, train, holdout, test, indices, space,
-                              transform_kind=args.transform,
-                              focal_rule=args.focal,
-                              partition=_partition(args.partition),
-                              favorable_sign=args.sign,
-                              surrogate=args.surrogate)
+                              transform_kind=args.transform, focal_rule=args.focal,
+                              partition=PARTITIONS[args.partition](),
+                              favorable_sign=args.sign, surrogate=args.surrogate)
     frontier.to_csv(args.out)
     _write_manifest(args, predictors=list(indices), omegas=omegas,
                     frontier_manifest=frontier.manifest)
@@ -191,16 +186,14 @@ def cmd_curve(args) -> int:
     model = _load_model(args.model)
     indices = _predictor_indices(data, args.predictors)
     grid = _parse_grid(args.a_grid)
-    partition = _partition(args.partition)
-    focals = [focal_point(data.x, i, rule=args.focal, g=data.g) for i in indices]
+    partition = PARTITIONS[args.partition]()
+    focals = {i: focal_point(data.x, i, rule=args.focal, g=data.g) for i in indices}
     score = post_scorer(model, data.x, indices)
     rows = []
     for a in grid:
-        transforms = tuple(
-            PredictorTransform(predictor=i, kind="global", params=(float(a),), focal=focal,
-                               focal_rule=args.focal, name=data.feature_names[i])
-            for i, focal in zip(indices, focals))
-        report = model_bias(score(CompressiveParams(transforms)), data.g, partition,
+        params = _params_from_vector([a] * len(indices), indices, "global", focals,
+                                     args.focal, data.feature_names)
+        report = model_bias(score(params), data.g, partition,
                             favorable_sign=args.sign, columns=data.columns)
         rows.append((a, report.total, report.positive, report.negative))
     with open(args.out, "w") as fh:
@@ -238,7 +231,7 @@ def cmd_compare_baseline(args) -> int:
     space = SearchSpace(bounds=GBM_BASELINE_BOUNDS, omegas=tuple(omegas),
                         n_prior=args.n_prior, n_bo=args.n_bo, seed=args.seed)
     frontier = run_hyperparam_baseline(train, holdout, test, space,
-                                       partition=_partition(args.partition),
+                                       partition=PARTITIONS[args.partition](),
                                        favorable_sign=args.sign,
                                        surrogate=args.surrogate)
     frontier.to_csv(args.out)
@@ -246,62 +239,68 @@ def cmd_compare_baseline(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser, partition=True):
-    parser.add_argument("--sign", type=int, choices=(-1, 1), default=1,
-                        help="favorable model direction")
-    if partition:
-        parser.add_argument("--partition", choices=("sp", "eo"), default="sp",
-                            help="sp = all rows, eo = split by label")
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
+def _budget(n_prior, n_bo, omega_max, omega_steps) -> argparse.ArgumentParser:
+    """A parent parser holding the search budget flags, with one command's defaults."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--n-prior", type=int, default=n_prior)
+    parent.add_argument("--n-bo", type=int, default=n_bo)
+    parent.add_argument("--omega-max", type=float, default=omega_max)
+    parent.add_argument("--omega-steps", type=int, default=omega_steps)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fairpost",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    data = _flag("--data", required=True)
+    model = _flag("--model", required=True)
+    seed = _flag("--seed", type=int, default=0)
+    sign = _flag("--sign", type=int, choices=(-1, 1), default=1,
+                 help="favorable model direction")
+    partition = _flag("--partition", choices=tuple(PARTITIONS), default="sp",
+                      help="sp = all rows, eo = split by label")
+    focal = _flag("--focal", choices=("mean", "median", "ks_argmax"), default="mean")
+    surrogate = _flag("--surrogate", choices=SURROGATES, default="tpe")
+    out = _flag("--out", required=True)
 
-    p = sub.add_parser("generate", help="write a synthetic dataset CSV")
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[*parents, out])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("generate", cmd_generate, "write a synthetic dataset CSV", seed)
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", help="train a model and write it as JSON")
-    p.add_argument("--data", required=True)
+    p = command("train", cmd_train, "train a model and write it as JSON", data, sign)
     p.add_argument("--kind", choices=("gbm", "logistic"), default="gbm")
     p.add_argument("--n-estimators", type=int, default=150)
     p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--max-leaves", type=int, default=8)
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--min-samples-leaf", type=int, default=50)
-    p.add_argument("--out", required=True)
-    _add_common(p, partition=False)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("bias", help="write a model-bias report as JSON")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_bias)
+    command("bias", cmd_bias, "write a model-bias report as JSON", data, model, sign,
+            partition)
 
-    p = sub.add_parser("explain", help="write an attribution table as CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
+    p = command("explain", cmd_explain, "write an attribution table as CSV", data, model,
+                seed, sign, partition)
     p.add_argument("--method", choices=("pdp", "shapley", "ibe"), default="pdp")
     p.add_argument("--background", type=int, default=500)
     p.add_argument("--anchors", type=int, default=50)
     p.add_argument("--permutations", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("mitigate", help="run the frontier search and write CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--transform", choices=("global", "asymmetric", "local"),
-                   default="global")
+    p = command("mitigate", cmd_mitigate, "run the frontier search and write CSV", data,
+                model, seed, sign, partition, focal, surrogate, _budget(400, 50, 2.0, 21))
+    p.add_argument("--transform", choices=tuple(TRANSFORM_PARAMS), default="global")
     p.add_argument("--predictors", default="",
                    help="comma-separated names; default selects automatically")
     p.add_argument("--m-star", type=int, default=2)
@@ -309,54 +308,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-hi", type=float, default=2.0)
     p.add_argument("--sigma-lo", type=float, default=1.0)
     p.add_argument("--sigma-hi", type=float, default=2.0)
-    p.add_argument("--focal", choices=("mean", "median", "ks_argmax"),
-                   default="mean")
-    p.add_argument("--n-prior", type=int, default=400)
-    p.add_argument("--n-bo", type=int, default=50)
-    p.add_argument("--omega-max", type=float, default=2.0)
-    p.add_argument("--omega-steps", type=int, default=21)
-    p.add_argument("--surrogate", choices=("tpe", "gp", "random"), default="tpe")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_mitigate)
 
-    p = sub.add_parser("curve", help="bias versus compression level CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
+    p = command("curve", cmd_curve, "bias versus compression level CSV", data, model,
+                sign, partition, focal)
     p.add_argument("--predictors", required=True)
     p.add_argument("--a-grid", required=True,
                    help="lo:hi:count or comma-separated values")
-    p.add_argument("--focal", choices=("mean", "median", "ks_argmax"),
-                   default="mean")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("calibrate", help="fit a calibration map for given params")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--params", required=True,
-                   help="CompressiveParams JSON file")
+    p = command("calibrate", cmd_calibrate, "fit a calibration map for given params", data,
+                model, sign)
+    p.add_argument("--params", required=True, help="CompressiveParams JSON file")
     p.add_argument("--method", choices=("link_linear", "pava", "logistic_refit"),
                    default="link_linear")
-    p.add_argument("--out", required=True)
-    _add_common(p, partition=False)
-    p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("compare-baseline",
-                       help="hyperparameter-search baseline frontier")
-    p.add_argument("--data", required=True)
-    p.add_argument("--n-prior", type=int, default=50)
-    p.add_argument("--n-bo", type=int, default=10)
-    p.add_argument("--omega-max", type=float, default=4.0)
-    p.add_argument("--omega-steps", type=int, default=9)
-    p.add_argument("--surrogate", choices=("tpe", "gp", "random"), default="tpe")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_compare_baseline)
-
+    command("compare-baseline", cmd_compare_baseline,
+            "hyperparameter-search baseline frontier", data, seed, sign, partition,
+            surrogate, _budget(50, 10, 4.0, 9))
     return parser
 
 

@@ -311,7 +311,11 @@ def transform_search_space(impact_list, transform_kind: str, a_bounds=(0.5, 2.0)
                            sigma_bounds=(1.0, 2.0), omegas=(0.0,), n_prior=100,
                            n_bo=20, seed=0,
                            feature_names: tuple[str, ...] | None = None) -> SearchSpace:
-    """Parameter box for one transform family over the impact list."""
+    """Parameter box for one transform family over the impact list.
+
+    Raises ``ValueError`` if a corner of the box lies outside the family's
+    domain, before anything is evaluated.
+    """
     param_names = transform_params(transform_kind)
     bounds = []
     for i in impact_indices(impact_list):
@@ -319,8 +323,12 @@ def transform_search_space(impact_list, transform_kind: str, a_bounds=(0.5, 2.0)
         for param in param_names:
             lo, hi = sigma_bounds if param == "sigma" else a_bounds
             bounds.append((f"{param}_{label}", float(lo), float(hi)))
-    return SearchSpace(bounds=tuple(bounds), omegas=tuple(float(w) for w in omegas),
-                       n_prior=n_prior, n_bo=n_bo, seed=seed)
+    space = SearchSpace(bounds=tuple(bounds), omegas=tuple(float(w) for w in omegas),
+                        n_prior=n_prior, n_bo=n_bo, seed=seed)
+    k = len(param_names)  # every predictor has the same box; each domain is an interval
+    for corner in (space.lo, space.hi):
+        PredictorTransform(0, transform_kind, tuple(corner[:k].tolist()), 0.0).apply(0.0)
+    return space
 
 
 def _params_from_vector(vec, indices, transform_kind, focals, focal_rule, names):

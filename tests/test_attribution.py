@@ -125,6 +125,37 @@ class TestShapleyBiasGame:
         total = model_bias(model(x), g).total
         assert abs(reconstructed - total) <= 1e-8
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 4), n_trees=st.integers(1, 5),
+           by_label=st.booleans(), sign=st.sampled_from([1, -1]),
+           group_explainer=st.sampled_from(["shapley_sum", "game"]))
+    def test_superposition_identity_on_random_gbms(self, seed, p, n_trees, by_label, sign,
+                                                   group_explainer):
+        """Each game's Shapley values sum to its grand-coalition worth, which
+        is the model bias's positive (resp. negative) part.  The worths are
+        transport parts of probabilities in [0, 1]; the sum telescopes 2^p
+        worth differences, and the shapley_sum explainer shifts every row by
+        the background mean.  Each step rounds at about 1e-16 of a value at
+        most 1, so 1e-12 leaves a wide margin for p <= 4."""
+        rng = np.random.default_rng(seed)
+        pool = np.round(rng.normal(0.0, 1.0, 8), 1)
+        trees = tuple(random_tree(rng, int(rng.integers(1, 9)), 4, p,
+                                  lambda: float(rng.choice(pool)))
+                      for _ in range(n_trees))
+        model = TrainedModel(kind="gbm", init_score=float(rng.normal()),
+                             learning_rate=float(rng.uniform(0.05, 1.0)), trees=trees)
+        # every (label, group) cell is nonempty, and group 1 is shifted
+        g = np.concatenate([[0, 1, 0, 1], rng.integers(0, 2, 56)])
+        y = np.concatenate([[0, 0, 1, 1], rng.integers(0, 2, 56)])
+        x = rng.normal(0.0, 1.0, (60, p)) + 0.5 * g[:, None]
+        partition = PartitionSpec.by_label() if by_label else PartitionSpec.all_rows()
+        table = shapley_bias_game(model, x, g, group_explainer=group_explainer,
+                                  mode="exact", background=x[::3], partition=partition,
+                                  columns={"y": y}, favorable_sign=sign)
+        report = model_bias(model(x), g, partition, sign, {"y": y})
+        assert abs(float(np.sum(table.bpp - table.bpm)) - report.positive) <= 1e-12
+        assert abs(float(np.sum(table.bmp - table.bmm)) - report.negative) <= 1e-12
+
     def test_net_identity(self):
         rng = np.random.default_rng(6)
         x, g = two_class_frame(rng, 350, shifts=(0.4, -0.8, 0.0))

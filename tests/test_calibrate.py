@@ -48,6 +48,22 @@ class TestPavaIsotonic:
             oracle_sorted = oracle[np.argsort(x, kind="stable")]
             np.testing.assert_allclose(fitted, oracle_sorted, atol=1e-6)
 
+    @settings(max_examples=100, deadline=None)
+    @given(points=st.lists(st.tuples(st.integers(0, 11), st.floats(-4.0, 4.0),
+                                     st.floats(0.1, 10.0)), min_size=1, max_size=12))
+    def test_matches_brute_force_with_ties_and_weights(self, points):
+        """Exact ties in x share one fitted value, so the fit at the knots is
+        the brute-force isotonic fit of the tie-pooled weighted means, each
+        weighted by its tie group's total weight."""
+        x, y, w = (np.array(column, dtype=float) for column in zip(*points))
+        knots = np.unique(x)
+        ties = [x == k for k in knots]
+        pooled_y = np.array([np.average(y[t], weights=w[t]) for t in ties])
+        pooled_w = np.array([w[t].sum() for t in ties])
+        cal = pava_isotonic(x, y, w)
+        np.testing.assert_allclose(cal(knots), brute_force_isotonic(knots, pooled_y, pooled_w),
+                                   rtol=0, atol=1e-9)
+
     def test_step_interpolation_between_knots(self):
         cal = pava_isotonic([0.0, 1.0], [0.0, 1.0])
         assert cal(0.5) == 0.0   # right-continuous step

@@ -147,6 +147,10 @@ class TestExplain:
         assert max(betas, key=betas.get) == "x3"
 
 
+_MALFORMED_GRID = ("--a-grid '{}' is neither lo:hi:count (count an integer) "
+                   "nor comma-separated values")
+
+
 class TestCurve:
     def test_columns_and_u_shape_inputs(self, workdir, tmp_path):
         _, data, model = workdir
@@ -189,7 +193,12 @@ class TestCurve:
         ("inf", "a must be positive and finite"),
         ("2,-inf", "a must be positive and finite"),
         ("1:2:0", "--a-grid holds no values"),
-    ], ids=["nan", "inf", "minus-inf", "empty"])
+        ("1:2", _MALFORMED_GRID.format("1:2")),
+        ("1:2:3:4", _MALFORMED_GRID.format("1:2:3:4")),
+        ("1:2:x", _MALFORMED_GRID.format("1:2:x")),
+        ("1:2:2.5", _MALFORMED_GRID.format("1:2:2.5")),
+    ], ids=["nan", "inf", "minus-inf", "empty", "two-fields", "four-fields", "word-count",
+            "fractional-count"])
     def test_empty_or_non_finite_grid_is_exit_two(self, workdir, tmp_path, capsys, grid,
                                                   message):
         _, data, model = workdir
@@ -294,6 +303,21 @@ class TestMitigate:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: search space has no omega values\n"
         assert not out.exists() and not (tmp_path / "steps.csv.manifest.json").exists()
+
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    def test_box_outside_family_domain_is_exit_two(self, workdir, tmp_path, capsys, seed):
+        """The box is checked before any draw, so no seed's draws reach a
+        valid point first."""
+        _, data, model = workdir
+        out = tmp_path / "local.csv"
+        assert main(["mitigate", "--data", data, "--model", model, "--predictors", "x1",
+                     "--transform", "local", "--a-lo", "0.3", "--a-hi", "2",
+                     "--n-prior", "3", "--n-bo", "1", "--omega-steps", "2",
+                     "--seed", seed, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: a=0.3 is outside the certified-monotone "
+                                           "region 0.4 <= a < inf\n")
+        assert not out.exists() and not (tmp_path / "local.csv.manifest.json").exists()
 
 
 class TestCalibrateCommand:
@@ -585,7 +609,48 @@ class TestScipyFree:
         assert manifest["settings"]["auc"] > 0.5
 
 
+_IO = {"data": "d.csv", "out": "o.csv"}
+_MINIMAL_ARGS = [  # (argv, every dest it parses to, with the value's type)
+    (["generate", "--model", "M1", "--n", "10", "--out", "o.csv"],
+     {"model": "M1", "n": 10, "seed": 0, "out": "o.csv"}),
+    (["train", "--data", "d.csv", "--out", "o.csv"],
+     {**_IO, "kind": "gbm", "n_estimators": 150, "max_depth": 3, "max_leaves": 8,
+      "learning_rate": 0.1, "min_samples_leaf": 50, "sign": 1}),
+    (["bias", "--data", "d.csv", "--model", "m.json", "--out", "o.csv"],
+     {**_IO, "model": "m.json", "sign": 1, "partition": "sp"}),
+    (["explain", "--data", "d.csv", "--model", "m.json", "--out", "o.csv"],
+     {**_IO, "model": "m.json", "method": "pdp", "background": 500, "anchors": 50,
+      "permutations": 32, "seed": 0, "sign": 1, "partition": "sp"}),
+    (["mitigate", "--data", "d.csv", "--model", "m.json", "--out", "o.csv"],
+     {**_IO, "model": "m.json", "transform": "global", "predictors": "", "m_star": 2,
+      "a_lo": 0.5, "a_hi": 2.0, "sigma_lo": 1.0, "sigma_hi": 2.0, "focal": "mean",
+      "n_prior": 400, "n_bo": 50, "omega_max": 2.0, "omega_steps": 21, "surrogate": "tpe",
+      "seed": 0, "sign": 1, "partition": "sp"}),
+    (["curve", "--data", "d.csv", "--model", "m.json", "--predictors", "x1", "--a-grid", "2",
+      "--out", "o.csv"],
+     {**_IO, "model": "m.json", "predictors": "x1", "a_grid": "2", "focal": "mean",
+      "sign": 1, "partition": "sp"}),
+    (["calibrate", "--data", "d.csv", "--model", "m.json", "--params", "p.json",
+      "--out", "o.csv"],
+     {**_IO, "model": "m.json", "params": "p.json", "method": "link_linear", "sign": 1}),
+    (["compare-baseline", "--data", "d.csv", "--out", "o.csv"],
+     {**_IO, "n_prior": 50, "n_bo": 10, "omega_max": 4.0, "omega_steps": 9,
+      "surrogate": "tpe", "seed": 0, "sign": 1, "partition": "sp"}),
+]
+
+
 class TestParser:
+    @pytest.mark.parametrize("argv, expected", _MINIMAL_ARGS,
+                             ids=[argv[0] for argv, _ in _MINIMAL_ARGS])
+    def test_minimal_argv_pin(self, argv, expected):
+        """Every dest a subcommand parses, with its default and its type."""
+        parsed = vars(cli.build_parser().parse_args(argv))
+        command = argv[0]
+        func = getattr(cli, "cmd_" + command.replace("-", "_"))
+        expected = {**expected, "command": command, "func": func}
+        assert {k: (type(v), v) for k, v in parsed.items()} == {
+            k: (type(v), v) for k, v in expected.items()}
+
     def test_successive_calls_write_fresh_process_manifests(self, tmp_path, monkeypatch):
         """The parser is built once per process; a call after another with
         other flags writes the manifest a fresh process writes."""

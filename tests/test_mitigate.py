@@ -21,7 +21,8 @@ from fairpost.mitigate import (
     run_hyperparam_baseline,
     transform_search_space,
 )
-from fairpost.transform import CompressiveParams, PredictorTransform, focal_point
+from fairpost.transform import (LOCAL_A_MIN, CompressiveParams, PredictorTransform,
+                                focal_point)
 
 from helpers import brute_force_pareto, gp_expected_improvement_scipy
 
@@ -218,6 +219,22 @@ class TestSearchSpace:
             space = transform_search_space((0, 1, 4), kind, omegas=(0.0,),
                                            n_prior=5, n_bo=1)
             assert len(space.bounds) == dims
+
+    @pytest.mark.parametrize("kind, bounds, message", [
+        ("global", {"a_bounds": (0.0, 2.0)}, "a must be positive"),
+        ("global", {"a_bounds": (-1.0, 2.0)}, "a must be positive"),
+        ("asymmetric", {"a_bounds": (0.0, 2.0)}, "a_minus and a_plus must be positive"),
+        ("local", {"a_bounds": (0.3, 2.0)}, "outside the certified-monotone region"),
+        ("local", {"sigma_bounds": (0.0, 2.0)}, "sigma must be positive"),
+    ], ids=["global-zero", "global-negative", "asymmetric-zero", "local-a", "local-sigma"])
+    def test_box_outside_family_domain(self, kind, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            transform_search_space((0, 2), kind, omegas=(0.0,), n_prior=5, n_bo=1, **bounds)
+
+    def test_box_at_family_domain_edge(self):
+        space = transform_search_space((0,), "local", a_bounds=(LOCAL_A_MIN, 2.0),
+                                       omegas=(0.0,), n_prior=5, n_bo=1)
+        assert space.lo[0] == LOCAL_A_MIN
 
 
 class TestRunAlgorithm1:

@@ -18,7 +18,6 @@ and negative attributions.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -98,9 +97,6 @@ class AttributionTable:
             writer.writeheader()
             for row in self.rows():
                 writer.writerow(row)
-
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "rows": list(self.rows())}, indent=2)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .explain import default_background, marginal_shapley, pdp_output
 from .learn import (Dataset, GbmConfig, SyntheticSpec, TrainedModel, generate, split_dataset,
                     train_gbm, train_logistic)
 from .mitigate import (
+    CALIBRATIONS,
     GBM_BASELINE_BOUNDS,
     SURROGATES,
     SearchSpace,
@@ -35,7 +36,7 @@ from .mitigate import (
     run_hyperparam_baseline,
     transform_search_space,
 )
-from .transform import TRANSFORM_PARAMS, CompressiveParams, focal_point, post_scorer
+from .transform import FOCAL_RULES, TRANSFORMS, CompressiveParams, focal_point, post_scorer
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -164,6 +165,9 @@ def cmd_mitigate(args) -> int:
                                         args.sign, columns=train.columns,
                                         names=train.feature_names)
         indices = select_impactful(table, m_star=args.m_star).M
+        if not indices:
+            raise ValueError(f"automatic selection with --m-star {args.m_star} chose no "
+                             "predictors; name them with --predictors")
     omegas = _omegas(args)
     space = transform_search_space(indices, args.transform,
                                    a_bounds=(args.a_lo, args.a_hi),
@@ -267,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                  help="favorable model direction")
     partition = _flag("--partition", choices=tuple(PARTITIONS), default="sp",
                       help="sp = all rows, eo = split by label")
-    focal = _flag("--focal", choices=("mean", "median", "ks_argmax"), default="mean")
+    focal = _flag("--focal", choices=FOCAL_RULES, default="mean")
     surrogate = _flag("--surrogate", choices=SURROGATES, default="tpe")
     out = _flag("--out", required=True)
 
@@ -300,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("mitigate", cmd_mitigate, "run the frontier search and write CSV", data,
                 model, seed, sign, partition, focal, surrogate, _budget(400, 50, 2.0, 21))
-    p.add_argument("--transform", choices=tuple(TRANSFORM_PARAMS), default="global")
+    p.add_argument("--transform", choices=tuple(TRANSFORMS), default="global")
     p.add_argument("--predictors", default="",
                    help="comma-separated names; default selects automatically")
     p.add_argument("--m-star", type=int, default=2)
@@ -318,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("calibrate", cmd_calibrate, "fit a calibration map for given params", data,
                 model, sign)
     p.add_argument("--params", required=True, help="CompressiveParams JSON file")
-    p.add_argument("--method", choices=("link_linear", "pava", "logistic_refit"),
-                   default="link_linear")
+    p.add_argument("--method", choices=tuple(CALIBRATIONS), default="link_linear")
 
     command("compare-baseline", cmd_compare_baseline,
             "hyperparameter-search baseline frontier", data, seed, sign, partition,

@@ -41,7 +41,15 @@ from .calibrate import SEPARATION_BOUND, newton_logistic, sigmoid
 
 LOG_LOSS_CLAMP = 1e-6
 PRED_CLAMP = 1e-9
-MODEL_IDS = ("M1", "M2", "M3", "M4")
+# M1-M3: each column's mean shift for class G=0, and its variance base + per_g * G
+SHIFT_MODELS = {
+    "M1": (np.array([10.0, -4.0, 16.0, 1.0, -3.0]) / 20.0, (0.5, 1.0, 1.0, 1.0, 1.0),
+           (1.0, 0.0, 0.0, -0.5, -0.75)),
+    "M2": (np.array([2.5, 1.0, 4.0, -0.25, 0.75]) / 10.0, (0.5, 1.0, 1.0, 1.0, 1.0),
+           (0.75, 0.0, 0.0, -0.75, 0.0)),
+    "M3": (np.array([2.5, 1.0, 4.0, 0.25, 0.75]) / 10.0, (1.0,) * 5, (0.0,) * 5),
+}
+MODEL_IDS = (*SHIFT_MODELS, "M4")
 MAX_LEAVES = 64  # one bit per leaf in a uint64 mask
 BLOCK_ROWS = 512  # rows per node-bit OR; bounds the (trees, rows) temporaries
 PASS_ROWS = 1 << 13  # rows, or (row, background row) pairs, scored per pass
@@ -158,26 +166,12 @@ def generate(spec: SyntheticSpec) -> Dataset:
     g = _draw_protected(rng, n, spec.p_protected)
     shift = 1 - g  # class G=0 receives the mean shift
 
-    if spec.model_id in ("M1", "M2", "M3"):
-        if spec.model_id == "M1":
-            a = np.array([10.0, -4.0, 16.0, 1.0, -3.0]) / 20.0
-            variances = [0.5 + g, np.ones(n), np.ones(n), 1.0 - 0.5 * g,
-                         1.0 - 0.75 * g]
-            slope, center = 2.0, 24.5
-        elif spec.model_id == "M2":
-            a = np.array([2.5, 1.0, 4.0, -0.25, 0.75]) / 10.0
-            variances = [0.5 + 0.75 * g, np.ones(n), np.ones(n),
-                         1.0 - 0.75 * g, np.ones(n)]
-            slope, center = 2.0, 24.5
-        else:
-            a = np.array([2.5, 1.0, 4.0, 0.25, 0.75]) / 10.0
-            variances = [np.ones(n)] * 5
-            slope, center = 2.0, 24.5
-        cols = []
-        for i in range(5):
-            sd = np.sqrt(np.asarray(variances[i], dtype=float))
-            cols.append(mu - a[i] * shift + sd * rng.standard_normal(n))
-        x = np.column_stack(cols)
+    if spec.model_id in SHIFT_MODELS:
+        a, var_base, var_per_g = SHIFT_MODELS[spec.model_id]
+        x = np.column_stack([
+            mu - a[i] * shift + np.sqrt(var_base[i] + var_per_g[i] * g) * rng.standard_normal(n)
+            for i in range(5)])
+        slope, center = 2.0, 24.5
     else:
         # M4: local mixture replacements on X1, X3 for the non-protected
         # class; tail events of independent gate variables select skewed

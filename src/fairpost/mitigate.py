@@ -26,10 +26,16 @@ import numpy as np
 from .bias import PartitionSpec, model_bias
 from .calibrate import CalibrationError, link_linear_calibrate, logistic_refit, pava_isotonic
 from .learn import Dataset, GbmConfig, log_loss, train_gbm
-from .transform import (CompressiveParams, PredictorTransform, build_postprocessed, focal_point,
-                        impact_indices, post_scorer, transform_params)
+from .transform import (TRANSFORMS, CompressiveParams, PredictorTransform, build_postprocessed,
+                        focal_point, impact_indices, post_scorer, transform_params)
 
 SURROGATES = ("tpe", "gp", "random")
+# fit(post_scores, base_scores, labels) of each method, looking its fitter up when called
+CALIBRATIONS = {
+    "link_linear": lambda post, base, labels: link_linear_calibrate(post, base),
+    "pava": lambda post, base, labels: pava_isotonic(post, base),
+    "logistic_refit": lambda post, base, labels: logistic_refit(post, labels),
+}
 TPE_GOOD_FRACTION = 0.25
 TPE_CANDIDATES = 24
 GP_CANDIDATES = 256
@@ -103,9 +109,6 @@ class Frontier:
                     0 if i in on_frontier else 1,
                     json.dumps(pt.gamma, sort_keys=True),
                 ])
-
-    def manifest_json(self) -> str:
-        return json.dumps(self.manifest, indent=2, sort_keys=True)
 
 
 def pareto_extract(points) -> tuple[int, ...]:
@@ -325,9 +328,8 @@ def transform_search_space(impact_list, transform_kind: str, a_bounds=(0.5, 2.0)
             bounds.append((f"{param}_{label}", float(lo), float(hi)))
     space = SearchSpace(bounds=tuple(bounds), omegas=tuple(float(w) for w in omegas),
                         n_prior=n_prior, n_bo=n_bo, seed=seed)
-    k = len(param_names)  # every predictor has the same box; each domain is an interval
-    for corner in (space.lo, space.hi):
-        PredictorTransform(0, transform_kind, tuple(corner[:k].tolist()), 0.0).apply(0.0)
+    for corner in (space.lo, space.hi):  # predictors share one box; domains are intervals
+        TRANSFORMS[transform_kind][1](0.0, *corner[:len(param_names)].tolist(), 0.0)
     return space
 
 
@@ -341,22 +343,16 @@ def _params_from_vector(vec, indices, transform_kind, focals, focal_rule, names)
         for n, i in enumerate(indices)))
 
 
-def _fit_calibration(method, post_scores, base_scores, labels):
-    if method is None or method == "none":
-        return None
-    if method == "link_linear":
-        return link_linear_calibrate(post_scores, base_scores)
-    if method == "pava":
-        return pava_isotonic(post_scores, base_scores)
-    if method == "logistic_refit":
-        return logistic_refit(post_scores, labels)
-    raise ValueError(f"unknown calibration method '{method}'")
+def _calibration_fit(method):
+    if method is not None and method not in CALIBRATIONS:
+        raise ValueError(f"unknown calibration method '{method}'")
+    return CALIBRATIONS.get(method)
 
 
 def build_calibrated(model, impact_list, params: CompressiveParams, data: Dataset,
                      calibration: str | None = "link_linear", base_scores=None,
                      post_scores=None):
-    """Post-process then calibrate against the base model on ``data``.
+    """Post-process, then calibrate on ``data`` by ``CALIBRATIONS[calibration]``, if any.
 
     ``base_scores`` are the base model's scores on ``data``, and
     ``post_scores`` its scores on the transformed rows of ``data``, when the
@@ -364,20 +360,18 @@ def build_calibrated(model, impact_list, params: CompressiveParams, data: Datase
     ``(post_processed_model, calibration_failed)``; a failed fit
     (non-monotone or degenerate) leaves the model uncalibrated.
     """
+    fit = _calibration_fit(calibration)
     post = build_postprocessed(model, impact_list, params)
     if base_scores is None:
         base_scores = model(data.x)
     scores = post(data.x) if post_scores is None else np.asarray(post_scores, dtype=float)
-    failed = False
-    calib = None
+    if fit is None:
+        return post, False
     try:
-        calib = _fit_calibration(calibration, scores,
-                                 np.asarray(base_scores, dtype=float), data.y)
+        calib = fit(scores, np.asarray(base_scores, dtype=float), data.y)
     except CalibrationError:
-        failed = True
-    if calib is not None:
-        post = replace(post, calibration=calib)
-    return post, failed
+        return post, True
+    return replace(post, calibration=calib), False
 
 
 def _loss_and_bias(scores, data: Dataset, partition, favorable_sign):
@@ -398,6 +392,7 @@ def objective(model, params: CompressiveParams, data: Dataset, omega: float,
     """
     if omega < 0:
         raise ValueError("omega must be nonnegative")
+    _calibration_fit(calibration)  # an unknown method raises before the model runs
     scores = model(params.apply(data.x))
     fitted, failed = build_calibrated(model, params.indices, params, data,
                                       calibration, post_scores=scores)

@@ -24,18 +24,6 @@ from .empirical import _ks
 # increasing and needs no check on data.
 LOCAL_A_MIN = 0.4
 
-# parameter names of each transform family, in the order of PredictorTransform.params
-TRANSFORM_PARAMS = {"global": ("a",), "asymmetric": ("a_minus", "a_plus"),
-                    "local": ("a", "sigma")}
-
-
-def transform_params(kind: str) -> tuple[str, ...]:
-    """Parameter names of one transform family."""
-    if kind not in TRANSFORM_PARAMS:
-        raise ValueError(f"unknown transform kind '{kind}'")
-    return TRANSFORM_PARAMS[kind]
-
-
 def impact_indices(impact_list) -> tuple[int, ...]:
     """Predictor indices of an ImpactList (its M) or of a sequence of indices."""
     return tuple(int(i) for i in getattr(impact_list, "M", impact_list))
@@ -75,6 +63,21 @@ def transform_local(t, a: float, sigma: float, t_star: float):
     return float(out) if out.ndim == 0 else out
 
 
+# each family's parameter names, in PredictorTransform.params order, and map(t, *params, t*)
+TRANSFORMS = {"global": (("a",), transform_global),
+              "asymmetric": (("a_minus", "a_plus"), transform_asymmetric),
+              "local": (("a", "sigma"), transform_local)}
+
+FOCAL_RULES = ("mean", "median", "ks_argmax")
+
+
+def transform_params(kind: str) -> tuple[str, ...]:
+    """Parameter names of one transform family."""
+    if kind not in TRANSFORMS:
+        raise ValueError(f"unknown transform kind '{kind}'")
+    return TRANSFORMS[kind][0]
+
+
 @dataclass(frozen=True)
 class PredictorTransform:
     """One predictor's compressive map: kind, parameters and focal point."""
@@ -92,11 +95,7 @@ class PredictorTransform:
             raise ValueError(f"{self.kind} transform takes {expected} parameter(s)")
 
     def apply(self, t):
-        if self.kind == "global":
-            return transform_global(t, self.params[0], self.focal)
-        if self.kind == "asymmetric":
-            return transform_asymmetric(t, self.params[0], self.params[1], self.focal)
-        return transform_local(t, self.params[0], self.params[1], self.focal)
+        return TRANSFORMS[self.kind][1](t, *self.params, self.focal)
 
 
 @dataclass(frozen=True)
@@ -209,6 +208,8 @@ def focal_point(x: np.ndarray, predictor_index: int, rule: str = "mean",
     """Focal point of one predictor column: its mean, median, or the pooled
     sample point where the KS distance between the two protected-class
     distributions is attained (the smallest such point)."""
+    if rule not in FOCAL_RULES:
+        raise ValueError(f"unknown focal rule '{rule}'")
     x = np.asarray(x, dtype=float)
     column = x[:, predictor_index] if x.ndim == 2 else x
     if column.size == 0:
@@ -217,12 +218,10 @@ def focal_point(x: np.ndarray, predictor_index: int, rule: str = "mean",
         return float(np.mean(column))
     if rule == "median":
         return float(np.median(column))
-    if rule == "ks_argmax":
-        if g is None:
-            raise ValueError("ks_argmax rule requires protected labels g")
-        g = np.asarray(g).ravel().astype(int)
-        c0, c1 = column[g == 0], column[g == 1]
-        if c0.size == 0 or c1.size == 0:
-            raise ValueError("ks_argmax requires both protected classes")
-        return _ks(c0, c1)[1]
-    raise ValueError(f"unknown focal rule '{rule}'")
+    if g is None:
+        raise ValueError("ks_argmax rule requires protected labels g")
+    g = np.asarray(g).ravel().astype(int)
+    c0, c1 = column[g == 0], column[g == 1]
+    if c0.size == 0 or c1.size == 0:
+        raise ValueError("ks_argmax requires both protected classes")
+    return _ks(c0, c1)[1]

@@ -445,12 +445,3 @@ class TestTableSerialization:
         table.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "predictor,kind,beta,beta_pos,beta_neg,net,bpp,bpm,bmp,bmm"
-
-    def test_json_contains_rows(self):
-        table = basic_bias_explanations(
-            np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [0.2, 0.9]]),
-            np.array([0, 0, 1, 1]))
-        import json
-        payload = json.loads(table.to_json())
-        assert payload["kind"] == "pdp"
-        assert len(payload["rows"]) == 2

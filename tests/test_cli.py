@@ -1,9 +1,14 @@
+import argparse
+import copy
 import csv
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fairpost import cli
 from fairpost.attribution import basic_bias_explanations, select_impactful
@@ -11,6 +16,8 @@ from fairpost.bias import PartitionSpec
 from fairpost.cli import main
 from fairpost.explain import default_background, pdp_output
 from fairpost.learn import Dataset, SyntheticSpec, TrainedModel, generate, split_dataset
+from fairpost.mitigate import CALIBRATIONS, SURROGATES
+from fairpost.transform import FOCAL_RULES, TRANSFORMS
 
 from helpers import chain_gbm_json
 
@@ -319,6 +326,28 @@ class TestMitigate:
                                            "region 0.4 <= a < inf\n")
         assert not out.exists() and not (tmp_path / "local.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize("model_kind, m_star", [("gbm", "0"), ("zero-logistic", "2")])
+    def test_empty_automatic_selection_is_exit_two(self, workdir, tmp_path, capsys,
+                                                   model_kind, m_star):
+        """No predictor selected, by --m-star 0 or by a model whose every
+        attribution is 0, names the flag rather than the empty search space."""
+        _, data, model = workdir
+        if model_kind == "zero-logistic":
+            model = str(tmp_path / "zero.json")
+            with open(model, "w") as fh:
+                json.dump({"kind": "logistic", "favorable_sign": 1, "coef": [0.0] * 5,
+                           "intercept": 0.0}, fh)
+        out = tmp_path / "empty.csv"
+        with pytest.warns(UserWarning, match="impact list is empty"):
+            code = main(["mitigate", "--data", data, "--model", model, "--m-star", m_star,
+                         "--n-prior", "4", "--n-bo", "0", "--omega-steps", "2",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: automatic selection with --m-star {m_star} chose no predictors; "
+            "name them with --predictors\n")
+        assert not out.exists() and not (tmp_path / "empty.csv.manifest.json").exists()
+
 
 class TestCalibrateCommand:
     def test_fit_and_dump(self, workdir, tmp_path):
@@ -486,6 +515,78 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_seeds(tmp_path_factory):
+    """A 300-row M1 CSV and the JSON of a 3-tree GBM and a logistic model on it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data = str(root / "m1.csv")
+    assert main(["generate", "--model", "M1", "--n", "300", "--seed", "2", "--out", data]) == 0
+    models = {}
+    for kind, extra in (("gbm", ["--n-estimators", "3", "--min-samples-leaf", "20"]),
+                        ("logistic", [])):
+        path = str(root / f"{kind}.json")
+        assert main(["train", "--data", data, "--kind", kind, *extra, "--out", path]) == 0
+        models[kind] = json.load(open(path))
+    return root, data, models
+
+
+def _json_paths(node, path=()):
+    """The path of every value inside a JSON document, the root excluded."""
+    children = (node.items() if isinstance(node, dict) else
+                enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+_FUZZ_VALUES = st.sampled_from([
+    None, True, "x", "0.5", [], {}, [1, 2], 1.5, 0, -1, 7, 5, 2 ** 70, -(2 ** 70),
+    float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def _mutated_model(draw, models):
+    """A model's JSON after 1-3 mutations: a key or element dropped, an array
+    made longer, or a value replaced by one of another JSON type, a
+    non-finite number or an out-of-range index."""
+    doc = json.loads(json.dumps(models[draw(st.sampled_from(sorted(models)))]))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_json_paths(doc))
+        if not paths:
+            break
+        *parent_path, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in parent_path:
+            parent = parent[step]
+        action = draw(st.sampled_from(["drop", "extend", "replace"]))
+        value = copy.deepcopy(draw(_FUZZ_VALUES))  # the drawn lists are mutated later
+        if action == "drop":
+            del parent[key]
+        elif action == "extend" and isinstance(parent[key], list):
+            parent[key].append(value)
+        else:
+            parent[key] = value
+    return json.dumps(doc)
+
+
+class TestModelJsonFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_model_json_is_an_exit_code(self, fuzz_seeds, capsys, data):
+        """A mutated model JSON ends in exit code 0, 2 or 3, never an exception."""
+        root, csv_path, models = fuzz_seeds
+        text = data.draw(_mutated_model(models))
+        path = root / "mutated.json"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["bias", "--data", csv_path, "--model", str(path),
+                         "--out", str(root / "bias.json")])
+        assert code in (0, 2, 3), text
+        capsys.readouterr()
 
 
 _HEADER = "x1,x2,x3,x4,x5,g,y\n"
@@ -677,6 +778,25 @@ class TestParser:
                     == (tmp_path / "fresh" / name).read_bytes())
         assert json.loads((tmp_path / "same" / "b.csv.manifest.json").read_text()
                           )["settings"]["seed"] == 0
+
+
+    def test_choices_read_library_tables(self):
+        """Each named family's flag offers exactly the library table's names,
+        in the table's order."""
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+
+        def choices(command, flag):
+            action = next(a for a in commands[command]._actions if flag in a.option_strings)
+            return tuple(action.choices)
+
+        assert choices("mitigate", "--transform") == tuple(TRANSFORMS)
+        for command in ("mitigate", "curve"):
+            assert choices(command, "--focal") == FOCAL_RULES
+        assert choices("calibrate", "--method") == tuple(CALIBRATIONS)
+        for command in ("mitigate", "compare-baseline"):
+            assert choices(command, "--surrogate") == SURROGATES
 
 
 class TestEntryPoint:

@@ -124,6 +124,24 @@ class TestObjective:
         report = model_bias(scores, holdout.g, partition, -1, columns=holdout.columns)
         assert got == log_loss(holdout.y, scores) + 0.7 * report.total
 
+    @pytest.mark.parametrize("calibration", ["isotonic", "none"])
+    def test_unknown_calibration_rejected_before_any_model_call(self, m1_setup,
+                                                                calibration):
+        _, train, holdout, _ = m1_setup
+        calls = []
+
+        def counting(x):
+            calls.append(len(x))
+            return np.full(len(x), 0.5)
+
+        params = global_params((0,), (1.5,), train)
+        message = f"unknown calibration method '{calibration}'"
+        with pytest.raises(ValueError, match=message):
+            build_calibrated(counting, (0,), params, holdout, calibration=calibration)
+        with pytest.raises(ValueError, match=message):
+            objective(counting, params, holdout, 0.5, calibration=calibration)
+        assert calls == []
+
     def test_negative_omega_rejected(self, m1_setup):
         model, train, holdout, _ = m1_setup
         params = global_params((0,), (1.0,), train)
@@ -230,6 +248,10 @@ class TestSearchSpace:
     def test_box_outside_family_domain(self, kind, bounds, message):
         with pytest.raises(ValueError, match=message):
             transform_search_space((0, 2), kind, omegas=(0.0,), n_prior=5, n_bo=1, **bounds)
+
+    def test_unknown_kind_names_family_and_kind(self):
+        with pytest.raises(ValueError, match="unknown transform kind 'power'"):
+            transform_search_space((0,), "power")
 
     def test_box_at_family_domain_edge(self):
         space = transform_search_space((0,), "local", a_bounds=(LOCAL_A_MIN, 2.0),
@@ -360,8 +382,7 @@ class TestRunAlgorithm1:
         lines = path.read_text().splitlines()
         assert lines[0] == "omega,bias,loss,dominated_flag,gamma_json"
         assert len(lines) == len(frontier.points) + 1
-        manifest = json.loads(frontier.manifest_json())
-        assert manifest["n_prior"] == 40 and manifest["surrogate"] == "tpe"
+        assert frontier.manifest["n_prior"] == 40 and frontier.manifest["surrogate"] == "tpe"
 
 
 class TestGpPropose:

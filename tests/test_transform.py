@@ -13,7 +13,7 @@ from fairpost.empirical import build_distribution, ks_distance, wasserstein1
 from fairpost.learn import TrainedModel
 from fairpost.transform import (
     LOCAL_A_MIN,
-    TRANSFORM_PARAMS,
+    TRANSFORMS,
     CompressiveParams,
     PredictorTransform,
     build_postprocessed,
@@ -22,6 +22,7 @@ from fairpost.transform import (
     transform_asymmetric,
     transform_global,
     transform_local,
+    transform_params,
 )
 
 from helpers import random_tree
@@ -237,7 +238,7 @@ class TestBuildPostprocessed:
 
 class TestPostScorer:
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(TRANSFORM_PARAMS)),
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(TRANSFORMS)),
            n_trees=st.integers(1, 4), n_features=st.integers(1, 4),
            extra_columns=st.integers(0, 2),
            n_rows=st.sampled_from([0, 1, 37, 511, 512, 513, 1100]),
@@ -268,7 +269,7 @@ class TestPostScorer:
             if kind == "local":
                 values = (rng.uniform(LOCAL_A_MIN, 3.0), rng.uniform(0.2, 3.0))
             else:
-                values = tuple(rng.uniform(0.2, 3.0, len(TRANSFORM_PARAMS[kind])))
+                values = tuple(rng.uniform(0.2, 3.0, len(TRANSFORMS[kind][0])))
             return PredictorTransform(predictor=i, kind=kind, params=values,
                                       focal=float(rng.normal(0.0, 2.0)))
 
@@ -339,11 +340,33 @@ class TestFocalPoint:
         with pytest.raises(ValueError):
             focal_point(np.zeros((0, 1)), 0, "mean")
 
+    def test_unknown_rule_is_rejected_before_any_work(self):
+        """An empty column would raise its own error; the rule is checked first."""
+        for x in (np.zeros((5, 1)), np.zeros((0, 1))):
+            with pytest.raises(ValueError, match="unknown focal rule 'mode'"):
+                focal_point(x, 0, "mode")
+
+
+class TestTransformTable:
+    def test_unknown_kind_names_family_and_kind(self):
+        with pytest.raises(ValueError, match="unknown transform kind 'power'"):
+            transform_params("power")
+        with pytest.raises(ValueError, match="unknown transform kind 'power'"):
+            PredictorTransform(0, "power", (1.0,), 0.0)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("global", (1.7,)), ("asymmetric", (0.6, 2.5)), ("local", (1.8, 0.7))])
+    def test_apply_is_the_family_map(self, kind, params):
+        t = np.linspace(-3.0, 5.0, 17)
+        expected = {"global": transform_global, "asymmetric": transform_asymmetric,
+                    "local": transform_local}[kind](t, *params, 0.5)
+        assert np.array_equal(PredictorTransform(0, kind, params, 0.5).apply(t), expected)
+
 
 class TestParamsSerialization:
     @settings(max_examples=150, deadline=None)
     @given(specs=st.lists(st.tuples(
-        st.sampled_from(sorted(TRANSFORM_PARAMS)),
+        st.sampled_from(sorted(TRANSFORMS)),
         st.tuples(st.floats(LOCAL_A_MIN, 1e6), st.floats(1e-6, 1e6)),
         st.floats(-1e6, 1e6), st.sampled_from(["mean", "median", "ks_argmax", "fixed"]),
         st.text(max_size=8)), min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
@@ -351,7 +374,7 @@ class TestParamsSerialization:
         """Exactly equal fields after the round trip, and transformed rows
         with the same bits."""
         params = CompressiveParams(tuple(
-            PredictorTransform(j, kind, values[:len(TRANSFORM_PARAMS[kind])], focal, rule, name)
+            PredictorTransform(j, kind, values[:len(TRANSFORMS[kind][0])], focal, rule, name)
             for j, (kind, values, focal, rule, name) in enumerate(specs)))
         restored = CompressiveParams.from_json(params.to_json())
         assert restored == params

@@ -18,7 +18,6 @@ and negative attributions.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -53,7 +52,6 @@ TABLE_COLUMNS = ("predictor", "kind", "beta", "beta_pos", "beta_neg", "net",
 class AttributionTable:
     predictors: tuple[str, ...]
     kind: str  # pdp (basic explainer transport) | shapley_game | ibe
-    beta: np.ndarray
     beta_pos: np.ndarray
     beta_neg: np.ndarray
     bpp: np.ndarray | None = None
@@ -64,6 +62,10 @@ class AttributionTable:
     def __post_init__(self):
         if self.kind not in ("pdp", "shapley_game", "ibe"):
             raise ValueError(f"unknown attribution kind '{self.kind}'")
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self.beta_pos + self.beta_neg
 
     @property
     def net(self) -> np.ndarray:
@@ -109,8 +111,6 @@ class ImpactList:
     M_plus: tuple[int, ...]
     M_minus: tuple[int, ...]
     M_zero: tuple[int, ...]
-    eps_plus: float
-    eps_minus: float
 
 
 def basic_bias_explanations(explainer_output: np.ndarray, g,
@@ -133,8 +133,7 @@ def basic_bias_explanations(explainer_output: np.ndarray, g,
     for i in range(p):
         report = model_bias(matrix[:, i], g, partition, favorable_sign, columns)
         pos[i], neg[i] = report.positive, report.negative
-    return AttributionTable(predictors=names, kind="pdp", beta=pos + neg,
-                            beta_pos=pos, beta_neg=neg)
+    return AttributionTable(predictors=names, kind="pdp", beta_pos=pos, beta_neg=neg)
 
 
 def _atoms_table(phi_pos, phi_neg, names) -> AttributionTable:
@@ -144,8 +143,7 @@ def _atoms_table(phi_pos, phi_neg, names) -> AttributionTable:
     bmm = np.maximum(-phi_neg, 0.0)
     beta_pos = bpp + bmm
     beta_neg = bmp + bpm
-    return AttributionTable(predictors=names, kind="shapley_game",
-                            beta=beta_pos + beta_neg, beta_pos=beta_pos,
+    return AttributionTable(predictors=names, kind="shapley_game", beta_pos=beta_pos,
                             beta_neg=beta_neg, bpp=bpp, bpm=bpm, bmp=bmp, bmm=bmm)
 
 
@@ -249,8 +247,7 @@ def ibe_table(model, x: np.ndarray, g, n_anchors: int,
     for i in range(p):
         _, pos[i], neg[i] = expected_ibe(model, x, g, i, n_anchors, partition,
                                          columns, favorable_sign, seed)
-    return AttributionTable(predictors=names, kind="ibe", beta=pos + neg,
-                            beta_pos=pos, beta_neg=neg)
+    return AttributionTable(predictors=names, kind="ibe", beta_pos=pos, beta_neg=neg)
 
 
 def select_impactful(table: AttributionTable, eps_plus: float | None = None,
@@ -262,6 +259,7 @@ def select_impactful(table: AttributionTable, eps_plus: float | None = None,
     Default thresholds are 5% of the total attribution mass, which survives
     rescaling of the score.  With ``m_star`` set, each of N_plus/N_minus is
     truncated to its top ``m_star`` entries by the corresponding attribution.
+    M may be empty; the caller decides what to do with an empty list.
     """
     total_mass = float(np.sum(table.beta))
     if eps_plus is None:
@@ -282,9 +280,6 @@ def select_impactful(table: AttributionTable, eps_plus: float | None = None,
         n_minus = sorted(sorted(n_minus, key=lambda i: -bn[i])[:m_star])
 
     m = sorted(set(n_plus) | set(n_minus))
-    if not m:
-        warnings.warn("impact list is empty; thresholds should be chosen so "
-                      "that neither list is empty", stacklevel=2)
 
     m_plus, m_minus, m_zero = [], [], []
     for i in m:
@@ -297,5 +292,4 @@ def select_impactful(table: AttributionTable, eps_plus: float | None = None,
 
     return ImpactList(M=tuple(m), N_plus=tuple(n_plus), N_minus=tuple(n_minus),
                       M_plus=tuple(m_plus), M_minus=tuple(m_minus),
-                      M_zero=tuple(m_zero), eps_plus=float(eps_plus),
-                      eps_minus=float(eps_minus))
+                      M_zero=tuple(m_zero))

@@ -78,15 +78,13 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> None:
     spec = SyntheticSpec(model_id=args.model, n_rows=args.n, seed=args.seed)
     data = generate(spec)
     data.to_csv(args.out)
-    _write_manifest(args)
-    return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     data = Dataset.from_csv(args.data)
     if args.kind == "gbm":
         config = GbmConfig(n_estimators=args.n_estimators, max_depth=args.max_depth,
@@ -97,11 +95,9 @@ def cmd_train(args) -> int:
         model = train_logistic(data.x, data.y, favorable_sign=args.sign)
     with open(args.out, "w") as fh:
         fh.write(model.to_json())
-    _write_manifest(args)
-    return EXIT_OK
 
 
-def cmd_bias(args) -> int:
+def cmd_bias(args) -> None:
     data = Dataset.from_csv(args.data)
     model = _load_model(args.model)
     report = model_bias(model(data.x), data.g, PARTITIONS[args.partition](),
@@ -109,11 +105,9 @@ def cmd_bias(args) -> int:
     with open(args.out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
-    _write_manifest(args)
-    return EXIT_OK
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(args) -> None:
     data = Dataset.from_csv(args.data)
     model = _load_model(args.model)
     partition = PARTITIONS[args.partition]()
@@ -130,8 +124,6 @@ def cmd_explain(args) -> int:
         table = basic_bias_explanations(out, data.g, partition, args.sign,
                                         columns=data.columns, names=data.feature_names)
     table.to_csv(args.out)
-    _write_manifest(args)
-    return EXIT_OK
 
 
 def _omegas(args) -> list[float]:
@@ -150,7 +142,7 @@ def _predictor_indices(data: Dataset, text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cmd_mitigate(args) -> int:
+def cmd_mitigate(args) -> dict:
     if args.m_star < 0:  # checked here too, since --predictors leaves it unused
         raise ValueError("m_star must be nonnegative")
     # only the splits are kept: the whole dataset would live as long as the search
@@ -180,12 +172,11 @@ def cmd_mitigate(args) -> int:
                               partition=PARTITIONS[args.partition](),
                               favorable_sign=args.sign, surrogate=args.surrogate)
     frontier.to_csv(args.out)
-    _write_manifest(args, predictors=list(indices), omegas=omegas,
-                    frontier_manifest=frontier.manifest)
-    return EXIT_OK
+    return {"predictors": list(indices), "omegas": omegas,
+            "frontier_manifest": frontier.manifest}
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(args) -> None:
     data = Dataset.from_csv(args.data)
     model = _load_model(args.model)
     indices = _predictor_indices(data, args.predictors)
@@ -204,11 +195,9 @@ def cmd_curve(args) -> int:
         fh.write("a,total,positive,negative\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    _write_manifest(args)
-    return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> dict:
     data = Dataset.from_csv(args.data)
     model = _load_model(args.model)
     with open(args.params) as fh:
@@ -217,18 +206,17 @@ def cmd_calibrate(args) -> int:
         raise ValueError(f"--params names predictors {list(params.indices)}; the data "
                          f"has {data.x.shape[1]}")
     scores = model(params.apply(data.x))
-    fitted, failed = build_calibrated(model, params.indices, params, data,
-                                      calibration=args.method, post_scores=scores)
+    fitted, failed = build_calibrated(model, params, data, calibration=args.method,
+                                      post_scores=scores)
     if failed:
         raise CalibrationError("calibration failed: fitted map would not be monotone")
     with open(args.out, "w") as fh:
         fh.write(fitted.calibration.to_json())
         fh.write("\n")
-    _write_manifest(args, auc=auc(fitted.calibrate(scores), data.y))
-    return EXIT_OK
+    return {"auc": auc(fitted.calibrate(scores), data.y)}
 
 
-def cmd_compare_baseline(args) -> int:
+def cmd_compare_baseline(args) -> dict:
     data = Dataset.from_csv(args.data)
     train, holdout, test = split_dataset(data, seed=args.seed)
     omegas = _omegas(args)
@@ -239,8 +227,7 @@ def cmd_compare_baseline(args) -> int:
                                        favorable_sign=args.sign,
                                        surrogate=args.surrogate)
     frontier.to_csv(args.out)
-    _write_manifest(args, omegas=omegas, frontier_manifest=frontier.manifest)
-    return EXIT_OK
+    return {"omegas": omegas, "frontier_manifest": frontier.manifest}
 
 
 def _flag(*names, **kwargs) -> argparse.ArgumentParser:
@@ -338,14 +325,15 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        return args.func(args)
+    try:  # each command returns the values it derived, if any, for its manifest
+        _write_manifest(args, **(args.func(args) or {}))
     except (CalibrationError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -349,24 +349,24 @@ def _calibration_fit(method):
     return CALIBRATIONS.get(method)
 
 
-def build_calibrated(model, impact_list, params: CompressiveParams, data: Dataset,
+def build_calibrated(model, params: CompressiveParams, data: Dataset,
                      calibration: str | None = "link_linear", base_scores=None,
                      post_scores=None):
     """Post-process, then calibrate on ``data`` by ``CALIBRATIONS[calibration]``, if any.
 
     ``base_scores`` are the base model's scores on ``data``, and
     ``post_scores`` its scores on the transformed rows of ``data``, when the
-    caller already has them; they are computed otherwise.  Returns
+    caller already has them; a fit computes them otherwise.  Returns
     ``(post_processed_model, calibration_failed)``; a failed fit
     (non-monotone or degenerate) leaves the model uncalibrated.
     """
     fit = _calibration_fit(calibration)
-    post = build_postprocessed(model, impact_list, params)
+    post = build_postprocessed(model, params)
+    if fit is None:
+        return post, False
     if base_scores is None:
         base_scores = model(data.x)
     scores = post(data.x) if post_scores is None else np.asarray(post_scores, dtype=float)
-    if fit is None:
-        return post, False
     try:
         calib = fit(scores, np.asarray(base_scores, dtype=float), data.y)
     except CalibrationError:
@@ -394,8 +394,7 @@ def objective(model, params: CompressiveParams, data: Dataset, omega: float,
         raise ValueError("omega must be nonnegative")
     _calibration_fit(calibration)  # an unknown method raises before the model runs
     scores = model(params.apply(data.x))
-    fitted, failed = build_calibrated(model, params.indices, params, data,
-                                      calibration, post_scores=scores)
+    fitted, failed = build_calibrated(model, params, data, calibration, post_scores=scores)
     if failed:
         warnings.warn("calibration failed; objective uses the uncalibrated "
                       "post-processed model", stacklevel=2)
@@ -434,7 +433,7 @@ def run_algorithm1(model, train: Dataset, holdout: Dataset, test: Dataset,
         params = _params_from_vector(vec, indices, transform_kind, focals,
                                      focal_rule, names)
         scores_h = score_holdout(params)
-        fitted, failed = build_calibrated(model, indices, params, holdout, calibration,
+        fitted, failed = build_calibrated(model, params, holdout, calibration,
                                           base_scores=base_holdout, post_scores=scores_h)
         loss_h, bias_h = _loss_and_bias(fitted.calibrate(scores_h), holdout, partition,
                                         favorable_sign)
@@ -469,12 +468,11 @@ GBM_BASELINE_BOUNDS = (
 
 def run_hyperparam_baseline(train: Dataset, holdout: Dataset, test: Dataset,
                             space: SearchSpace, partition: PartitionSpec | None = None,
-                            favorable_sign: int = 1, min_samples_leaf: int = 50,
-                            surrogate: str = "tpe") -> Frontier:
+                            favorable_sign: int = 1, surrogate: str = "tpe") -> Frontier:
     """Frontier search over boosted-tree hyperparameters, retraining at every
     evaluation; the comparison baseline for the post-processing family.
-    ``space`` names n_estimators, max_leaves, max_depth and learning_rate;
-    the CLI searches ``GBM_BASELINE_BOUNDS``."""
+    ``space`` names n_estimators, max_leaves, max_depth and learning_rate (the
+    CLI searches ``GBM_BASELINE_BOUNDS``); the rest are ``GbmConfig``'s defaults."""
 
     def config_from(vec):
         named = dict(zip(space.names, vec))
@@ -483,7 +481,6 @@ def run_hyperparam_baseline(train: Dataset, holdout: Dataset, test: Dataset,
             max_leaves=int(round(named["max_leaves"])),
             max_depth=int(round(named["max_depth"])),
             learning_rate=float(named["learning_rate"]),
-            min_samples_leaf=min_samples_leaf,
         )
 
     def evaluate(vec):
@@ -501,7 +498,7 @@ def run_hyperparam_baseline(train: Dataset, holdout: Dataset, test: Dataset,
 
     extra = {
         "family": "gbm_hyperparameters",
-        "min_samples_leaf": min_samples_leaf,
+        "min_samples_leaf": GbmConfig.min_samples_leaf,
         "favorable_sign": favorable_sign,
         "splits": {"train": train.n_rows, "holdout": holdout.n_rows,
                    "test": test.n_rows},

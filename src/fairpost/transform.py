@@ -104,6 +104,11 @@ class CompressiveParams:
 
     transforms: tuple[PredictorTransform, ...]
 
+    def __post_init__(self):
+        for k, tr in enumerate(self.transforms):
+            if tr.predictor in self.indices[:k]:
+                raise ValueError(f"duplicate transform for predictor {tr.name or tr.predictor}")
+
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(tr.predictor for tr in self.transforms)
@@ -163,23 +168,9 @@ class PostProcessedModel:
         return scores
 
 
-def _covered_indices(impact_list, params: CompressiveParams) -> tuple[int, ...]:
-    indices = impact_indices(impact_list)
-    if sorted(params.indices) != sorted(indices):
-        raise ValueError(
-            f"transform parameters cover predictors {sorted(params.indices)} "
-            f"but the impact list is {sorted(indices)}")
-    if len(set(indices)) != len(indices):
-        raise ValueError("impact list contains duplicate indices")
-    return indices
-
-
-def build_postprocessed(model, impact_list, params: CompressiveParams) -> PostProcessedModel:
-    """Assemble the intermediate post-processed model.
-
-    ``params`` must cover exactly the impact-list indices.
-    """
-    _covered_indices(impact_list, params)
+def build_postprocessed(model, params: CompressiveParams) -> PostProcessedModel:
+    """Assemble the intermediate post-processed model over the predictors
+    that ``params`` name."""
     return PostProcessedModel(base_model=model, params=params)
 
 
@@ -197,7 +188,9 @@ def post_scorer(model, x: np.ndarray, impact_list):
     scorer = model.replaced_scores(x, indices) if getattr(model, "kind", None) == "gbm" else model
 
     def score(params):
-        _covered_indices(indices, params)
+        if sorted(params.indices) != sorted(indices):
+            raise ValueError(f"transform parameters cover predictors {sorted(params.indices)} "
+                             f"but the impact list is {sorted(indices)}")
         return np.asarray(scorer(params.apply(x)), dtype=float)
 
     return score

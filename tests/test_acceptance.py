@@ -124,7 +124,7 @@ def test_criterion_05_point_compression_limit(m1_bundle):
     started = time.perf_counter()
     model, train, holdout, test, base = m1_bundle
     params = global_compression(train, range(5), 1000.0)
-    fitted, failed = build_calibrated(model, tuple(range(5)), params, holdout)
+    fitted, failed = build_calibrated(model, params, holdout)
     post_bias = model_bias(fitted(test.x), test.g, favorable_sign=FAVOR).total
     ratio = post_bias / base.total
     elapsed = time.perf_counter() - started
@@ -138,7 +138,7 @@ def test_criterion_06_u_shaped_curve(m1_bundle):
     totals, positives = [], []
     for a in range(1, 16):
         params = global_compression(train, (0, 2), float(a))
-        post = build_postprocessed(model, (0, 2), params)
+        post = build_postprocessed(model, params)
         rep = model_bias(post(test.x), test.g, favorable_sign=FAVOR)
         totals.append(rep.total)
         positives.append(rep.positive)
@@ -199,8 +199,7 @@ def test_criterion_07b_loss_margin_at_half_bias(m1_frontier, m1_half_bias_oracle
     assert oracle.point is not None, "no grid point reaches half the base bias"
 
     # the oracle's shortcut must score the same family member as the library
-    fitted, _ = build_calibrated(model, M1_IMPACT,
-                                 global_compression(train, M1_IMPACT, oracle.point),
+    fitted, _ = build_calibrated(model, global_compression(train, M1_IMPACT, oracle.point),
                                  holdout)
     scores = fitted(test.x)
     drift = max(abs(log_loss(test.y, scores) - oracle.loss),
@@ -253,8 +252,8 @@ def test_criterion_08_asymmetric_vs_symmetric(tmp_path):
 def test_criterion_09_calibration_auc_and_pava(m1_bundle):
     model, train, holdout, test, _ = m1_bundle
     params = global_compression(train, (0, 2), 1.6)
-    uncalibrated = build_postprocessed(model, (0, 2), params)
-    calibrated, failed = build_calibrated(model, (0, 2), params, holdout)
+    uncalibrated = build_postprocessed(model, params)
+    calibrated, failed = build_calibrated(model, params, holdout)
     assert not failed
     auc_gap = abs(auc(calibrated(test.x), test.y) - auc(uncalibrated(test.x), test.y))
 

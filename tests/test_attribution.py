@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -372,8 +373,7 @@ class TestSelectImpactful:
         beta_neg = np.asarray(beta_neg, dtype=float)
         return AttributionTable(
             predictors=tuple(f"x{i + 1}" for i in range(beta_pos.size)),
-            kind="pdp", beta=beta_pos + beta_neg, beta_pos=beta_pos,
-            beta_neg=beta_neg)
+            kind="pdp", beta_pos=beta_pos, beta_neg=beta_neg)
 
     def test_threshold_selection_and_partition(self):
         table = self._table([0.5, 0.01, 0.3, 0.0], [0.02, 0.2, 0.25, 0.0])
@@ -393,14 +393,17 @@ class TestSelectImpactful:
         table = self._table([0.5, 0.4, 0.3], [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="m_star"):
             select_impactful(table, eps_plus=0.05, eps_minus=0.05, m_star=-1)
-        with pytest.warns(UserWarning, match="empty"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert select_impactful(table, eps_plus=0.05, eps_minus=0.05, m_star=0).M == ()
 
-    def test_all_zero_emits_warning(self):
+    def test_all_zero_gives_empty_list_without_warning(self):
+        """An empty M is a result, not a fault: the caller decides what to do."""
         table = self._table([0.0, 0.0], [0.0, 0.0])
-        with pytest.warns(UserWarning, match="empty"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = select_impactful(table, eps_plus=0.1, eps_minus=0.1)
-        assert out.M == ()
+        assert out.M == () and out.N_plus == () and out.N_minus == ()
 
     def test_raising_threshold_never_grows_list(self):
         rng = np.random.default_rng(16)

@@ -338,7 +338,8 @@ class TestMitigate:
                 json.dump({"kind": "logistic", "favorable_sign": 1, "coef": [0.0] * 5,
                            "intercept": 0.0}, fh)
         out = tmp_path / "empty.csv"
-        with pytest.warns(UserWarning, match="impact list is empty"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error line is all that stderr shows
             code = main(["mitigate", "--data", data, "--model", model, "--m-star", m_star,
                          "--n-prior", "4", "--n-bo", "0", "--omega-steps", "2",
                          "--out", str(out)])
@@ -571,6 +572,30 @@ def _mutated_model(draw, models):
     return json.dumps(doc)
 
 
+_CELLS = ["", "nan", "inf", "-inf", "1e999", "x", "1_0", "\u0663", "2"]
+
+
+@st.composite
+def _mutated_csv(draw, text):
+    """A dataset CSV after 1-3 cell mutations: a cell replaced (empty, NaN,
+    +-inf, an overflowing or malformed number, text, a non-ASCII digit),
+    g or y set to 2, or a cell added to or dropped from a row."""
+    header, *lines = text.splitlines()
+    rows = [line.split(",") for line in lines]
+    for _ in range(draw(st.integers(1, 3))):
+        cells = rows[draw(st.integers(0, len(rows) - 1))]
+        action = draw(st.sampled_from(["replace", "label", "extra", "missing"]))
+        if action == "replace":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_CELLS))
+        elif action == "label":
+            cells[draw(st.sampled_from([-2, -1]))] = "2"
+        elif action == "extra":
+            cells.insert(draw(st.integers(0, len(cells))), draw(st.sampled_from(_CELLS)))
+        else:
+            del cells[draw(st.integers(0, len(cells) - 1))]
+    return "\n".join([header, *(",".join(cells) for cells in rows)]) + "\n"
+
+
 class TestModelJsonFuzz:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -585,6 +610,34 @@ class TestModelJsonFuzz:
             warnings.simplefilter("ignore")
             code = main(["bias", "--data", csv_path, "--model", str(path),
                          "--out", str(root / "bias.json")])
+        assert code in (0, 2, 3), text
+        capsys.readouterr()
+
+
+class TestDatasetCsvFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_cells_are_an_exit_code(self, fuzz_seeds, capsys, data):
+        """A dataset CSV with mutated cells ends in exit code 0, 2 or 3 for
+        bias (a GBM and a logistic model), train and PDP explanations."""
+        root, csv_path, _ = fuzz_seeds
+        with open(csv_path) as fh:
+            text = data.draw(_mutated_csv(fh.read()))
+        path = root / "mutated.csv"
+        path.write_text(text)
+        command = data.draw(st.sampled_from(["bias-gbm", "bias-logistic", "train",
+                                             "explain"]))
+        argv = [command.split("-")[0], "--data", str(path), "--out", str(root / "out")]
+        if command == "train":
+            argv += ["--n-estimators", "3", "--min-samples-leaf", "20"]
+        elif command == "explain":
+            argv += ["--model", str(root / "gbm.json"), "--background", "20"]
+        else:
+            argv += ["--model", str(root / f"{command.split('-')[1]}.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
         assert code in (0, 2, 3), text
         capsys.readouterr()
 
@@ -658,6 +711,26 @@ class TestMalformedInput:
                      str(path), "--out", str(tmp_path / "c.json")]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("command", ["calibrate", "mitigate"])
+    def test_repeated_predictor_is_exit_two(self, workdir, tmp_path, capsys, command):
+        """A predictor named twice, in a params file or in --predictors, is
+        rejected with its name before anything is written."""
+        _, data, model = workdir
+        out = tmp_path / "out.json"
+        argv = [command, "--data", data, "--model", model, "--out", str(out)]
+        if command == "calibrate":
+            transform = {"predictor": 2, "kind": "global", "params": [2.0], "focal": 5.0}
+            (tmp_path / "params.json").write_text(json.dumps([transform, transform]))
+            argv += ["--params", str(tmp_path / "params.json")]
+        else:
+            argv += ["--predictors", "x3,x1,x3", "--n-prior", "4", "--n-bo", "0",
+                     "--omega-steps", "2"]
+        assert main(argv) == 2
+        name = "2" if command == "calibrate" else "x3"
+        assert capsys.readouterr().err == f"error: duplicate transform for predictor {name}\n"
+        assert not out.exists() and not (tmp_path / "out.json.manifest.json").exists()
 
 
 class TestCompareBaseline:

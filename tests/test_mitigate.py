@@ -47,7 +47,7 @@ class TestObjective:
     def test_omega_zero_is_pure_loss(self, m1_setup):
         model, train, holdout, _ = m1_setup
         params = global_params((0, 2), (1.7, 1.3), train)
-        fitted, _ = build_calibrated(model, (0, 2), params, holdout)
+        fitted, _ = build_calibrated(model, params, holdout)
         expected = log_loss(holdout.y, fitted(holdout.x))
         got = objective(model, params, holdout, omega=0.0, favorable_sign=-1)
         assert got == pytest.approx(expected, abs=1e-12)
@@ -70,7 +70,7 @@ class TestObjective:
         indices = tuple(range(5))
         params = global_params(indices, (1000.0,) * 5, train)
         base_bias = model_bias(model(holdout.x), holdout.g, favorable_sign=-1).total
-        fitted, failed = build_calibrated(model, indices, params, holdout)
+        fitted, failed = build_calibrated(model, params, holdout)
         bias = model_bias(fitted(holdout.x), holdout.g, favorable_sign=-1).total
         assert bias <= 0.01 * base_bias
 
@@ -78,7 +78,7 @@ class TestObjective:
         model, train, holdout, _ = m1_setup
         params = global_params((0, 2), (1.5, 0.8), train)
         base = objective(model, params, holdout, omega=0.0, favorable_sign=-1)
-        fitted, _ = build_calibrated(model, (0, 2), params, holdout)
+        fitted, _ = build_calibrated(model, params, holdout)
         bias = model_bias(fitted(holdout.x), holdout.g, favorable_sign=-1).total
         for omega in (0.3, 1.0, 2.0):
             got = objective(model, params, holdout, omega=omega, favorable_sign=-1)
@@ -90,10 +90,10 @@ class TestObjective:
         # the second case collapses the scores, so the calibration fit fails
         model, train, holdout, _ = m1_setup
         params = global_params(indices, (a,) * len(indices), train)
-        fitted, failed = build_calibrated(model, indices, params, holdout)
+        fitted, failed = build_calibrated(model, params, holdout)
         post_scores = model(params.apply(holdout.x))
         reused, reused_failed = build_calibrated(
-            model, indices, params, holdout, base_scores=model(holdout.x),
+            model, params, holdout, base_scores=model(holdout.x),
             post_scores=post_scores)
         assert reused_failed == failed == (a == 1e12)
         assert np.array_equal(reused.calibrate(post_scores), fitted(holdout.x))
@@ -102,8 +102,9 @@ class TestObjective:
     @pytest.mark.parametrize("kind", ["gbm", "logistic"])
     @pytest.mark.parametrize("calibration", ["link_linear", "pava", "logistic_refit", None])
     def test_two_model_calls_and_unchanged_value(self, m1_setup, kind, calibration):
-        """One call for the base scores and one for the post-processed rows;
-        the value has the bits of scoring the calibrated model again."""
+        """One call for the post-processed rows, and one for the base scores
+        that only a calibration fit reads; the value has the bits of scoring
+        the calibrated model again."""
         gbm, train, holdout, _ = m1_setup
         base = gbm if kind == "gbm" else train_logistic(train.x, train.y)
 
@@ -118,8 +119,10 @@ class TestObjective:
         params = global_params((0, 2), (1.5, 0.8), train)
         partition = PartitionSpec.by_label()
         got = objective(counting, params, holdout, 0.7, partition, -1, calibration)
-        assert counting.calls == 2
-        fitted, _ = build_calibrated(base, (0, 2), params, holdout, calibration)
+        assert counting.calls == (1 if calibration is None else 2)
+        counting.calls = 0
+        fitted, _ = build_calibrated(counting, params, holdout, calibration)
+        assert counting.calls == (0 if calibration is None else 2)
         scores = fitted(holdout.x)
         report = model_bias(scores, holdout.g, partition, -1, columns=holdout.columns)
         assert got == log_loss(holdout.y, scores) + 0.7 * report.total
@@ -137,7 +140,7 @@ class TestObjective:
         params = global_params((0,), (1.5,), train)
         message = f"unknown calibration method '{calibration}'"
         with pytest.raises(ValueError, match=message):
-            build_calibrated(counting, (0,), params, holdout, calibration=calibration)
+            build_calibrated(counting, params, holdout, calibration=calibration)
         with pytest.raises(ValueError, match=message):
             objective(counting, params, holdout, 0.5, calibration=calibration)
         assert calls == []

@@ -157,7 +157,7 @@ class TestBuildPostprocessed:
             PredictorTransform(1, "asymmetric", (1.0, 1.0), 4.0),
             PredictorTransform(2, "local", (1.0, 1.0), 5.0),
         ))
-        post = build_postprocessed(model, (0, 1, 2), params)
+        post = build_postprocessed(model, params)
         np.testing.assert_array_equal(post(x), model(x))
 
     def test_u_shaped_bias_curve(self):
@@ -166,7 +166,7 @@ class TestBuildPostprocessed:
         totals, positives, negatives = [], [], []
         for a in (1.0, 15.0):
             params = self._params((0, 2), "global", [(a,), (a,)], focals)
-            post = build_postprocessed(true_m1_model, (0, 2), params)
+            post = build_postprocessed(true_m1_model, params)
             report = model_bias(post(x), g, favorable_sign=-1)
             totals.append(report.total)
             positives.append(report.positive)
@@ -178,7 +178,7 @@ class TestBuildPostprocessed:
         x, g = m1_like_data(4)
         focals = [float(x[:, i].mean()) for i in range(5)]
         params = self._params(tuple(range(5)), "global", [(1000.0,)] * 5, focals)
-        post = build_postprocessed(true_m1_model, tuple(range(5)), params)
+        post = build_postprocessed(true_m1_model, params)
         base = model_bias(true_m1_model(x), g).total
         compressed = model_bias(post(x), g).total
         assert compressed <= 0.01 * base
@@ -191,7 +191,7 @@ class TestBuildPostprocessed:
             PredictorTransform(1, "asymmetric", (0.6, 4.0), -1.0),
             PredictorTransform(2, "local", (2.0, 1.0), 0.0),
         ))
-        post = build_postprocessed(lambda z: z.sum(axis=1), (0, 1, 2), params)
+        post = build_postprocessed(lambda z: z.sum(axis=1), params)
         transformed = post.transform_inputs(x)
         for i in range(3):
             orig_order = np.argsort(x[:, i], kind="stable")
@@ -210,11 +210,6 @@ class TestBuildPostprocessed:
             biases.append(wasserstein1(t0, t1))
         assert all(b2 < b1 for b1, b2 in zip(biases[:-1], biases[1:]))
         assert biases[-1] < 0.01 * biases[0]
-
-    def test_param_index_mismatch(self):
-        params = CompressiveParams((PredictorTransform(0, "global", (2.0,), 0.0),))
-        with pytest.raises(ValueError):
-            build_postprocessed(lambda z: z.sum(axis=1), (0, 1), params)
 
     def test_local_monotonicity_certificate(self):
         x = np.random.default_rng(11).normal(0, 1, (100, 1))
@@ -279,7 +274,7 @@ class TestPostScorer:
             score = post_scorer(model, x, indices)
             for _ in range(3):  # transforms listed in any order
                 params = CompressiveParams(tuple(draw(i) for i in rng.permutation(indices)))
-                post = build_postprocessed(model, indices, params)
+                post = build_postprocessed(model, params)
                 with np.errstate(invalid="ignore"):  # the local map of +-inf is NaN
                     got, want = score(params), model(post.transform_inputs(x))
                 assert np.array_equal(got, want)
@@ -395,3 +390,17 @@ class TestParamsSerialization:
         payload = json.loads(params.to_json())
         assert payload[0]["kind"] == "global"
         assert payload[1]["params"] == [0.7, 1.4]
+
+    def test_repeated_predictor_is_rejected(self):
+        """Two transforms of one column would apply one after the other; the
+        constructor and from_json refuse them and name the repeat by its name,
+        or by its index when it has none."""
+        first = PredictorTransform(3, "global", (2.0,), 5.0, "mean", "x4")
+        second = PredictorTransform(3, "local", (1.5, 0.8), 5.1)
+        for pair, name in (((second, first), "x4"), ((first, second), "3")):
+            message = f"duplicate transform for predictor {name}"
+            with pytest.raises(ValueError, match=message):
+                CompressiveParams((PredictorTransform(0, "global", (1.0,), 0.0), *pair))
+            text = json.dumps([json.loads(CompressiveParams((t,)).to_json())[0] for t in pair])
+            with pytest.raises(ValueError, match=message):
+                CompressiveParams.from_json(text)

@@ -51,7 +51,7 @@ TABLE_COLUMNS = ("predictor", "kind", "beta", "beta_pos", "beta_neg", "net",
 @dataclass(frozen=True)
 class AttributionTable:
     predictors: tuple[str, ...]
-    kind: str  # pdp (basic explainer transport) | shapley_game | ibe
+    kind: str  # pdp | shapley (basic explainer transport) | shapley_game | ibe
     beta_pos: np.ndarray
     beta_neg: np.ndarray
     bpp: np.ndarray | None = None
@@ -60,7 +60,7 @@ class AttributionTable:
     bmm: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("pdp", "shapley_game", "ibe"):
+        if self.kind not in ("pdp", "shapley", "shapley_game", "ibe"):
             raise ValueError(f"unknown attribution kind '{self.kind}'")
 
     @property

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -23,8 +24,8 @@ from .attribution import basic_bias_explanations, ibe_table, select_impactful
 from .bias import PartitionSpec, model_bias
 from .calibrate import CalibrationError, auc
 from .explain import default_background, marginal_shapley, pdp_output
-from .learn import (Dataset, GbmConfig, SyntheticSpec, TrainedModel, generate, split_dataset,
-                    train_gbm, train_logistic)
+from .learn import (MODEL_KINDS, Dataset, GbmConfig, SyntheticSpec, TrainedModel, generate,
+                    split_dataset, train_gbm, train_logistic)
 from .mitigate import (
     CALIBRATIONS,
     GBM_BASELINE_BOUNDS,
@@ -87,9 +88,8 @@ def cmd_generate(args) -> None:
 def cmd_train(args) -> None:
     data = Dataset.from_csv(args.data)
     if args.kind == "gbm":
-        config = GbmConfig(n_estimators=args.n_estimators, max_depth=args.max_depth,
-                           max_leaves=args.max_leaves, learning_rate=args.learning_rate,
-                           min_samples_leaf=args.min_samples_leaf)
+        config = GbmConfig(**{f.name: getattr(args, f.name)
+                              for f in dataclasses.fields(GbmConfig)})
         model = train_gbm(data.x, data.y, config, favorable_sign=args.sign)
     else:
         model = train_logistic(data.x, data.y, favorable_sign=args.sign)
@@ -123,6 +123,7 @@ def cmd_explain(args) -> None:
                                 n_permutations=args.permutations, seed=args.seed))
         table = basic_bias_explanations(out, data.g, partition, args.sign,
                                         columns=data.columns, names=data.feature_names)
+        table = dataclasses.replace(table, kind=args.method)  # labelled by its explainer
     table.to_csv(args.out)
 
 
@@ -272,12 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
 
     p = command("train", cmd_train, "train a model and write it as JSON", data, sign)
-    p.add_argument("--kind", choices=("gbm", "logistic"), default="gbm")
-    p.add_argument("--n-estimators", type=int, default=150)
-    p.add_argument("--max-depth", type=int, default=3)
-    p.add_argument("--max-leaves", type=int, default=8)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--min-samples-leaf", type=int, default=50)
+    p.add_argument("--kind", choices=MODEL_KINDS, default="gbm")
+    for f in dataclasses.fields(GbmConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
     command("bias", cmd_bias, "write a model-bias report as JSON", data, model, sign,
             partition)

@@ -50,6 +50,7 @@ SHIFT_MODELS = {
     "M3": (np.array([2.5, 1.0, 4.0, 0.25, 0.75]) / 10.0, (1.0,) * 5, (0.0,) * 5),
 }
 MODEL_IDS = (*SHIFT_MODELS, "M4")
+MODEL_KINDS = ("gbm", "logistic")  # TrainedModel's kinds, offered by `train --kind`
 MAX_LEAVES = 64  # one bit per leaf in a uint64 mask
 BLOCK_ROWS = 512  # rows per node-bit OR; bounds the (trees, rows) temporaries
 PASS_ROWS = 1 << 13  # rows, or (row, background row) pairs, scored per pass
@@ -551,7 +552,7 @@ def _probability(raw: np.ndarray) -> np.ndarray:
 class TrainedModel:
     """Probability-scoring model: boosted trees or logistic regression."""
 
-    kind: str  # gbm | logistic
+    kind: str  # one of MODEL_KINDS
     favorable_sign: int = 1
     init_score: float = 0.0
     learning_rate: float = 0.0
@@ -560,6 +561,8 @@ class TrainedModel:
     intercept: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind '{self.kind}'")
         if self.kind == "gbm":  # checks the trees and lays them out for the kernel, once
             object.__setattr__(self, "_packed", _PackedTrees.pack(self.trees, self.learning_rate))
 

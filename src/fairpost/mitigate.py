@@ -245,53 +245,50 @@ def _propose(surrogate, rng, lo, hi, xs, ys):
 # ---------------------------------------------------------------------------
 # generic search loop
 
-def _frontier_search(space: SearchSpace, evaluate, describe, surrogate: str,
-                     manifest_extra: dict) -> Frontier:
-    """Run the prior + per-omega Bayesian loop over ``evaluate``.
+def _frontier_search(space: SearchSpace, splits, partition, favorable_sign: int, score,
+                     describe, surrogate: str, manifest_extra: dict) -> Frontier:
+    """Run the prior + per-omega Bayesian loop over ``score``.
 
-    ``evaluate(vector)`` returns (holdout_loss, holdout_bias, test_loss,
-    test_bias, calibration_failed); evaluation is pure, so the final
-    test-split numbers can be collected as points are visited.
+    ``score(vector)`` returns the family's (holdout scores, test scores,
+    calibration_failed) on the holdout and test splits of ``(train, holdout,
+    test)``; each distinct vector is scored and measured once, so the
+    test-split numbers are collected as points are visited.
     """
     if surrogate not in SURROGATES:
         raise ValueError(f"unknown surrogate '{surrogate}'")
+    train, holdout, test = splits
     lo, hi = space.lo, space.hi
     rng = np.random.default_rng(space.seed)
-
     cache: dict[bytes, tuple] = {}
 
-    def scored(vec):
-        key = np.asarray(vec, dtype=float).tobytes()
+    def scored(vec):  # ((holdout loss, bias), (test loss, bias), calibration_failed)
+        key = vec.tobytes()
         if key not in cache:
-            cache[key] = evaluate(np.asarray(vec, dtype=float))
+            scores_h, scores_t, failed = score(vec)
+            cache[key] = (_loss_and_bias(scores_h, holdout, partition, favorable_sign),
+                          _loss_and_bias(scores_t, test, partition, favorable_sign), failed)
         return cache[key]
 
     prior = [rng.uniform(lo, hi) for _ in range(space.n_prior)]
     visited: list[tuple[np.ndarray, float | None]] = [(v, None) for v in prior]
-    for vec in prior:
-        scored(vec)
-
     for j, omega in enumerate(space.omegas):
         rng_j = np.random.default_rng([space.seed, 1000 + j])
-        hist_x = [np.asarray(v, dtype=float) for v in prior]
-        hist_y = [scored(v)[0] + omega * scored(v)[1] for v in prior]
+        hist_x = list(prior)
+        hist_y = [loss + omega * bias for (loss, bias), *_ in map(scored, prior)]
         for _ in range(space.n_bo):
-            vec = _propose(surrogate, rng_j, lo, hi, np.asarray(hist_x),
-                           np.asarray(hist_y))
-            res = scored(vec)
-            hist_x.append(np.asarray(vec, dtype=float))
-            hist_y.append(res[0] + omega * res[1])
-            visited.append((np.asarray(vec, dtype=float), float(omega)))
+            vec = _propose(surrogate, rng_j, lo, hi, np.asarray(hist_x), np.asarray(hist_y))
+            (loss, bias), *_ = scored(vec)
+            hist_x.append(vec)
+            hist_y.append(loss + omega * bias)
+            visited.append((vec, float(omega)))
 
-    test_points = []
-    holdout_points = []
+    holdout_points, test_points = [], []
     for vec, omega in visited:
-        loss_h, bias_h, loss_t, bias_t, calib_failed = scored(vec)
+        *measured, failed = scored(vec)
         gamma = describe(vec)
-        test_points.append(FrontierPoint(gamma=gamma, bias=bias_t, loss=loss_t,
-                                         omega=omega, calibration_failed=calib_failed))
-        holdout_points.append(FrontierPoint(gamma=gamma, bias=bias_h, loss=loss_h,
-                                            omega=omega, calibration_failed=calib_failed))
+        for points, (loss, bias) in zip((holdout_points, test_points), measured):
+            points.append(FrontierPoint(gamma=gamma, bias=bias, loss=loss, omega=omega,
+                                        calibration_failed=failed))
 
     manifest = {
         "seed": space.seed,
@@ -300,8 +297,10 @@ def _frontier_search(space: SearchSpace, evaluate, describe, surrogate: str,
         "omegas": list(space.omegas),
         "bounds": [[n, lo_, hi_] for n, lo_, hi_ in space.bounds],
         "surrogate": surrogate,
+        **manifest_extra,
+        "favorable_sign": favorable_sign,
+        "splits": {"train": train.n_rows, "holdout": holdout.n_rows, "test": test.n_rows},
     }
-    manifest.update(manifest_extra)
     return Frontier(points=tuple(test_points),
                     frontier_indices=pareto_extract([(p.bias, p.loss) for p in test_points]),
                     holdout_points=tuple(holdout_points), manifest=manifest)
@@ -339,7 +338,7 @@ def _params_from_vector(vec, indices, transform_kind, focals, focal_rule, names)
         PredictorTransform(predictor=i, kind=transform_kind,
                            params=tuple(float(v) for v in vec[n * k:(n + 1) * k]),
                            focal=focals[i], focal_rule=focal_rule,
-                           name=names[i] if names else f"x{i + 1}")
+                           name=names[i])
         for n, i in enumerate(indices)))
 
 
@@ -425,21 +424,17 @@ def run_algorithm1(model, train: Dataset, holdout: Dataset, test: Dataset,
             f"{transform_kind} family over {len(indices)} predictors needs "
             f"{dims_per * len(indices)}")
 
-    base_holdout = np.asarray(model(holdout.x), dtype=float)
+    base_holdout = model(holdout.x) if _calibration_fit(calibration) else None  # fits read it
     score_holdout, score_test = (post_scorer(model, split.x, indices)
                                  for split in (holdout, test))
 
-    def evaluate(vec):
+    def score(vec):
         params = _params_from_vector(vec, indices, transform_kind, focals,
                                      focal_rule, names)
         scores_h = score_holdout(params)
         fitted, failed = build_calibrated(model, params, holdout, calibration,
                                           base_scores=base_holdout, post_scores=scores_h)
-        loss_h, bias_h = _loss_and_bias(fitted.calibrate(scores_h), holdout, partition,
-                                        favorable_sign)
-        loss_t, bias_t = _loss_and_bias(fitted.calibrate(score_test(params)), test,
-                                        partition, favorable_sign)
-        return loss_h, bias_h, loss_t, bias_t, failed
+        return fitted.calibrate(scores_h), fitted.calibrate(score_test(params)), failed
 
     def describe(vec):
         return dict(zip(space.names, (float(v) for v in vec)))
@@ -451,11 +446,9 @@ def run_algorithm1(model, train: Dataset, holdout: Dataset, test: Dataset,
         "focal_points": {names[i]: focals[i] for i in indices},
         "impact_list": list(indices),
         "calibration": calibration,
-        "favorable_sign": favorable_sign,
-        "splits": {"train": train.n_rows, "holdout": holdout.n_rows,
-                   "test": test.n_rows},
     }
-    return _frontier_search(space, evaluate, describe, surrogate, extra)
+    return _frontier_search(space, (train, holdout, test), partition, favorable_sign,
+                            score, describe, surrogate, extra)
 
 
 GBM_BASELINE_BOUNDS = (
@@ -483,27 +476,17 @@ def run_hyperparam_baseline(train: Dataset, holdout: Dataset, test: Dataset,
             learning_rate=float(named["learning_rate"]),
         )
 
-    def evaluate(vec):
+    def score(vec):
         gbm = train_gbm(train.x, train.y, config_from(vec))
-        loss_h, bias_h = _loss_and_bias(gbm(holdout.x), holdout, partition,
-                                        favorable_sign)
-        loss_t, bias_t = _loss_and_bias(gbm(test.x), test, partition,
-                                        favorable_sign)
-        return loss_h, bias_h, loss_t, bias_t, False
+        return gbm(holdout.x), gbm(test.x), False
 
     def describe(vec):
         cfg = config_from(vec)
-        return {"n_estimators": cfg.n_estimators, "max_leaves": cfg.max_leaves,
-                "max_depth": cfg.max_depth, "learning_rate": cfg.learning_rate}
+        return {name: getattr(cfg, name) for name in space.names}
 
-    extra = {
-        "family": "gbm_hyperparameters",
-        "min_samples_leaf": GbmConfig.min_samples_leaf,
-        "favorable_sign": favorable_sign,
-        "splits": {"train": train.n_rows, "holdout": holdout.n_rows,
-                   "test": test.n_rows},
-    }
-    return _frontier_search(space, evaluate, describe, surrogate, extra)
+    extra = {"family": "gbm_hyperparameters", "min_samples_leaf": GbmConfig.min_samples_leaf}
+    return _frontier_search(space, (train, holdout, test), partition, favorable_sign,
+                            score, describe, surrogate, extra)
 
 
 def best_gamma_at_omega(frontier: Frontier, omega: float = 0.0) -> dict:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fairpost import attribution, explain, learn
 from fairpost.attribution import (
+    AttributionTable,
     basic_bias_explanations,
     expected_ibe,
     ibe_table,
@@ -448,3 +449,14 @@ class TestTableSerialization:
         table.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "predictor,kind,beta,beta_pos,beta_neg,net,bpp,bpm,bmp,bmm"
+
+    @pytest.mark.parametrize("kind", ["pdp", "shapley", "shapley_game", "ibe", "shapley_sum",
+                                      ""])
+    def test_kind_is_one_of_the_table_kinds(self, kind):
+        """Each explainer's label constructs; any other raises."""
+        beta = np.array([0.25])
+        if kind in ("pdp", "shapley", "shapley_game", "ibe"):
+            assert AttributionTable(("x1",), kind, beta, beta).kind == kind
+        else:
+            with pytest.raises(ValueError, match=f"unknown attribution kind '{kind}'"):
+                AttributionTable(("x1",), kind, beta, beta)

@@ -1,6 +1,7 @@
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import time
 import warnings
@@ -15,7 +16,8 @@ from fairpost.attribution import basic_bias_explanations, select_impactful
 from fairpost.bias import PartitionSpec
 from fairpost.cli import main
 from fairpost.explain import default_background, pdp_output
-from fairpost.learn import Dataset, SyntheticSpec, TrainedModel, generate, split_dataset
+from fairpost.learn import (MODEL_KINDS, Dataset, GbmConfig, SyntheticSpec, TrainedModel,
+                            generate, split_dataset)
 from fairpost.mitigate import CALIBRATIONS, SURROGATES
 from fairpost.transform import FOCAL_RULES, TRANSFORMS
 
@@ -142,6 +144,7 @@ class TestExplain:
         assert rows[0] == ["predictor", "kind", "beta", "beta_pos", "beta_neg",
                            "net", "bpp", "bpm", "bmp", "bmm"]
         assert len(rows) == 6
+        assert {row[1] for row in rows[1:]} == {method}
 
     def test_m1_ranks_x3_highest(self, workdir, tmp_path):
         _, data, model = workdir
@@ -642,6 +645,71 @@ class TestDatasetCsvFuzz:
         capsys.readouterr()
 
 
+_FLAG_INTS = (-1, 0, 1, 2, 3)  # small, so no budget or fit is large
+_FLAG_FLOATS = (-1.0, 0.0, 0.5, 2.0, float("nan"), float("inf"), float("-inf"))
+_FLAG_TEXTS = ("", "x1", "x1,x3", "x9", "M1", "1:2:3", "0.5,2", "bad")
+
+
+@st.composite
+def _random_flags(draw, files):
+    """A subcommand with every flag of ``cli.build_parser()`` given a value:
+    a file flag its fixed path, a choice flag one of its choices (or, for at
+    most one of them, a bad string), and any other flag a value of its type
+    from a small pool."""
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    command = draw(st.sampled_from(sorted(commands)))
+    actions = [a for a in commands[command]._actions if a.option_strings and a.dest != "help"]
+    choice_dests = [a.dest for a in actions if a.choices]
+    spoiled = draw(st.none() | st.sampled_from(choice_dests)) if choice_dests else None
+    argv = [command]
+    for action in actions:
+        flag = action.option_strings[0]
+        if flag in files and not (command == "generate" and flag == "--model"):
+            value = files[flag]
+        elif action.choices is not None:
+            value = "bad" if action.dest == spoiled else draw(st.sampled_from(action.choices))
+        else:
+            value = draw(st.sampled_from({int: _FLAG_INTS, float: _FLAG_FLOATS}.get(
+                action.type, _FLAG_TEXTS)))
+        argv.append(f"{flag}={value}")  # '=' keeps a value such as -inf from reading as a flag
+    return argv
+
+
+class TestFlagsFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_random_flags_are_an_exit_code(self, flag_files, capsys, data):
+        """Any subcommand with random flag values ends in exit code 0, 2 or 3."""
+        argv = data.draw(_random_flags(flag_files))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a value outside a flag's type or choices
+                code = exc.code
+        assert code in (0, 2, 3), argv
+        capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def flag_files(tmp_path_factory):
+    """A 200-row M1 CSV, a 3-tree GBM on it, a one-predictor params JSON and
+    an output path."""
+    from fairpost.transform import CompressiveParams, PredictorTransform
+    root = tmp_path_factory.mktemp("flags")
+    data, model, params = (str(root / name) for name in ("m1.csv", "gbm.json", "params.json"))
+    assert main(["generate", "--model", "M1", "--n", "200", "--seed", "3", "--out", data]) == 0
+    assert main(["train", "--data", data, "--n-estimators", "3", "--min-samples-leaf", "20",
+                 "--out", model]) == 0
+    with open(params, "w") as fh:
+        fh.write(CompressiveParams((
+            PredictorTransform(0, "global", (1.5,), 5.0, "mean", "x1"),)).to_json())
+    return {"--data": data, "--model": model, "--params": params,
+            "--out": str(root / "out")}
+
+
 _HEADER = "x1,x2,x3,x4,x5,g,y\n"
 _ROW = "5.0,4.5,5.5,5.0,4.0,{g},{y}\n"
 MALFORMED_CSV = {
@@ -870,6 +938,23 @@ class TestParser:
         assert choices("calibrate", "--method") == tuple(CALIBRATIONS)
         for command in ("mitigate", "compare-baseline"):
             assert choices(command, "--surrogate") == SURROGATES
+
+    def test_train_flags_read_library_tables(self):
+        """``train --kind`` offers MODEL_KINDS, and the GBM flags are
+        GbmConfig's fields, in field order, each with the field's default and
+        its type."""
+        parser = cli.build_parser()
+        train = next(a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices["train"]
+        by_dest = {a.dest: a for a in train._actions}
+        assert tuple(by_dest["kind"].choices) == MODEL_KINDS
+        fields = dataclasses.fields(GbmConfig)
+        dests = [a.dest for a in train._actions]
+        assert [d for d in dests if d in {f.name for f in fields}] == [f.name for f in fields]
+        for f in fields:
+            action = by_dest[f.name]
+            assert action.option_strings == ["--" + f.name.replace("_", "-")]
+            assert (action.type, action.default) == (type(f.default), f.default)
 
 
 class TestEntryPoint:

@@ -547,6 +547,14 @@ class TestLogistic:
         restored = TrainedModel.from_json(model.to_json())
         np.testing.assert_allclose(restored(data.x), model(data.x), atol=1e-15)
 
+    @pytest.mark.parametrize("kind", ["tree", "", "GBM"])
+    def test_unknown_kind_is_rejected(self, kind):
+        """Only MODEL_KINDS construct; an unknown kind is not scored as a
+        logistic model."""
+        with pytest.raises(ValueError, match=f"unknown model kind '{kind}'"):
+            TrainedModel(kind=kind, coef=np.ones(5))
+        assert learn.MODEL_KINDS == ("gbm", "logistic")
+
 
 class TestLogLoss:
     def test_half_scores_give_log_two(self):

@@ -477,6 +477,88 @@ class TestHyperparamBaseline:
         assert best == fr.holdout_points[int(np.argmin(losses))].gamma
 
 
+@pytest.fixture(scope="module")
+def small_splits():
+    return tuple(generate(SyntheticSpec("M1", n, seed=s))
+                 for n, s in ((1200, 51), (800, 52), (800, 53)))
+
+
+def _search(family, m1_setup, small_splits, n_prior=4, n_bo=2, **kwargs):
+    """One frontier search of either family: post-processing over {x1, x3} on
+    ``m1_setup``, or the retraining baseline over a small box on ``small_splits``."""
+    omegas = (0.0, 1.0)
+    if family == "postprocess":
+        model, train, holdout, test = m1_setup
+        space = transform_search_space((0, 2), "global", omegas=omegas, n_prior=n_prior,
+                                       n_bo=n_bo, seed=6)
+        return run_algorithm1(model, train, holdout, test, (0, 2), space,
+                              favorable_sign=-1, **kwargs)
+    space = SearchSpace(bounds=(("n_estimators", 5.0, 15.0), ("max_leaves", 4.0, 8.0),
+                                ("max_depth", 2.0, 3.0), ("learning_rate", 0.1, 0.3)),
+                        omegas=omegas, n_prior=n_prior, n_bo=n_bo, seed=6)
+    return run_hyperparam_baseline(*small_splits, space, favorable_sign=-1, **kwargs)
+
+
+class TestFrontierMeasurement:
+    """The search measures every point of both families the same way."""
+
+    @pytest.mark.parametrize("family", ["postprocess", "baseline"])
+    def test_manifest_records_sign_and_splits(self, m1_setup, small_splits, family):
+        splits = m1_setup[1:] if family == "postprocess" else small_splits
+        manifest = _search(family, m1_setup, small_splits).manifest
+        assert manifest["family"] == ("postprocess" if family == "postprocess"
+                                      else "gbm_hyperparameters")
+        assert manifest["favorable_sign"] == -1
+        assert manifest["splits"] == dict(zip(("train", "holdout", "test"),
+                                              (split.n_rows for split in splits)))
+
+    @pytest.mark.parametrize("family, evaluation", [("postprocess", "build_calibrated"),
+                                                    ("baseline", "train_gbm")])
+    def test_each_distinct_vector_is_scored_once(self, m1_setup, small_splits, monkeypatch,
+                                                 family, evaluation):
+        """Every proposal repeats the first prior vector, so only the prior is
+        evaluated, and each repeat carries the first prior point's numbers."""
+        import fairpost.mitigate as mit
+
+        calls = []
+        inner = getattr(mit, evaluation)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(mit, evaluation, counted)
+        monkeypatch.setattr(mit, "_propose", lambda surrogate, rng, lo, hi, xs, ys: xs[0])
+        fr = _search(family, m1_setup, small_splits, n_prior=3, n_bo=2)
+        assert len(calls) == 3
+        assert len(fr.points) == 3 + 2 * 2
+        for points in (fr.points, fr.holdout_points):
+            first = points[0]
+            for repeat in points[3:]:
+                assert repeat.omega is not None and repeat.gamma == first.gamma
+                assert (repeat.bias, repeat.loss, repeat.calibration_failed) == (
+                    first.bias, first.loss, first.calibration_failed)
+
+    @pytest.mark.parametrize("calibration, calls", [(None, 4), ("link_linear", 5)])
+    def test_base_holdout_scored_only_for_a_calibration_fit(self, m1_setup, calibration,
+                                                             calls):
+        """Two points score the holdout and test splits twice each; the base
+        model's holdout scores are added only for a calibration fit to read."""
+        _, train, holdout, test = m1_setup
+        base = train_logistic(train.x, train.y)
+        seen = []
+
+        def counting(x):
+            seen.append(len(x))
+            return base(x)
+
+        space = transform_search_space((0, 2), "global", omegas=(0.0,), n_prior=2, n_bo=0,
+                                       seed=3)
+        run_algorithm1(counting, train, holdout, test, (0, 2), space, favorable_sign=-1,
+                       calibration=calibration)
+        assert len(seen) == calls
+
+
 _CELLS = st.one_of(st.floats(allow_nan=False),
                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf]))
 

@@ -231,6 +231,15 @@ def cmd_compare_baseline(args) -> dict:
     return {"omegas": omegas, "frontier_manifest": frontier.manifest}
 
 
+class _NonNegative(argparse.Action):
+    """Stores an integer flag's value, and rejects a negative one by the flag's name."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be non-negative, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _flag(*names, **kwargs) -> argparse.ArgumentParser:
     """A parent parser holding one flag that several subcommands share."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -254,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     data = _flag("--data", required=True)
     model = _flag("--model", required=True)
-    seed = _flag("--seed", type=int, default=0)
+    seed = _flag("--seed", type=int, default=0, action=_NonNegative)
     sign = _flag("--sign", type=int, choices=(-1, 1), default=1,
                  help="favorable model direction")
     partition = _flag("--partition", choices=tuple(PARTITIONS), default="sp",
@@ -305,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lo:hi:count or comma-separated values")
 
     p = command("calibrate", cmd_calibrate, "fit a calibration map for given params", data,
-                model, sign)
+                model)
     p.add_argument("--params", required=True, help="CompressiveParams JSON file")
     p.add_argument("--method", choices=tuple(CALIBRATIONS), default="link_linear")
 

@@ -25,6 +25,8 @@ _EVAL_CHUNK = 1 << 16  # rows of model input built per chunk
 def default_background(x: np.ndarray, seed: int = 0,
                        max_rows: int = DEFAULT_BACKGROUND_ROWS) -> np.ndarray:
     """Fixed-seed subsample of at most ``max_rows`` dataset rows."""
+    if max_rows < 1:
+        raise ValueError(f"background must hold at least one row, got {max_rows}")
     x = np.asarray(x, dtype=float)
     if x.shape[0] <= max_rows:
         return x.copy()

@@ -52,8 +52,7 @@ SHIFT_MODELS = {
 MODEL_IDS = (*SHIFT_MODELS, "M4")
 MODEL_KINDS = ("gbm", "logistic")  # TrainedModel's kinds, offered by `train --kind`
 MAX_LEAVES = 64  # one bit per leaf in a uint64 mask
-BLOCK_ROWS = 512  # rows per node-bit OR; bounds the (trees, rows) temporaries
-PASS_ROWS = 1 << 13  # rows, or (row, background row) pairs, scored per pass
+PASS_ROWS = 1 << 13  # rows, or (row, background row) pairs, scored or ORed per pass
 EXIT_BYTES = 1 << 16  # bytes of masks per in-place pass of _exit_leaf
 
 
@@ -392,10 +391,10 @@ class _PackedTrees:
                 positions.append((trees, feature[trees], rank[trees, None], clear[trees, None]))
         return positions
 
-    def cleared(self, codes: np.ndarray, nodes=None, out=None) -> np.ndarray:
+    def cleared(self, codes: np.ndarray, nodes=None) -> np.ndarray:
         """(trees, rows) masks of the rows of ``codes``: the leaf bits of the
         ``nodes`` (every node when None) whose test each row fails, ORed into
-        ``out`` (new zeros when None) BLOCK_ROWS rows at a time and returned.
+        new zeros PASS_ROWS rows at a time.
 
         A row cannot exit in the left subtree of a node whose test it fails,
         and every other leaf left of its exit leaf lies in such a subtree: the
@@ -403,11 +402,10 @@ class _PackedTrees:
         of 0 fails no node, so the features that ``codes`` leaves at 0 add
         nothing.
         """
-        if out is None:
-            out = np.zeros((self.leaf.shape[0], codes.shape[1]), dtype=self.clear.dtype)
+        out = np.zeros((self.leaf.shape[0], codes.shape[1]), dtype=self.clear.dtype)
         nodes = self.nodes() if nodes is None else nodes
-        for start in range(0, out.shape[1], BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
+        for start in range(0, out.shape[1], PASS_ROWS):
+            block = slice(start, start + PASS_ROWS)
             for trees, feature, rank, bits in nodes:
                 out[trees, block] |= (codes[feature, block] > rank) * bits
         return out
@@ -636,8 +634,8 @@ class TrainedModel:
         nodes = packed.nodes(replaced)
 
         def score(rows):
-            codes = packed.codes(np.asarray(rows, dtype=float), replaced)
-            return _probability(packed.raw(packed.cleared(codes, nodes, frozen.copy()),
+            masks = packed.cleared(packed.codes(np.asarray(rows, dtype=float), replaced), nodes)
+            return _probability(packed.raw(np.bitwise_or(masks, frozen, out=masks),
                                            self.init_score))
 
         return score

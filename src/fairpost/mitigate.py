@@ -87,7 +87,6 @@ class FrontierPoint:
     bias: float
     loss: float
     omega: float | None  # None for prior-sample points
-    calibration_failed: bool = False
 
 
 @dataclass(frozen=True)
@@ -249,10 +248,10 @@ def _frontier_search(space: SearchSpace, splits, partition, favorable_sign: int,
                      describe, surrogate: str, manifest_extra: dict) -> Frontier:
     """Run the prior + per-omega Bayesian loop over ``score``.
 
-    ``score(vector)`` returns the family's (holdout scores, test scores,
-    calibration_failed) on the holdout and test splits of ``(train, holdout,
-    test)``; each distinct vector is scored and measured once, so the
-    test-split numbers are collected as points are visited.
+    ``score(vector)`` returns the family's scores on the holdout and test
+    splits of ``(train, holdout, test)``; each distinct vector is scored and
+    measured once, so the test-split numbers are collected as points are
+    visited.
     """
     if surrogate not in SURROGATES:
         raise ValueError(f"unknown surrogate '{surrogate}'")
@@ -261,12 +260,11 @@ def _frontier_search(space: SearchSpace, splits, partition, favorable_sign: int,
     rng = np.random.default_rng(space.seed)
     cache: dict[bytes, tuple] = {}
 
-    def scored(vec):  # ((holdout loss, bias), (test loss, bias), calibration_failed)
+    def scored(vec):  # ((holdout loss, bias), (test loss, bias))
         key = vec.tobytes()
         if key not in cache:
-            scores_h, scores_t, failed = score(vec)
-            cache[key] = (_loss_and_bias(scores_h, holdout, partition, favorable_sign),
-                          _loss_and_bias(scores_t, test, partition, favorable_sign), failed)
+            cache[key] = tuple(_loss_and_bias(scores, split, partition, favorable_sign)
+                               for scores, split in zip(score(vec), (holdout, test)))
         return cache[key]
 
     prior = [rng.uniform(lo, hi) for _ in range(space.n_prior)]
@@ -274,21 +272,19 @@ def _frontier_search(space: SearchSpace, splits, partition, favorable_sign: int,
     for j, omega in enumerate(space.omegas):
         rng_j = np.random.default_rng([space.seed, 1000 + j])
         hist_x = list(prior)
-        hist_y = [loss + omega * bias for (loss, bias), *_ in map(scored, prior)]
+        hist_y = [loss + omega * bias for (loss, bias), _ in map(scored, prior)]
         for _ in range(space.n_bo):
             vec = _propose(surrogate, rng_j, lo, hi, np.asarray(hist_x), np.asarray(hist_y))
-            (loss, bias), *_ = scored(vec)
+            (loss, bias), _ = scored(vec)
             hist_x.append(vec)
             hist_y.append(loss + omega * bias)
             visited.append((vec, float(omega)))
 
     holdout_points, test_points = [], []
     for vec, omega in visited:
-        *measured, failed = scored(vec)
         gamma = describe(vec)
-        for points, (loss, bias) in zip((holdout_points, test_points), measured):
-            points.append(FrontierPoint(gamma=gamma, bias=bias, loss=loss, omega=omega,
-                                        calibration_failed=failed))
+        for points, (loss, bias) in zip((holdout_points, test_points), scored(vec)):
+            points.append(FrontierPoint(gamma=gamma, bias=bias, loss=loss, omega=omega))
 
     manifest = {
         "seed": space.seed,
@@ -356,7 +352,7 @@ def build_calibrated(model, params: CompressiveParams, data: Dataset,
     ``base_scores`` are the base model's scores on ``data``, and
     ``post_scores`` its scores on the transformed rows of ``data``, when the
     caller already has them; a fit computes them otherwise.  Returns
-    ``(post_processed_model, calibration_failed)``; a failed fit
+    ``(post_processed_model, failed)``; a failed calibration fit
     (non-monotone or degenerate) leaves the model uncalibrated.
     """
     fit = _calibration_fit(calibration)
@@ -432,9 +428,9 @@ def run_algorithm1(model, train: Dataset, holdout: Dataset, test: Dataset,
         params = _params_from_vector(vec, indices, transform_kind, focals,
                                      focal_rule, names)
         scores_h = score_holdout(params)
-        fitted, failed = build_calibrated(model, params, holdout, calibration,
-                                          base_scores=base_holdout, post_scores=scores_h)
-        return fitted.calibrate(scores_h), fitted.calibrate(score_test(params)), failed
+        fitted, _ = build_calibrated(model, params, holdout, calibration,
+                                     base_scores=base_holdout, post_scores=scores_h)
+        return fitted.calibrate(scores_h), fitted.calibrate(score_test(params))
 
     def describe(vec):
         return dict(zip(space.names, (float(v) for v in vec)))
@@ -478,7 +474,7 @@ def run_hyperparam_baseline(train: Dataset, holdout: Dataset, test: Dataset,
 
     def score(vec):
         gbm = train_gbm(train.x, train.y, config_from(vec))
-        return gbm(holdout.x), gbm(test.x), False
+        return gbm(holdout.x), gbm(test.x)
 
     def describe(vec):
         cfg = config_from(vec)

@@ -153,11 +153,8 @@ class PostProcessedModel:
     params: CompressiveParams
     calibration: object | None = None
 
-    def transform_inputs(self, x: np.ndarray) -> np.ndarray:
-        return self.params.apply(np.asarray(x, dtype=float))
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.calibrate(self.base_model(self.transform_inputs(x)))
+        return self.calibrate(self.base_model(self.params.apply(x)))
 
     def calibrate(self, scores) -> np.ndarray:
         """The last step of the model: the calibration map, if any, applied to

@@ -6,12 +6,20 @@ import json
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
 from fairpost.bias import model_bias
 from fairpost.calibrate import CalibrationError, link_linear_calibrate, sigmoid
 from fairpost.empirical import EmpiricalDistribution, SignedTransport, build_distribution
 from fairpost.explain import marginal_game_values
 from fairpost.learn import PRED_CLAMP, Dataset, _Tree, log_loss
+
+
+def assert_value_error(call, message):
+    """``call()`` raises ValueError with exactly ``message``."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def riemann_w1(a, b, n_points=100_000):

@@ -19,7 +19,7 @@ from fairpost.bias import PartitionSpec, model_bias
 from fairpost.explain import marginal_shapley, pdp_output
 from fairpost.learn import MAX_LEAVES, TrainedModel
 
-from helpers import conditional_shapley, quantile_w1, random_tree
+from helpers import assert_value_error, conditional_shapley, quantile_w1, random_tree
 
 
 def two_class_frame(rng, n_per_class, shifts, scales=None):
@@ -460,3 +460,29 @@ class TestTableSerialization:
         else:
             with pytest.raises(ValueError, match=f"unknown attribution kind '{kind}'"):
                 AttributionTable(("x1",), kind, beta, beta)
+
+
+def _sum_model(z):
+    return z.sum(axis=1)
+
+
+_X, _G = np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1])
+# one call per input check, and the whole message it raises
+INPUT_CHECKS = {
+    "g length": (lambda: basic_bias_explanations(np.zeros((3, 2)), [0, 1]),
+                 "g length does not match explainer rows"),
+    "unknown group explainer": (lambda: shapley_bias_game(_sum_model, _X, _G,
+                                                          group_explainer="bogus"),
+                                "unknown group explainer 'bogus'"),
+    "predictor index": (lambda: expected_ibe(_sum_model, _X, _G, 5, 3),
+                        "predictor index 5 out of range"),
+    "negative threshold": (lambda: select_impactful(basic_bias_explanations(_X, _G),
+                                                    eps_plus=-1.0),
+                           "thresholds must be nonnegative"),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("check", INPUT_CHECKS)
+    def test_message(self, check):
+        assert_value_error(*INPUT_CHECKS[check])

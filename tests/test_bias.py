@@ -12,7 +12,7 @@ from fairpost.bias import (
     quantile_bias,
 )
 
-from helpers import quantile_w1, quantile_w1_signed
+from helpers import assert_value_error, quantile_w1, quantile_w1_signed
 
 
 def interleaved_scores(rng, n_per_class):
@@ -295,3 +295,22 @@ class TestPartitionSpec:
         b = model_bias(scores, 1 - g, favorable_sign=1)
         assert a.positive == pytest.approx(b.negative, abs=1e-12)
         assert a.negative == pytest.approx(b.positive, abs=1e-12)
+
+
+# one call per input check, and the whole message it raises
+INPUT_CHECKS = {
+    "ragged partition": (lambda: PartitionSpec(names=("a",), predicates=(), weights=(1.0,)),
+                         "names, predicates and weights must have equal length"),
+    "zero cell weight": (lambda: PartitionSpec(names=("a", "b"), predicates=(None, None),
+                                               weights=(1.0, 0.0)),
+                         "cell weights must be positive"),
+    "negative epsilon": (lambda: is_fair(model_bias(np.array([0.2, 0.4, 0.3, 0.5]),
+                                                    np.array([0, 0, 1, 1])), -1.0),
+                         "epsilon must be nonnegative"),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("check", INPUT_CHECKS)
+    def test_message(self, check):
+        assert_value_error(*INPUT_CHECKS[check])

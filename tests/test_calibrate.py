@@ -5,20 +5,24 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
+from fairpost import calibrate
 from fairpost.calibrate import (
+    NEWTON_MAX_ITER,
+    SEPARATION_BOUND,
     CalibrationError,
     CalibrationMap,
     auc,
     link_linear_calibrate,
     logistic_refit,
     logit,
+    newton_logistic,
     pava_isotonic,
     sigmoid,
 )
 
 from fairpost.learn import train_logistic
 
-from helpers import brute_force_isotonic, sigmoid_masked
+from helpers import assert_value_error, brute_force_isotonic, sigmoid_masked
 
 SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 745.2, -745.2, 709.8,
                  -709.8, 36.8, -36.8, np.nan]
@@ -330,3 +334,41 @@ class TestCalibrationComposition:
             restored = CalibrationMap.from_json(cal.to_json())
             grid = np.linspace(-2, 2, 41) if cal.kind == "pava" else np.linspace(0.05, 0.95, 41)
             np.testing.assert_allclose(restored(grid), cal(grid), atol=1e-12)
+
+
+# one call per input check, and the whole message it raises
+INPUT_CHECKS = {
+    "unknown kind": (lambda: CalibrationMap(kind="bogus"), "unknown calibration kind 'bogus'"),
+    "pava of nothing": (lambda: pava_isotonic([], []), "empty input"),
+    "pava weights length": (lambda: pava_isotonic([1.0, 2.0], [1.0, 2.0], weights=[1.0]),
+                            "weights length mismatch"),
+    "pava zero weight": (lambda: pava_isotonic([1.0, 2.0], [1.0, 2.0], weights=[1.0, 0.0]),
+                         "weights must be positive"),
+    "link-linear lengths": (lambda: link_linear_calibrate([0.2, 0.3], [0.2]),
+                            "score vectors must have the same length"),
+    "refit lengths": (lambda: logistic_refit([0.2], [0, 1]),
+                      "scores and labels must have the same length"),
+    "refit NaN score": (lambda: logistic_refit([np.nan, 0.2], [0, 1]), "scores must be finite"),
+    "refit labels": (lambda: logistic_refit([0.2, 0.3], [0, 2]), "labels must be binary 0/1"),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("check", INPUT_CHECKS)
+    def test_message(self, check):
+        assert_value_error(*INPUT_CHECKS[check])
+
+    def test_newton_stops_at_the_first_iterate_past_the_separation_bound(self, monkeypatch):
+        """On separable labels the solver returns the first iterate whose norm
+        exceeds SEPARATION_BOUND, well before NEWTON_MAX_ITER steps."""
+        x = np.linspace(-0.01, 0.01, 10)
+        design, y = np.column_stack([np.ones(x.size), x]), (x > 0).astype(float)
+        beta = newton_logistic(design, y)
+        assert np.linalg.norm(beta) > SEPARATION_BOUND
+        for steps in range(1, NEWTON_MAX_ITER):
+            monkeypatch.setattr(calibrate, "NEWTON_MAX_ITER", steps)
+            capped = newton_logistic(design, y)
+            if np.linalg.norm(capped) > SEPARATION_BOUND:
+                break
+        assert steps < NEWTON_MAX_ITER - 1
+        assert capped.tobytes() == beta.tobytes()

@@ -157,6 +157,40 @@ class TestExplain:
         assert max(betas, key=betas.get) == "x3"
 
 
+def _exit_code(argv) -> int:
+    """main's exit code, or argparse's when it rejects a flag."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize("command", ["generate", "explain", "mitigate", "compare-baseline"])
+    def test_negative_seed_is_exit_two_naming_the_flag(self, workdir, tmp_path, capsys,
+                                                       command):
+        _, data, model = workdir
+        inputs = {"generate": ["--model", "M1", "--n", "10"],
+                  "explain": ["--data", data, "--model", model],
+                  "mitigate": ["--data", data, "--model", model, "--predictors", "x1"],
+                  "compare-baseline": ["--data", data]}[command]
+        argv = [command, *inputs, "--seed", "-1", "--out", str(tmp_path / "out")]
+        assert _exit_code(argv) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("rows", ["-1", "0"])
+    @pytest.mark.parametrize("method", ["pdp", "ibe"])
+    def test_empty_background_is_exit_two_naming_the_flag(self, workdir, tmp_path, capsys,
+                                                          method, rows):
+        _, data, model = workdir
+        argv = ["explain", "--data", data, "--model", model, "--method", method,
+                "--background", rows, "--out", str(tmp_path / "out")]
+        assert _exit_code(argv) == 2
+        assert "background" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
 _MALFORMED_GRID = ("--a-grid '{}' is neither lo:hi:count (count an integer) "
                    "nor comma-separated values")
 
@@ -874,7 +908,7 @@ _MINIMAL_ARGS = [  # (argv, every dest it parses to, with the value's type)
       "sign": 1, "partition": "sp"}),
     (["calibrate", "--data", "d.csv", "--model", "m.json", "--params", "p.json",
       "--out", "o.csv"],
-     {**_IO, "model": "m.json", "params": "p.json", "method": "link_linear", "sign": 1}),
+     {**_IO, "model": "m.json", "params": "p.json", "method": "link_linear"}),
     (["compare-baseline", "--data", "d.csv", "--out", "o.csv"],
      {**_IO, "n_prior": 50, "n_bo": 10, "omega_max": 4.0, "omega_steps": 9,
       "surrogate": "tpe", "seed": 0, "sign": 1, "partition": "sp"}),

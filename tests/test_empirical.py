@@ -14,7 +14,7 @@ from fairpost.empirical import (
 )
 from fairpost.transform import focal_point
 
-from helpers import grid_ks, quantile_w1, quantile_w1_signed, riemann_w1
+from helpers import assert_value_error, grid_ks, quantile_w1, quantile_w1_signed, riemann_w1
 
 
 def random_samples(seed, count, decimals, max_size=60):
@@ -237,3 +237,17 @@ class TestProperties:
             st_ = wasserstein1_signed(a, b, 1)
             assert abs(st_.total - (st_.positive_part + st_.negative_part)) <= 1e-10
             assert st_.total == pytest.approx(quantile_w1(a, b), abs=1e-12)
+
+
+# one call per input check, and the whole message it raises
+INPUT_CHECKS = {
+    f"quantile at {p}": (lambda p=p: build_distribution([1.0, 2.0]).quantile(p),
+                         "quantile argument must lie in [0, 1]")
+    for p in (-0.5, 1.5)
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("check", INPUT_CHECKS)
+    def test_message(self, check):
+        assert_value_error(*INPUT_CHECKS[check])

@@ -31,6 +31,7 @@ from fairpost.learn import (
 
 from helpers import (
     additive_shapley,
+    assert_value_error,
     pdp_direct,
     random_tree,
     shapley_by_orderings,
@@ -183,10 +184,10 @@ class TestGbmCoalitionScores:
            max_depth=st.integers(1, 8), n_trees=st.integers(0, 8),
            n_features=st.integers(1, 4), extra_columns=st.integers(0, 2),
            n_rows=st.integers(1, 90), n_background=st.integers(1, 40),
-           pairs_per_pass=st.integers(1, 300), block_rows=st.integers(1, 50))
+           pairs_per_pass=st.integers(1, 300))
     def test_matches_tiled_black_box(self, seed, max_leaves, max_depth, n_trees,
                                      n_features, extra_columns, n_rows,
-                                     n_background, pairs_per_pass, block_rows):
+                                     n_background, pairs_per_pass):
         rng = np.random.default_rng(seed)
         pool = np.concatenate([np.round(rng.normal(0.0, 2.0, 10), 1),
                                [-np.inf, np.inf, -0.0]])
@@ -217,10 +218,9 @@ class TestGbmCoalitionScores:
             raw = tree_scores_direct(model, z)[:, -1]
             return np.clip(sigmoid(raw), PRED_CLAMP, 1.0 - PRED_CLAMP)
 
-        # at most pairs_per_pass pairs or rows per pass and block_rows rows per
-        # node-bit OR, so passes end inside x and blocks inside a side
-        with mock.patch.object(learn, "PASS_ROWS", pairs_per_pass), \
-                mock.patch.object(learn, "BLOCK_ROWS", block_rows):
+        # at most pairs_per_pass pairs or rows per pass and rows per node-bit
+        # OR, so passes end inside x and blocks inside a side
+        with mock.patch.object(learn, "PASS_ROWS", pairs_per_pass):
             for size in range(p + 1):
                 subset = sorted(rng.choice(p, size, replace=False).tolist())
                 got = marginal_game_values(model, x, background, subset)
@@ -335,3 +335,27 @@ class TestDefaultBackground:
         b = default_background(x, seed=3, max_rows=100)
         np.testing.assert_array_equal(a, b)
         assert a.shape == (100, 2)
+
+
+def _sum_model(z):
+    return z.sum(axis=1)
+
+
+# one call per input check, and the whole message it raises
+INPUT_CHECKS = {
+    "unknown mode": (lambda: marginal_shapley(_sum_model, np.zeros((2, 2)), np.zeros((1, 2)),
+                                              mode="bogus"),
+                     "unknown mode 'bogus'"),
+    "anchor width": (lambda: ice_explainer(_sum_model, np.zeros((2, 3)), 0, [1.0, 2.0]),
+                     "anchor row has wrong number of predictors"),
+    "no background rows": (lambda: default_background(np.zeros((3, 2)), max_rows=0),
+                           "background must hold at least one row, got 0"),
+    "negative background rows": (lambda: default_background(np.zeros((3, 2)), max_rows=-1),
+                                 "background must hold at least one row, got -1"),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("check", INPUT_CHECKS)
+    def test_message(self, check):
+        assert_value_error(*INPUT_CHECKS[check])

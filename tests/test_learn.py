@@ -25,6 +25,7 @@ from fairpost.learn import (
 )
 
 from helpers import (
+    assert_value_error,
     chain_gbm_json,
     pack_direct,
     random_tree,
@@ -345,9 +346,9 @@ class TestTreeKernel:
            max_depth=st.integers(1, 8), n_trees=st.integers(1, 4),
            n_features=st.integers(1, 4),
            n_rows=st.sampled_from([0, 1, 2, 37, 511, 512, 513, 1025]),
-           pass_rows=st.integers(1, 1100), block_rows=st.integers(1, 600))
+           pass_rows=st.integers(1, 1100))
     def test_matches_direct_walk(self, seed, max_leaves, max_depth, n_trees,
-                                 n_features, n_rows, pass_rows, block_rows):
+                                 n_features, n_rows, pass_rows):
         rng = np.random.default_rng(seed)
         pool = np.concatenate([np.round(rng.normal(0.0, 2.0, 10), 1),
                                [-np.inf, np.inf, -0.0]])
@@ -364,9 +365,8 @@ class TestTreeKernel:
         x[tie] = rng.choice(pool, int(tie.sum()))
         special = rng.random(x.shape) < 0.1
         x[special] = rng.choice([np.nan, np.inf, -np.inf], int(special.sum()))
-        # passes and node-bit OR blocks end inside the rows and inside each other
-        with mock.patch.object(learn, "PASS_ROWS", pass_rows), \
-                mock.patch.object(learn, "BLOCK_ROWS", block_rows):
+        # passes, and the node-bit OR blocks inside them, end inside the rows
+        with mock.patch.object(learn, "PASS_ROWS", pass_rows):
             _assert_matches_direct(model, x)
 
     @settings(max_examples=60, deadline=None)
@@ -573,3 +573,35 @@ class TestLogLoss:
         loss = log_loss(y, np.full(n, 0.3))
         entropy = -(0.3 * np.log(0.3) + 0.7 * np.log(0.7))
         assert abs(loss - entropy) <= 0.002
+
+
+# one call per input check, and the whole message it raises
+INPUT_CHECKS = {
+    "no rows": (lambda: SyntheticSpec("M1", 0), "n_rows must be >= 1"),
+    "protected share": (lambda: SyntheticSpec("M1", 10, p_protected=1.0),
+                        "p_protected must lie in (0, 1)"),
+    "split fractions": (lambda: split_dataset(generate(SyntheticSpec("M1", 10)), (0.5, 0.5, 0.5)),
+                        "fractions must sum to 1"),
+    "leaf size": (lambda: GbmConfig(min_samples_leaf=0), "min_samples_leaf must be >= 1"),
+    "replaced columns of a logistic model": (
+        lambda: TrainedModel(kind="logistic", coef=np.ones(2)).replaced_scores(np.zeros((3, 2)),
+                                                                               [0]),
+        "replaced-column scores are defined for gbm models only"),
+    "non-binary labels": (lambda: train_gbm(np.zeros((2, 1)), [0, 2]), "y must be binary 0/1"),
+    "loss lengths": (lambda: log_loss([0, 1], [0.5]),
+                     "labels and scores must have the same length"),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("check", INPUT_CHECKS)
+    def test_message(self, check):
+        assert_value_error(*INPUT_CHECKS[check])
+
+    def test_separable_logistic_fit_is_bounded(self):
+        """Perfectly separable labels drive the Newton iterates past the
+        separation bound; the fit warns and scales them back onto it."""
+        x = np.linspace(-0.01, 0.01, 10)[:, None]
+        with pytest.warns(UserWarning, match="^logistic training diverged"):
+            model = train_logistic(x, (x[:, 0] > 0).astype(int))
+        assert np.linalg.norm(np.r_[model.intercept, model.coef]) == pytest.approx(1e4, rel=1e-12)

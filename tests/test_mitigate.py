@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairpost.bias import PartitionSpec, model_bias
-from fairpost.learn import GbmConfig, SyntheticSpec, generate, log_loss, train_gbm, train_logistic
+from fairpost.learn import (Dataset, GbmConfig, SyntheticSpec, generate, log_loss, train_gbm,
+                            train_logistic)
 from fairpost.mitigate import (
     Frontier,
     FrontierPoint,
@@ -24,7 +25,7 @@ from fairpost.mitigate import (
 from fairpost.transform import (LOCAL_A_MIN, CompressiveParams, PredictorTransform,
                                 focal_point)
 
-from helpers import brute_force_pareto, gp_expected_improvement_scipy
+from helpers import assert_value_error, brute_force_pareto, gp_expected_improvement_scipy
 
 
 @pytest.fixture(scope="module")
@@ -536,8 +537,7 @@ class TestFrontierMeasurement:
             first = points[0]
             for repeat in points[3:]:
                 assert repeat.omega is not None and repeat.gamma == first.gamma
-                assert (repeat.bias, repeat.loss, repeat.calibration_failed) == (
-                    first.bias, first.loss, first.calibration_failed)
+                assert (repeat.bias, repeat.loss) == (first.bias, first.loss)
 
     @pytest.mark.parametrize("calibration, calls", [(None, 4), ("link_linear", 5)])
     def test_base_holdout_scored_only_for_a_calibration_fit(self, m1_setup, calibration,
@@ -585,3 +585,38 @@ def test_frontier_csv_round_trip(tmp_path_factory, rows):
     assert [json.loads(row[4]) for row in cells] == [p.gamma for p in points]
     assert (tuple(i for i, row in enumerate(cells) if row[3] == "0")
             == pareto_extract(got[:, 1:]) == frontier.frontier_indices)
+
+
+_TWO_ROWS = Dataset(x=np.zeros((2, 1)), g=np.array([0, 1]), y=np.array([0, 1]),
+                    feature_names=("x1",))
+# one call per input check, and the whole message it raises
+INPUT_CHECKS = {
+    "negative n_bo": (lambda: SearchSpace(bounds=(("a", 0.5, 2.0),), omegas=(0.0,), n_prior=1,
+                                          n_bo=-1),
+                      "n_bo must be >= 0"),
+    "unknown surrogate": (lambda: run_hyperparam_baseline(
+        _TWO_ROWS, _TWO_ROWS, _TWO_ROWS,
+        SearchSpace(bounds=(("n_estimators", 1.0, 2.0),), omegas=(0.0,), n_prior=1, n_bo=0),
+        surrogate="bogus"), "unknown surrogate 'bogus'"),
+    "no holdout points": (lambda: best_gamma_at_omega(Frontier(points=(), frontier_indices=())),
+                          "frontier carries no holdout evaluations"),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("check", INPUT_CHECKS)
+    def test_message(self, check):
+        assert_value_error(*INPUT_CHECKS[check])
+
+    def test_objective_warns_and_scores_uncalibrated_on_a_failed_fit(self):
+        """Compressing every predictor onto one point leaves constant scores,
+        which no link-linear map fits; the objective warns and scores the
+        uncalibrated model."""
+        data = generate(SyntheticSpec("M1", 400, seed=1))
+        model = train_logistic(data.x, data.y)
+        params = CompressiveParams(tuple(PredictorTransform(i, "global", (1e12,), 5.0)
+                                         for i in range(5)))
+        with pytest.warns(UserWarning, match="^calibration failed; objective uses the "
+                                             "uncalibrated post-processed model$"):
+            value = objective(model, params, data, 1.0)
+        assert value == objective(model, params, data, 1.0, calibration=None)

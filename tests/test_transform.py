@@ -25,7 +25,7 @@ from fairpost.transform import (
     transform_params,
 )
 
-from helpers import random_tree
+from helpers import assert_value_error, random_tree
 
 
 def true_m1_model(z):
@@ -192,7 +192,7 @@ class TestBuildPostprocessed:
             PredictorTransform(2, "local", (2.0, 1.0), 0.0),
         ))
         post = build_postprocessed(lambda z: z.sum(axis=1), params)
-        transformed = post.transform_inputs(x)
+        transformed = post.params.apply(x)
         for i in range(3):
             orig_order = np.argsort(x[:, i], kind="stable")
             new_order = np.argsort(transformed[:, i], kind="stable")
@@ -237,9 +237,9 @@ class TestPostScorer:
            n_trees=st.integers(1, 4), n_features=st.integers(1, 4),
            extra_columns=st.integers(0, 2),
            n_rows=st.sampled_from([0, 1, 37, 511, 512, 513, 1100]),
-           pass_rows=st.integers(1, 1200), block_rows=st.integers(1, 600))
+           pass_rows=st.integers(1, 1200))
     def test_gbm_matches_transformed_rows(self, seed, kind, n_trees, n_features,
-                                          extra_columns, n_rows, pass_rows, block_rows):
+                                          extra_columns, n_rows, pass_rows):
         """One scorer per input, called with several parameter draws, gives the
         bits of the model on the transformed rows.  The impact list may hold
         columns no tree splits on and columns past the model's width, and the
@@ -268,15 +268,14 @@ class TestPostScorer:
             return PredictorTransform(predictor=i, kind=kind, params=values,
                                       focal=float(rng.normal(0.0, 2.0)))
 
-        # passes and node-bit OR blocks end inside the rows and inside each other
-        with mock.patch.object(learn, "PASS_ROWS", pass_rows), \
-                mock.patch.object(learn, "BLOCK_ROWS", block_rows):
+        # passes, and the node-bit OR blocks inside them, end inside the rows
+        with mock.patch.object(learn, "PASS_ROWS", pass_rows):
             score = post_scorer(model, x, indices)
             for _ in range(3):  # transforms listed in any order
                 params = CompressiveParams(tuple(draw(i) for i in rng.permutation(indices)))
                 post = build_postprocessed(model, params)
                 with np.errstate(invalid="ignore"):  # the local map of +-inf is NaN
-                    got, want = score(params), model(post.transform_inputs(x))
+                    got, want = score(params), model(post.params.apply(x))
                 assert np.array_equal(got, want)
 
     def test_other_models_score_transformed_rows(self):
@@ -404,3 +403,19 @@ class TestParamsSerialization:
             text = json.dumps([json.loads(CompressiveParams((t,)).to_json())[0] for t in pair])
             with pytest.raises(ValueError, match=message):
                 CompressiveParams.from_json(text)
+
+
+# one call per input check, and the whole message it raises
+INPUT_CHECKS = {
+    "parameter count": (lambda: PredictorTransform(0, "global", (1.0, 2.0), 0.0),
+                        "global transform takes 1 parameter(s)"),
+    "one protected class": (lambda: focal_point(np.zeros((3, 1)), 0, rule="ks_argmax",
+                                                g=[0, 0, 0]),
+                            "ks_argmax requires both protected classes"),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("check", INPUT_CHECKS)
+    def test_message(self, check):
+        assert_value_error(*INPUT_CHECKS[check])

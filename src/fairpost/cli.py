@@ -111,13 +111,13 @@ def cmd_explain(args) -> None:
     data = Dataset.from_csv(args.data)
     model = _load_model(args.model)
     partition = PARTITIONS[args.partition]()
-    background = default_background(data.x, seed=args.seed, max_rows=args.background)
     if args.method == "ibe":
         table = ibe_table(model, data.x, data.g, n_anchors=args.anchors,
                           partition=partition, columns=data.columns,
                           favorable_sign=args.sign, seed=args.seed,
                           names=data.feature_names)
     else:
+        background = default_background(data.x, seed=args.seed, max_rows=args.background)
         out = (pdp_output(model, data.x, background) if args.method == "pdp" else
                marginal_shapley(model, data.x, background, mode="sampled",
                                 n_permutations=args.permutations, seed=args.seed))
@@ -232,12 +232,18 @@ def cmd_compare_baseline(args) -> dict:
 
 
 class _NonNegative(argparse.Action):
-    """Stores an integer flag's value, and rejects a negative one by the flag's name."""
+    """Stores an integer flag's value, and rejects one below ``minimum`` by the flag's name."""
+
+    minimum, bound = 0, "non-negative"
 
     def __call__(self, parser, namespace, value, option_string=None):
-        if value < 0:
-            raise argparse.ArgumentError(self, f"must be non-negative, got {value}")
+        if value < self.minimum:
+            raise argparse.ArgumentError(self, f"must be {self.bound}, got {value}")
         setattr(namespace, self.dest, value)
+
+
+class _Positive(_NonNegative):
+    minimum, bound = 1, "at least 1"
 
 
 def _flag(*names, **kwargs) -> argparse.ArgumentParser:
@@ -292,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("explain", cmd_explain, "write an attribution table as CSV", data, model,
                 seed, sign, partition)
     p.add_argument("--method", choices=("pdp", "shapley", "ibe"), default="pdp")
-    p.add_argument("--background", type=int, default=500)
+    p.add_argument("--background", type=int, default=500, action=_Positive)
     p.add_argument("--anchors", type=int, default=50)
     p.add_argument("--permutations", type=int, default=32)
 

@@ -11,6 +11,15 @@ The default surrogate is a tree-structured Parzen estimator; a Gaussian
 process with expected improvement and plain random proposals are pluggable
 alternatives.  The same loop drives the model-retraining baseline where the
 parameters are boosted-tree hyperparameters.
+
+The prior vectors, and then the omega loops, are independent tasks: loop
+``j`` draws from ``default_rng([seed, 1000 + j])`` and reads only the prior
+and its own points.  The retraining baseline, whose every evaluation fits a
+GBM, deals each phase's tasks to every CPU in the process's affinity mask
+(``os.fork``ed workers) and gathers them in task order, so its outputs are
+identical for any CPU count; ``taskset -c 0`` gives it one worker.  The
+post-processing search, whose evaluations take milliseconds, runs in one
+process.
 """
 
 from __future__ import annotations
@@ -18,6 +27,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import pickle
+import signal
+import traceback
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -242,48 +255,145 @@ def _propose(surrogate, rng, lo, hi, xs, ys):
 
 
 # ---------------------------------------------------------------------------
+# independent tasks on forked workers
+
+def _run_share(fn, tasks) -> list:
+    """``(fn(task), warnings)`` for each task, each warning as ``(message,
+    category, filename, lineno)``."""
+    out = []
+    for task in tasks:
+        with warnings.catch_warnings(record=True) as caught:
+            result = fn(task)
+        out.append((result, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+    return out
+
+
+def _child(fn, tasks, sink):
+    """Run a forked child's share, write it, or its exception, pickled to
+    ``sink`` and end the process: it never returns into the caller's stack.
+    A payload that cannot be pickled leaves ``sink`` empty."""
+    try:
+        try:
+            payload = (True, _run_share(fn, tasks))
+        except BaseException as exc:
+            payload = (False, (exc, traceback.format_exc()))
+        sink.write(pickle.dumps(payload))
+        sink.flush()
+    finally:
+        os._exit(0)
+
+
+def _map(fn, tasks, workers: int) -> list:
+    """``[fn(task) for task in tasks]``, with the tasks dealt round-robin to
+    this process and to ``workers - 1`` forked children.
+
+    Results come back in task order, and the tasks' warnings are re-issued
+    in that order.  A child's exception is raised here with its type and
+    message.  Every child has been reaped when this returns or raises, and
+    is killed first if this process's own share raises.  One task or one
+    worker runs in this process and forks nothing.
+    """
+    tasks = list(tasks)
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    pids, replies = [], []
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            replies.append(os.fdopen(read, "rb"))
+            with os.fdopen(write, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, tasks[w::workers], sink)
+            pids.append(pid)
+        shares = [_run_share(fn, tasks[::workers])]
+        payloads = [reply.read() for reply in replies]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for reply in replies:
+            reply.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    for payload in payloads:
+        if not payload:
+            raise RuntimeError("a search worker ended without a result")
+        ok, share = pickle.loads(payload)  # bytes our own fork wrote
+        if not ok:
+            exc, child_traceback = share
+            raise exc from RuntimeError(f"raised in a search worker:\n{child_traceback}")
+        shares.append(share)
+    ordered = [None] * len(tasks)
+    for w, share in enumerate(shares):
+        ordered[w::workers] = share
+    for _, caught in ordered:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+    return [result for result, _ in ordered]
+
+
+# ---------------------------------------------------------------------------
 # generic search loop
 
 def _frontier_search(space: SearchSpace, splits, partition, favorable_sign: int, score,
-                     describe, surrogate: str, manifest_extra: dict) -> Frontier:
+                     describe, surrogate: str, manifest_extra: dict,
+                     workers: int) -> Frontier:
     """Run the prior + per-omega Bayesian loop over ``score``.
 
     ``score(vector)`` returns the family's scores on the holdout and test
     splits of ``(train, holdout, test)``; each distinct vector is scored and
-    measured once, so the test-split numbers are collected as points are
-    visited.
+    measured once per process, so the test-split numbers are collected as
+    points are visited.  The distinct prior vectors, then the omega loops,
+    are independent tasks run through ``_map`` with ``workers``; a vector
+    that loops in two workers both visit is measured in each, with the same
+    bits.
     """
     if surrogate not in SURROGATES:
         raise ValueError(f"unknown surrogate '{surrogate}'")
     train, holdout, test = splits
     lo, hi = space.lo, space.hi
     rng = np.random.default_rng(space.seed)
-    cache: dict[bytes, tuple] = {}
 
-    def scored(vec):  # ((holdout loss, bias), (test loss, bias))
-        key = vec.tobytes()
-        if key not in cache:
-            cache[key] = tuple(_loss_and_bias(scores, split, partition, favorable_sign)
-                               for scores, split in zip(score(vec), (holdout, test)))
-        return cache[key]
+    def measure(vec):  # ((holdout loss, bias), (test loss, bias))
+        return tuple(_loss_and_bias(scores, split, partition, favorable_sign)
+                     for scores, split in zip(score(vec), (holdout, test)))
 
     prior = [rng.uniform(lo, hi) for _ in range(space.n_prior)]
-    visited: list[tuple[np.ndarray, float | None]] = [(v, None) for v in prior]
-    for j, omega in enumerate(space.omegas):
+    distinct = {vec.tobytes(): vec for vec in prior}
+    cache = dict(zip(distinct, _map(measure, distinct.values(), workers)))
+
+    def scored(vec):
+        key = vec.tobytes()
+        if key not in cache:
+            cache[key] = measure(vec)
+        return cache[key]
+
+    def omega_loop(j):  # the loop's visited points, each with its measurements
+        omega = space.omegas[j]
         rng_j = np.random.default_rng([space.seed, 1000 + j])
         hist_x = list(prior)
         hist_y = [loss + omega * bias for (loss, bias), _ in map(scored, prior)]
+        points = []
         for _ in range(space.n_bo):
             vec = _propose(surrogate, rng_j, lo, hi, np.asarray(hist_x), np.asarray(hist_y))
-            (loss, bias), _ = scored(vec)
+            measured = scored(vec)
+            (loss, bias), _ = measured
             hist_x.append(vec)
             hist_y.append(loss + omega * bias)
-            visited.append((vec, float(omega)))
+            points.append((vec, float(omega), measured))
+        return points
+
+    visited = [(vec, None, cache[vec.tobytes()]) for vec in prior]
+    for points in _map(omega_loop, range(len(space.omegas)), workers):
+        visited.extend(points)
 
     holdout_points, test_points = [], []
-    for vec, omega in visited:
+    for vec, omega, measured in visited:
         gamma = describe(vec)
-        for points, (loss, bias) in zip((holdout_points, test_points), scored(vec)):
+        for points, (loss, bias) in zip((holdout_points, test_points), measured):
             points.append(FrontierPoint(gamma=gamma, bias=bias, loss=loss, omega=omega))
 
     manifest = {
@@ -443,8 +553,9 @@ def run_algorithm1(model, train: Dataset, holdout: Dataset, test: Dataset,
         "impact_list": list(indices),
         "calibration": calibration,
     }
+    # an evaluation takes milliseconds, too little to repay a fork
     return _frontier_search(space, (train, holdout, test), partition, favorable_sign,
-                            score, describe, surrogate, extra)
+                            score, describe, surrogate, extra, workers=1)
 
 
 GBM_BASELINE_BOUNDS = (
@@ -461,7 +572,9 @@ def run_hyperparam_baseline(train: Dataset, holdout: Dataset, test: Dataset,
     """Frontier search over boosted-tree hyperparameters, retraining at every
     evaluation; the comparison baseline for the post-processing family.
     ``space`` names n_estimators, max_leaves, max_depth and learning_rate (the
-    CLI searches ``GBM_BASELINE_BOUNDS``); the rest are ``GbmConfig``'s defaults."""
+    CLI searches ``GBM_BASELINE_BOUNDS``); the rest are ``GbmConfig``'s defaults.
+    The fits run on every CPU in the affinity mask, with the same result for
+    any count."""
 
     def config_from(vec):
         named = dict(zip(space.names, vec))
@@ -482,7 +595,8 @@ def run_hyperparam_baseline(train: Dataset, holdout: Dataset, test: Dataset,
 
     extra = {"family": "gbm_hyperparameters", "min_samples_leaf": GbmConfig.min_samples_leaf}
     return _frontier_search(space, (train, holdout, test), partition, favorable_sign,
-                            score, describe, surrogate, extra)
+                            score, describe, surrogate, extra,
+                            workers=len(os.sched_getaffinity(0)))
 
 
 def best_gamma_at_omega(frontier: Frontier, omega: float = 0.0) -> dict:

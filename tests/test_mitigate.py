@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairpost.bias import PartitionSpec, model_bias
+from fairpost.cli import main
 from fairpost.learn import (Dataset, GbmConfig, SyntheticSpec, generate, log_loss, train_gbm,
                             train_logistic)
 from fairpost.mitigate import (
@@ -516,28 +519,38 @@ class TestFrontierMeasurement:
     @pytest.mark.parametrize("family, evaluation", [("postprocess", "build_calibrated"),
                                                     ("baseline", "train_gbm")])
     def test_each_distinct_vector_is_scored_once(self, m1_setup, small_splits, monkeypatch,
-                                                 family, evaluation):
+                                                 tmp_path, family, evaluation):
         """Every proposal repeats the first prior vector, so only the prior is
-        evaluated, and each repeat carries the first prior point's numbers."""
+        evaluated, and each repeat carries the first prior point's numbers.
+        Calls are counted across processes, one line per call appended to a
+        file, for one and two CPUs; only the baseline forks."""
         import fairpost.mitigate as mit
 
-        calls = []
         inner = getattr(mit, evaluation)
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(mit, evaluation, counted)
         monkeypatch.setattr(mit, "_propose", lambda surrogate, rng, lo, hi, xs, ys: xs[0])
-        fr = _search(family, m1_setup, small_splits, n_prior=3, n_bo=2)
-        assert len(calls) == 3
-        assert len(fr.points) == 3 + 2 * 2
-        for points in (fr.points, fr.holdout_points):
-            first = points[0]
-            for repeat in points[3:]:
-                assert repeat.omega is not None and repeat.gamma == first.gamma
-                assert (repeat.bias, repeat.loss) == (first.bias, first.loss)
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            log = tmp_path / f"calls-{cpus}"
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+            def counted(*args, fd=fd, **kwargs):
+                os.write(fd, b"%d\n" % os.getpid())
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(mit, evaluation, counted)
+            try:
+                fr = _search(family, m1_setup, small_splits, n_prior=3, n_bo=2)
+            finally:
+                os.close(fd)
+            pids = log.read_text().split()
+            assert len(pids) == 3
+            assert len(set(pids)) == (2 if family == "baseline" and cpus == 2 else 1)
+            assert len(fr.points) == 3 + 2 * 2
+            for points in (fr.points, fr.holdout_points):
+                first = points[0]
+                for repeat in points[3:]:
+                    assert repeat.omega is not None and repeat.gamma == first.gamma
+                    assert (repeat.bias, repeat.loss) == (first.bias, first.loss)
 
     @pytest.mark.parametrize("calibration, calls", [(None, 4), ("link_linear", 5)])
     def test_base_holdout_scored_only_for_a_calibration_fit(self, m1_setup, calibration,
@@ -557,6 +570,113 @@ class TestFrontierMeasurement:
         run_algorithm1(counting, train, holdout, test, (0, 2), space, favorable_sign=-1,
                        calibration=calibration)
         assert len(seen) == calls
+
+
+def _cpus(monkeypatch, n):
+    """Give this process an affinity mask of ``n`` CPUs, the count the
+    retraining baseline reads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _fail_in(where, error):
+    """A ``train_gbm`` that raises ``error`` in the child processes, or in
+    this one, and fits elsewhere."""
+    parent = os.getpid()
+
+    def fit(*args, **kwargs):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise error("fit failed")
+        return train_gbm(*args, **kwargs)
+
+    return fit
+
+
+class TestForkedWorkers:
+    """The retraining baseline deals its fits to one forked worker per CPU."""
+
+    @pytest.mark.parametrize("partition", ["sp", "eo"])
+    @pytest.mark.parametrize("surrogate", ["tpe", "gp"])
+    def test_outputs_identical_for_one_and_two_cpus(self, small_splits, tmp_path,
+                                                    monkeypatch, surrogate, partition):
+        outputs = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            frontier = _search("baseline", None, small_splits, surrogate=surrogate,
+                               partition={"sp": PartitionSpec.all_rows(),
+                                          "eo": PartitionSpec.by_label()}[partition])
+            frontier.to_csv(tmp_path / f"{cpus}.csv")
+            outputs.append(((tmp_path / f"{cpus}.csv").read_bytes(),
+                            json.dumps(frontier.manifest, sort_keys=True)))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("error, code, prefix", [(ValueError, 2, "error"),
+                                                     (FloatingPointError, 3,
+                                                      "numerical failure")])
+    def test_child_error_keeps_type_message_and_exit_code(self, small_splits, tmp_path,
+                                                          monkeypatch, capsys, error, code,
+                                                          prefix):
+        import fairpost.mitigate as mit
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(mit, "train_gbm", _fail_in("child", error))
+        with pytest.raises(error) as info:
+            _search("baseline", None, small_splits)
+        assert type(info.value) is error and str(info.value) == "fit failed"
+        data = tmp_path / "data.csv"
+        small_splits[0].to_csv(data)
+        assert main(["compare-baseline", "--data", str(data), "--n-prior", "4", "--n-bo",
+                     "1", "--omega-steps", "2", "--out", str(tmp_path / "out.csv")]) == code
+        assert capsys.readouterr().err == f"{prefix}: fit failed\n"
+
+    def test_child_warnings_are_reissued_in_serial_order(self, small_splits, monkeypatch):
+        """Every proposal's surrogate fails and falls back with a warning; the
+        second omega loop runs in the child."""
+        import fairpost.mitigate as mit
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular surrogate")
+
+        monkeypatch.setattr(mit, "_tpe_propose", broken)
+        runs = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                frontier = _search("baseline", None, small_splits)
+            runs.append(([(str(w.message), w.category, w.filename, w.lineno) for w in caught],
+                         [(p.bias, p.loss, p.gamma) for p in frontier.points]))
+        assert len(runs[0][0]) == 2 * 2 and "falling back" in runs[0][0][0][0]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("outcome", ["success", "child raises", "parent raises"])
+    def test_no_child_outlives_the_search(self, small_splits, monkeypatch, outcome):
+        import fairpost.mitigate as mit
+
+        _cpus(monkeypatch, 2)
+        if outcome == "success":
+            _search("baseline", None, small_splits)
+        else:
+            monkeypatch.setattr(mit, "train_gbm", _fail_in(outcome.split()[0], ValueError))
+            with pytest.raises(ValueError, match="^fit failed$"):
+                _search("baseline", None, small_splits)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("case", ["one cpu", "one task per phase", "postprocess"])
+    def test_no_fork(self, m1_setup, small_splits, monkeypatch, case):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _cpus(monkeypatch, 1 if case == "one cpu" else 2)
+        if case == "one task per phase":
+            space = SearchSpace(bounds=(("n_estimators", 5.0, 15.0), ("max_leaves", 4.0, 8.0),
+                                        ("max_depth", 2.0, 3.0), ("learning_rate", 0.1, 0.3)),
+                                omegas=(0.0,), n_prior=1, n_bo=2, seed=6)
+            assert len(run_hyperparam_baseline(*small_splits, space).points) == 3
+        else:
+            _search("baseline" if case == "one cpu" else "postprocess", m1_setup,
+                    small_splits)
 
 
 _CELLS = st.one_of(st.floats(allow_nan=False),

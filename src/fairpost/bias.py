@@ -14,6 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .calibrate import binary_labels
 from .empirical import SignedTransport, build_distribution, signed_transport
 # unused here; bench/workloads.py::trace_targets() looks it up on this module
 from .empirical import wasserstein1_signed  # noqa: F401
@@ -115,14 +116,11 @@ class BiasReport:
 
 def _validate_inputs(scores, g):
     scores = np.asarray(scores, dtype=float).ravel()
-    g = np.asarray(g).ravel()
-    if scores.size != g.size:
+    if scores.size != np.size(g):
         raise ValueError("scores and g must have the same length")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    if not ((g == 0) | (g == 1)).all():
-        raise ValueError("g must be binary 0/1")
-    return scores, g.astype(int)
+    return scores, binary_labels(g, "g must be binary 0/1")
 
 
 def _split_cell(scores, g, mask, cell_name):

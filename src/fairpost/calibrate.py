@@ -37,6 +37,14 @@ def _clamp(p, clamp=PROB_CLAMP):
     return np.clip(np.asarray(p, dtype=float), clamp, 1.0 - clamp)
 
 
+def binary_labels(values, message: str = "labels must be binary 0/1") -> np.ndarray:
+    """``values`` raveled, as ints, if each is 0 or 1 before any cast; else raises ``message``."""
+    v = np.asarray(values).ravel()
+    if not ((v == 0) | (v == 1)).all():
+        raise ValueError(message)
+    return v.astype(int)
+
+
 def logit(p):
     p = _clamp(p)
     return np.log(p / (1.0 - p))
@@ -207,14 +215,11 @@ def logistic_refit(post_scores, y_labels) -> CalibrationMap:
     bounded-coefficient fallback with a warning instead of divergence.
     """
     s = np.asarray(post_scores, dtype=float).ravel()
-    y = np.asarray(y_labels).ravel()
-    if s.size != y.size:
+    if s.size != np.size(y_labels):
         raise ValueError("scores and labels must have the same length")
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
-    if not np.all(np.isin(y, (0, 1))):
-        raise ValueError("labels must be binary 0/1")
-    y = y.astype(float)
+    y = binary_labels(y_labels).astype(float)
 
     if y.min() == y.max():
         warnings.warn("labels are single-class; falling back to a bounded "
@@ -237,11 +242,9 @@ def logistic_refit(post_scores, y_labels) -> CalibrationMap:
 def auc(scores, labels) -> float:
     """Mann-Whitney AUC with half credit for ties."""
     s = np.asarray(scores, dtype=float).ravel()
-    y = np.asarray(labels).ravel()
-    if s.size != y.size:
+    if s.size != np.size(labels):
         raise ValueError("scores and labels must have the same length")
-    if not np.all(np.isin(y, (0, 1))):
-        raise ValueError("labels must be binary 0/1")
+    y = binary_labels(labels)
     n_pos = int(np.sum(y == 1))
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrate import SEPARATION_BOUND, newton_logistic, sigmoid
+from .calibrate import SEPARATION_BOUND, binary_labels, newton_logistic, sigmoid
 
 LOG_LOSS_CLAMP = 1e-6
 PRED_CLAMP = 1e-9
@@ -124,8 +124,7 @@ class Dataset:
             raise ValueError("dataset CSV has no rows")
         if data.shape[1] != len(header):
             raise ValueError("every row of a dataset CSV must have as many cells as its header")
-        if not np.all(np.isin(data[:, -2:], (0.0, 1.0))):
-            raise ValueError("dataset CSV columns g and y must hold 0 or 1")
+        binary_labels(data[:, -2:], "dataset CSV columns g and y must hold 0 or 1")
         return Dataset(x=data[:, :-2], g=data[:, -2].astype(int),
                        y=data[:, -1].astype(int), feature_names=tuple(header[:-2]))
 
@@ -219,8 +218,26 @@ class GbmConfig:
 
 _TREE_FIELDS = (("feature", int), ("threshold", float), ("left", int), ("right", int),
                 ("value", float))
-_JSON_TYPES = {int: {int}, float: {int, float}}  # the JSON values each field dtype takes
+_JSON_TYPES = {int: {int}, float: {int, float}, str: {str}, list: {list}, dict: {dict}}
 _JSON_NAMES = {str: "string", bool: "boolean", type(None): "null", list: "array", dict: "object"}
+
+
+def json_field(value, dtype, field: str, doc: str = "model"):
+    """The raw JSON ``value`` of ``field`` in a ``doc`` as ``dtype``, refused unless its type is
+    one ``_JSON_TYPES`` allows; ``[dtype]`` takes an array of them, numbers as a numpy array."""
+    many = type(dtype) is list
+    dtype, values = (dtype[0], json_field(value, list, field, doc)) if many else (dtype, [value])
+    if not set(map(type, values)) <= _JSON_TYPES[dtype]:
+        bad = next(v for v in values if type(v) not in _JSON_TYPES[dtype])
+        kind = _JSON_NAMES.get(type(bad), type(bad).__name__)
+        raise ValueError(f"malformed {doc}: could not convert {kind} to "
+                         f"{dtype.__name__}: {bad!r} in {field}")
+    try:
+        if dtype in (int, float):
+            return np.asarray(values, dtype=dtype) if many else dtype(value)
+    except OverflowError as exc:  # an integer beyond int64, or beyond a float's range
+        raise ValueError(f"malformed {doc}: {exc} in {field}") from None
+    return value
 
 
 @dataclass
@@ -241,22 +258,12 @@ class _Tree:
 
     @staticmethod
     def from_dicts(dicts) -> tuple:
-        """Trees from ``to_dict`` forms, each field decoded for all at once.
-
-        Integer fields take JSON integers and float fields JSON numbers; any
-        other value, such as a string, a fraction or a boolean, is refused
-        rather than converted.
-        """
+        """Trees from ``to_dict`` forms, each field decoded for all at once."""
         columns = []
         for key, dtype in _TREE_FIELDS:
-            values = [v for d in dicts for v in d[key]]
-            if not set(map(type, values)) <= _JSON_TYPES[dtype]:
-                bad = next(v for v in values if type(v) not in _JSON_TYPES[dtype])
-                kind = _JSON_NAMES.get(type(bad), type(bad).__name__)
-                raise ValueError(f"malformed model: could not convert {kind} to "
-                                 f"{dtype.__name__}: {bad!r} in tree field '{key}'")
-            flat = np.asarray(values, dtype=dtype)
-            stops = list(itertools.accumulate(len(d[key]) for d in dicts))
+            lists = json_field([d[key] for d in dicts], [list], f"tree field '{key}'")
+            flat = json_field([v for vs in lists for v in vs], [dtype], f"tree field '{key}'")
+            stops = list(itertools.accumulate(map(len, lists)))
             columns.append([flat[a:b] for a, b in zip([0] + stops, stops)])
         return tuple(_Tree(*fields) for fields in zip(*columns))
 
@@ -655,26 +662,23 @@ class TrainedModel:
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError("a model must be a JSON object")
-        try:
-            if d["kind"] == "gbm":
-                return TrainedModel(kind="gbm", favorable_sign=int(d["favorable_sign"]),
-                                    init_score=float(d["init_score"]),
-                                    learning_rate=float(d["learning_rate"]),
-                                    trees=_Tree.from_dicts(d["trees"]))
-            if d["kind"] == "logistic":
-                return TrainedModel(kind="logistic",
-                                    favorable_sign=int(d["favorable_sign"]),
-                                    coef=np.asarray(d["coef"], dtype=float),
-                                    intercept=float(d["intercept"]))
-        except (TypeError, OverflowError) as exc:  # a field of the wrong JSON type or size
-            raise ValueError(f"malformed model: {exc}") from exc
+
+        def field(key, dtype):
+            return json_field(d[key], dtype, f"model field '{key}'")
+
+        if d["kind"] == "gbm":
+            return TrainedModel(kind="gbm", favorable_sign=field("favorable_sign", int),
+                                init_score=field("init_score", float),
+                                learning_rate=field("learning_rate", float),
+                                trees=_Tree.from_dicts(field("trees", [dict])))
+        if d["kind"] == "logistic":
+            return TrainedModel(kind="logistic", favorable_sign=field("favorable_sign", int),
+                                coef=field("coef", [float]), intercept=field("intercept", float))
         raise ValueError(f"unknown model kind '{d['kind']}'")
 
 
 def _validate_training_labels(y):
-    y = np.asarray(y).ravel().astype(int)
-    if not np.all(np.isin(y, (0, 1))):
-        raise ValueError("y must be binary 0/1")
+    y = binary_labels(y, "y must be binary 0/1")
     if y.min() == y.max():
         raise ValueError("y is single-class; nothing to learn")
     return y

@@ -573,8 +573,8 @@ def run_hyperparam_baseline(train: Dataset, holdout: Dataset, test: Dataset,
     evaluation; the comparison baseline for the post-processing family.
     ``space`` names n_estimators, max_leaves, max_depth and learning_rate (the
     CLI searches ``GBM_BASELINE_BOUNDS``); the rest are ``GbmConfig``'s defaults.
-    The fits run on every CPU in the affinity mask, with the same result for
-    any count."""
+    The fits run on every CPU in the affinity mask, in this process alone
+    where ``os`` has no affinity call, with the same result for any count."""
 
     def config_from(vec):
         named = dict(zip(space.names, vec))
@@ -596,7 +596,8 @@ def run_hyperparam_baseline(train: Dataset, holdout: Dataset, test: Dataset,
     extra = {"family": "gbm_hyperparameters", "min_samples_leaf": GbmConfig.min_samples_leaf}
     return _frontier_search(space, (train, holdout, test), partition, favorable_sign,
                             score, describe, surrogate, extra,
-                            workers=len(os.sched_getaffinity(0)))
+                            workers=len(os.sched_getaffinity(0))
+                            if hasattr(os, "sched_getaffinity") else 1)
 
 
 def best_gamma_at_omega(frontier: Frontier, omega: float = 0.0) -> dict:

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibrate import binary_labels
 from .empirical import _ks
+from .learn import json_field
 
 # The local map t - d (1 - 1/a) exp(-u), with d = t - t* and u = d^2 / (2 sigma^2),
 # has slope 1 - (1 - 1/a) exp(-u) (1 - 2u), and exp(-u) (1 - 2u) lies in
@@ -93,6 +95,9 @@ class PredictorTransform:
         expected = len(transform_params(self.kind))
         if len(self.params) != expected:
             raise ValueError(f"{self.kind} transform takes {expected} parameter(s)")
+        if not -np.inf < self.focal < np.inf:  # NaN fails both
+            raise ValueError(f"the focal point of predictor {self.name or self.predictor} "
+                             f"must be finite, got {self.focal}")
 
     def apply(self, t):
         return TRANSFORMS[self.kind][1](t, *self.params, self.focal)
@@ -131,16 +136,16 @@ class CompressiveParams:
         items = json.loads(text)
         if not (isinstance(items, list) and all(isinstance(d, dict) for d in items)):
             raise ValueError("compressive parameters must be a JSON list of objects")
-        try:
-            return CompressiveParams(transforms=tuple(
-                PredictorTransform(predictor=int(d["predictor"]), kind=d["kind"],
-                                   params=tuple(float(v) for v in d["params"]),
-                                   focal=float(d["focal"]),
-                                   focal_rule=d.get("focal_rule", "fixed"),
-                                   name=d.get("name", ""))
-                for d in items))
-        except TypeError as exc:  # a field of the wrong JSON type, such as "params": 5
-            raise ValueError(f"malformed compressive parameters: {exc}") from exc
+
+        def field(d, key, dtype):
+            return json_field(d[key], dtype, f"transform field '{key}'", "compressive parameters")
+
+        return CompressiveParams(transforms=tuple(
+            PredictorTransform(predictor=field(d, "predictor", int), kind=field(d, "kind", str),
+                               params=tuple(field(d, "params", [float]).tolist()),
+                               focal=field(d, "focal", float),
+                               focal_rule=field(d, "focal_rule", str), name=field(d, "name", str))
+            for d in ({"focal_rule": "fixed", "name": "", **d} for d in items)))
 
 
 @dataclass(frozen=True)
@@ -210,7 +215,7 @@ def focal_point(x: np.ndarray, predictor_index: int, rule: str = "mean",
         return float(np.median(column))
     if g is None:
         raise ValueError("ks_argmax rule requires protected labels g")
-    g = np.asarray(g).ravel().astype(int)
+    g = binary_labels(g, "g must be binary 0/1")
     c0, c1 = column[g == 0], column[g == 1]
     if c0.size == 0 or c1.size == 0:
         raise ValueError("ks_argmax requires both protected classes")

@@ -501,21 +501,32 @@ class TestExitCodes:
         ("left", [1.5, -1, -1], "could not convert float to int: 1.5"),
         ("right", [True, -1, -1], "could not convert boolean to int: True"),
         ("value", [0.0, None, 0.2], "could not convert null to float: None"),
-    ], ids=["feature", "threshold", "left", "right", "value"])
+        ("learning_rate", True, "could not convert boolean to float: True in model field"),
+        ("init_score", "0.5", "could not convert string to float: '0.5' in model field"),
+        ("coef", "0.1", "could not convert string to list: '0.1' in model field"),
+        ("favorable_sign", 1.5, "could not convert float to int: 1.5 in model field"),
+    ], ids=["feature", "threshold", "left", "right", "value", "learning-rate-boolean",
+            "init-score-string", "coef-string", "sign-fraction"])
     def test_wrong_json_type_is_exit_two(self, workdir, tmp_path, capsys, field, values,
                                          message):
-        """A field value of the wrong JSON type is refused, not converted."""
+        """A tree or model field value of the wrong JSON type is refused, not
+        converted, and the model writes no output."""
         _, data, _ = workdir
         tree = {"feature": [0, -1, -1], "threshold": [0.0] * 3, "left": [1, -1, -1],
-                "right": [2, -1, -1], "value": [0.0, 0.1, 0.2], field: values}
+                "right": [2, -1, -1], "value": [0.0, 0.1, 0.2]}
+        model = ({"kind": "logistic", "favorable_sign": 1, "coef": [0.1] * 5, "intercept": 0.0}
+                 if field == "coef" else
+                 {"kind": "gbm", "favorable_sign": 1, "init_score": 0.0, "learning_rate": 0.1,
+                  "trees": [tree]})
+        (tree if field in tree else model)[field] = values
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"kind": "gbm", "favorable_sign": 1, "init_score": 0.0,
-                                    "learning_rate": 0.1, "trees": [tree]}))
-        code = main(["bias", "--data", data, "--model", str(path),
-                     "--out", str(tmp_path / "b.json")])
+        path.write_text(json.dumps(model))
+        out = tmp_path / "b.json"
+        code = main(["bias", "--data", data, "--model", str(path), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert message in err and f"field '{field}'" in err and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "b.json.manifest.json").exists()
 
     def test_huge_feature_index_is_exit_two_at_once(self, workdir, tmp_path, capsys):
         """Loading a model costs nothing per column index below its largest."""
@@ -803,8 +814,23 @@ class TestMalformedInput:
         ('[{"predictor": 0, "kind": "global", "params": [2.0], "focal": null}]', "malformed"),
         ('[{"predictor": 9, "kind": "global", "params": [2.0], "focal": 5.0}]', "the data has 5"),
         ('[{"predictor": -1, "kind": "global", "params": [2.0], "focal": 5.0}]', "the data has 5"),
+        ('[{"predictor": 1.7, "kind": "global", "params": [2.0], "focal": 5.0}]',
+         "could not convert float to int: 1.7 in transform field 'predictor'"),
+        ('[{"predictor": true, "kind": "global", "params": [2.0], "focal": 5.0}]',
+         "could not convert boolean to int: True in transform field 'predictor'"),
+        ('[{"predictor": "2", "kind": "global", "params": [2.0], "focal": 5.0}]',
+         "could not convert string to int: '2' in transform field 'predictor'"),
+        ('[{"predictor": 0, "kind": "global", "params": [2.0], "focal": NaN}]',
+         "the focal point of predictor 0 must be finite, got nan"),
+        ('[{"predictor": 0, "kind": "global", "params": [2.0], "focal": Infinity}]',
+         "the focal point of predictor 0 must be finite, got inf"),
+        ('[{"predictor": 0, "kind": "global", "params": ["1.5"], "focal": 5.0}]',
+         "could not convert string to float: '1.5' in transform field 'params'"),
+        ('[{"predictor": 0, "kind": "global", "params": [2.0], "focal": 5.0, "name": 3}]',
+         "could not convert int to str: 3 in transform field 'name'"),
     ], ids=["list-of-numbers", "object", "params-number", "focal-null", "predictor-9",
-            "predictor-negative"])
+            "predictor-negative", "predictor-fraction", "predictor-boolean", "predictor-string",
+            "focal-nan", "focal-infinity", "params-string", "name-number"])
     def test_malformed_params_is_exit_two(self, workdir, tmp_path, capsys, params, message):
         _, data, model = workdir
         path = tmp_path / "params.json"

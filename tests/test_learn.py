@@ -588,6 +588,10 @@ INPUT_CHECKS = {
                                                                                [0]),
         "replaced-column scores are defined for gbm models only"),
     "non-binary labels": (lambda: train_gbm(np.zeros((2, 1)), [0, 2]), "y must be binary 0/1"),
+    "fractional labels": (lambda: train_gbm(np.zeros((3, 1)), [0, 1, 0.5]),
+                          "y must be binary 0/1"),
+    "fractional logistic labels": (lambda: train_logistic(np.zeros((3, 1)), [0, 1, 0.5]),
+                                   "y must be binary 0/1"),
     "loss lengths": (lambda: log_loss([0, 1], [0.5]),
                      "labels and scores must have the same length"),
 }

@@ -662,6 +662,24 @@ class TestForkedWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_one_worker_without_an_affinity_call(self, small_splits, tmp_path, monkeypatch):
+        """Where ``os.sched_getaffinity`` does not exist, the baseline runs in
+        this process, with the outputs of a 1-CPU run."""
+        def no_fork():
+            raise AssertionError("forked")
+
+        def outputs():
+            frontier = _search("baseline", None, small_splits)
+            frontier.to_csv(tmp_path / "out.csv")
+            return (tmp_path / "out.csv").read_bytes(), json.dumps(frontier.manifest,
+                                                                   sort_keys=True)
+
+        _cpus(monkeypatch, 1)
+        one_cpu = outputs()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert outputs() == one_cpu
+
     @pytest.mark.parametrize("case", ["one cpu", "one task per phase", "postprocess"])
     def test_no_fork(self, m1_setup, small_splits, monkeypatch, case):
         def no_fork():

@@ -412,6 +412,13 @@ INPUT_CHECKS = {
     "one protected class": (lambda: focal_point(np.zeros((3, 1)), 0, rule="ks_argmax",
                                                 g=[0, 0, 0]),
                             "ks_argmax requires both protected classes"),
+    "fractional protected labels": (lambda: focal_point(np.zeros((3, 1)), 0, rule="ks_argmax",
+                                                        g=[0, 1, 0.5]),
+                                    "g must be binary 0/1"),
+    "NaN focal point": (lambda: PredictorTransform(0, "global", (1.0,), np.nan, name="x1"),
+                        "the focal point of predictor x1 must be finite, got nan"),
+    "infinite focal point": (lambda: PredictorTransform(2, "global", (1.0,), -np.inf),
+                             "the focal point of predictor 2 must be finite, got -inf"),
 }
 
 

@@ -12,7 +12,16 @@ from .attribution import (
     select_impactful,
     shapley_bias_game,
 )
-from .bias import BiasReport, PartitionSpec, classifier_bias, is_fair, model_bias, quantile_bias
+from .bias import (
+    BiasCells,
+    BiasReport,
+    PartitionSpec,
+    bias_cells,
+    classifier_bias,
+    is_fair,
+    model_bias,
+    quantile_bias,
+)
 from .calibrate import (
     CalibrationError,
     CalibrationMap,

@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bias import PartitionSpec, model_bias
+from .bias import PartitionSpec, bias_cells
 # unused here; bench/workloads.py::trace_targets() looks both names up on this module
 from .empirical import build_distribution, wasserstein1_signed  # noqa: F401
 from .explain import (
@@ -128,10 +128,11 @@ def basic_bias_explanations(explainer_output: np.ndarray, g,
     p = matrix.shape[1]
     names = names if names is not None else tuple(f"x{i + 1}" for i in range(p))
 
+    cells = bias_cells(g, partition, columns)
     pos = np.zeros(p)
     neg = np.zeros(p)
     for i in range(p):
-        report = model_bias(matrix[:, i], g, partition, favorable_sign, columns)
+        report = cells.measure(matrix[:, i], favorable_sign)
         pos[i], neg[i] = report.positive, report.negative
     return AttributionTable(predictors=names, kind="pdp", beta_pos=pos, beta_neg=neg)
 
@@ -186,10 +187,12 @@ def shapley_bias_game(model, x: np.ndarray, g, group_explainer: str = "shapley_s
         def group_values(subset):
             return matrix[:, subset].sum(axis=1)
 
+    cells = bias_cells(g, partition, columns)
+
     def signed_value(subset):
         if not subset:
             return 0.0, 0.0
-        report = model_bias(group_values(subset), g, partition, favorable_sign, columns)
+        report = cells.measure(group_values(subset), favorable_sign)
         return report.positive, report.negative
 
     phi = (exact_shapley(signed_value, p) if mode == "exact"
@@ -219,13 +222,14 @@ def expected_ibe(model, x: np.ndarray, g, predictor_index: int, n_anchors: int,
     anchor_idx = (np.arange(n) if n_anchors >= n
                   else rng.choice(n, size=n_anchors, replace=False))
     chunk = max(1, _EVAL_CHUNK // n)
+    cells = bias_cells(g, partition, columns)
     pos_sum = neg_sum = 0.0
     for start in range(0, anchor_idx.size, chunk):
         inverse, blocks = pair_scores(model, x, x[anchor_idx[start:start + chunk]],
                                       [predictor_index])
         sections = np.concatenate(list(blocks))[inverse].T  # (anchors, n)
         for section in sections:
-            report = model_bias(section, g, partition, favorable_sign, columns)
+            report = cells.measure(section, favorable_sign)
             pos_sum += report.positive
             neg_sum += report.negative
     k = anchor_idx.size

@@ -5,6 +5,11 @@ parity, split-by-label for equalized odds).  The model bias is the weighted
 sum over cells of the W1 distance between the score distributions of the two
 protected classes, with a positive/negative decomposition along the favorable
 direction.
+
+Everything but the scores is fixed for a set of rows: ``bias_cells``
+prepares the cells once (labels checked, masks, row indices, class counts,
+small-cell warnings) and ``BiasCells.measure`` scores one vector against
+them, as a frontier search or an attribution game does many times.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .calibrate import binary_labels
-from .empirical import SignedTransport, build_distribution, signed_transport
+from .empirical import ClassLabels, SignedTransport, build_distribution, signed_transport
 # unused here; bench/workloads.py::trace_targets() looks it up on this module
 from .empirical import wasserstein1_signed  # noqa: F401
 
@@ -114,27 +119,67 @@ class BiasReport:
         }
 
 
-def _validate_inputs(scores, g):
-    scores = np.asarray(scores, dtype=float).ravel()
-    if scores.size != np.size(g):
-        raise ValueError("scores and g must have the same length")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    return scores, binary_labels(g, "g must be binary 0/1")
+@dataclass(frozen=True)
+class BiasCells:
+    """A partition's cells over one set of rows, prepared by ``bias_cells``
+    to measure any number of score vectors on those rows."""
+
+    n_rows: int
+    names: tuple[str, ...]
+    weights: tuple[float, ...]
+    rows: tuple[np.ndarray | None, ...]  # each cell's row indices; None for every row
+    labels: tuple[ClassLabels, ...]      # each cell's protected labels
+    warnings: tuple[str, ...]
+
+    def checked(self, scores) -> np.ndarray:
+        """``scores`` as a float vector, refused unless one finite score per row."""
+        scores = np.asarray(scores, dtype=float).ravel()
+        if scores.size != self.n_rows:
+            raise ValueError("scores and g must have the same length")
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("scores must be finite")
+        return scores
+
+    def measure(self, scores, favorable_sign: int = 1) -> BiasReport:
+        """The bias report of ``scores`` (one per row) over these cells."""
+        scores = self.checked(scores)
+        per_cell = tuple(
+            signed_transport(scores if rows is None else scores[rows], labels, favorable_sign)
+            for rows, labels in zip(self.rows, self.labels))
+        total = pos = neg = 0.0
+        for w, st in zip(self.weights, per_cell):
+            total += w * st.total
+            pos += w * st.positive_part
+            neg += w * st.negative_part
+        return BiasReport(total=total, positive=pos, negative=neg, net=pos - neg,
+                          per_cell=per_cell, cell_names=self.names,
+                          favorable_sign=favorable_sign, warnings=self.warnings)
 
 
-def _split_cell(scores, g, mask, cell_name):
-    """A cell's scores, its 0/1 labels and its class-1 row count; the cell
-    must hold both classes."""
-    rows = np.flatnonzero(mask)
-    if rows.size == 0:
-        raise ValueError(f"cell '{cell_name}' is empty")
-    cell_g = g[rows]
-    n1 = int(np.count_nonzero(cell_g))
-    for k, nk in ((0, rows.size - n1), (1, n1)):
-        if nk == 0:
-            raise ValueError(f"cell '{cell_name}': missing class G={k}")
-    return scores[rows], cell_g, n1
+def bias_cells(g, partition: PartitionSpec | None = None,
+               columns: Mapping[str, np.ndarray] | None = None) -> BiasCells:
+    """The cells of ``partition`` (all rows by default) over rows with
+    protected labels ``g``: each cell's rows and labels, checked to hold
+    both classes, and the small-cell warnings."""
+    g = binary_labels(g, "g must be binary 0/1")
+    partition = partition if partition is not None else PartitionSpec.all_rows()
+    rows, labels, warnings_ = [], [], []
+    for name, mask in zip(partition.names, partition.masks(columns, g.size)):
+        cell_rows = None if mask.all() else np.flatnonzero(mask)
+        cell = ClassLabels.of(g if cell_rows is None else g[cell_rows])
+        if cell.bits.size == 0:
+            raise ValueError(f"cell '{name}' is empty")
+        for k, nk in ((0, cell.n0), (1, cell.n1)):
+            if nk == 0:
+                raise ValueError(f"cell '{name}': missing class G={k}")
+        if min(cell.n0, cell.n1) < MIN_CELL_CLASS_ROWS:
+            warnings_.append(
+                f"cell '{name}' has a class with fewer than {MIN_CELL_CLASS_ROWS} rows; "
+                "its W1 estimate is unreliable")
+        rows.append(cell_rows)
+        labels.append(cell)
+    return BiasCells(n_rows=g.size, names=partition.names, weights=partition.weights,
+                     rows=tuple(rows), labels=tuple(labels), warnings=tuple(warnings_))
 
 
 def model_bias(scores, g, partition: PartitionSpec | None = None, favorable_sign: int = 1,
@@ -142,43 +187,30 @@ def model_bias(scores, g, partition: PartitionSpec | None = None, favorable_sign
     """Partition-weighted W1 bias between the two protected-class score
     distributions, with signed decomposition.
 
-    Each cell's signed transport is computed in CDF form
+    ``bias_cells(g, partition, columns).measure(scores, favorable_sign)``:
+    the cells are prepared once, and a caller that measures many score
+    vectors on the same rows prepares them once and calls ``measure`` for
+    each.  Each cell's signed transport is computed in CDF form
     (``empirical.signed_transport``): one sort of the cell's pooled scores,
     integer cumulative class counts, one division by ``n0 * n1``.  The
-    quantile form ``wasserstein1_signed`` is the reference it is tested
-    against.
+    quantile form is the oracle it is tested against.
     """
-    scores, g = _validate_inputs(scores, g)
-    partition = partition if partition is not None else PartitionSpec.all_rows()
-    masks = partition.masks(columns, scores.size)
+    return bias_cells(g, partition, columns).measure(scores, favorable_sign)
 
-    per_cell = []
-    warnings_ = []
-    total = pos = neg = 0.0
-    for name, w, mask in zip(partition.names, partition.weights, masks):
-        cell_scores, cell_g, n1 = _split_cell(scores, g, mask, name)
-        if min(cell_scores.size - n1, n1) < MIN_CELL_CLASS_ROWS:
-            warnings_.append(
-                f"cell '{name}' has a class with fewer than {MIN_CELL_CLASS_ROWS} rows; "
-                "its W1 estimate is unreliable")
-        st = signed_transport(cell_scores, cell_g, favorable_sign)
-        per_cell.append(st)
-        total += w * st.total
-        pos += w * st.positive_part
-        neg += w * st.negative_part
 
-    return BiasReport(total=total, positive=pos, negative=neg, net=pos - neg,
-                      per_cell=tuple(per_cell), cell_names=partition.names,
-                      favorable_sign=favorable_sign, warnings=tuple(warnings_))
+def _class_scores(scores, g):
+    """The class-0 and class-1 scores of an all-rows cell."""
+    cells = bias_cells(g)
+    scores, labels = cells.checked(scores), cells.labels[0].bits
+    return scores[labels == 0], scores[labels == 1]
 
 
 def classifier_bias(scores, g, threshold: float, favorable_sign: int = 1) -> float:
     """Signed statistical-parity bias of the thresholded classifier:
     ``(F1(t) - F0(t)) * sign``."""
-    scores, g = _validate_inputs(scores, g)
-    s, cell_g, _ = _split_cell(scores, g, np.ones(scores.size, dtype=bool), "all")
-    f0 = build_distribution(s[cell_g == 0]).cdf(threshold)
-    f1 = build_distribution(s[cell_g == 1]).cdf(threshold)
+    s0, s1 = _class_scores(scores, g)
+    f0 = build_distribution(s0).cdf(threshold)
+    f1 = build_distribution(s1).cdf(threshold)
     return float((f1 - f0) * favorable_sign)
 
 
@@ -186,10 +218,9 @@ def quantile_bias(scores, g, p: float, favorable_sign: int = 1) -> float:
     """Signed p-th quantile bias: ``(Q0(p) - Q1(p)) * sign`` for p in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    scores, g = _validate_inputs(scores, g)
-    s, cell_g, _ = _split_cell(scores, g, np.ones(scores.size, dtype=bool), "all")
-    q0 = build_distribution(s[cell_g == 0]).quantile(p)
-    q1 = build_distribution(s[cell_g == 1]).quantile(p)
+    s0, s1 = _class_scores(scores, g)
+    q0 = build_distribution(s0).quantile(p)
+    q1 = build_distribution(s1).quantile(p)
     return float((q0 - q1) * favorable_sign)
 
 

@@ -38,11 +38,34 @@ def _clamp(p, clamp=PROB_CLAMP):
 
 
 def binary_labels(values, message: str = "labels must be binary 0/1") -> np.ndarray:
-    """``values`` raveled, as ints, if each is 0 or 1 before any cast; else raises ``message``."""
+    """``values`` raveled, as a new int array, if each is 0 or 1 before any cast; else raises
+    ``message``."""
     v = np.asarray(values).ravel()
     if not ((v == 0) | (v == 1)).all():
         raise ValueError(message)
     return v.astype(int)
+
+
+_JSON_TYPES = {int: {int}, float: {int, float}, str: {str}, list: {list}, dict: {dict}}
+_JSON_NAMES = {str: "string", bool: "boolean", type(None): "null", list: "array", dict: "object"}
+
+
+def json_field(value, dtype, field: str, doc: str = "model"):
+    """The raw JSON ``value`` of ``field`` in a ``doc`` as ``dtype``, refused unless its type is
+    one ``_JSON_TYPES`` allows; ``[dtype]`` takes an array of them, numbers as a numpy array."""
+    many = type(dtype) is list
+    dtype, values = (dtype[0], json_field(value, list, field, doc)) if many else (dtype, [value])
+    if not set(map(type, values)) <= _JSON_TYPES[dtype]:
+        bad = next(v for v in values if type(v) not in _JSON_TYPES[dtype])
+        kind = _JSON_NAMES.get(type(bad), type(bad).__name__)
+        raise ValueError(f"malformed {doc}: could not convert {kind} to "
+                         f"{dtype.__name__}: {bad!r} in {field}")
+    try:
+        if dtype in (int, float):
+            return np.asarray(values, dtype=dtype) if many else dtype(value)
+    except OverflowError as exc:  # an integer beyond int64, or beyond a float's range
+        raise ValueError(f"malformed {doc}: {exc} in {field}") from None
+    return value
 
 
 def logit(p):
@@ -99,12 +122,20 @@ class CalibrationMap:
     @staticmethod
     def from_json(text: str) -> "CalibrationMap":
         d = json.loads(text)
-        return CalibrationMap(
-            kind=d["kind"],
-            knots=np.asarray(d["knots"], dtype=float) if "knots" in d else None,
-            levels=np.asarray(d["levels"], dtype=float) if "levels" in d else None,
-            coef=tuple(d["coef"]) if "coef" in d else None,
-        )
+        if not isinstance(d, dict):
+            raise ValueError("a calibration map must be a JSON object")
+
+        def field(key, dtype):
+            return (json_field(d[key], dtype, f"calibration field '{key}'", "calibration map")
+                    if key in d else None)
+
+        coef = field("coef", [float])
+        if coef is not None and coef.size != 2:
+            raise ValueError("malformed calibration map: calibration field 'coef' must hold "
+                             f"2 numbers, got {coef.size}")
+        return CalibrationMap(kind=field("kind", str), knots=field("knots", [float]),
+                              levels=field("levels", [float]),
+                              coef=None if coef is None else tuple(coef.tolist()))
 
 
 def pava_isotonic(x, y, weights=None) -> CalibrationMap:

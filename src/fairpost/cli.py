@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .attribution import basic_bias_explanations, ibe_table, select_impactful
-from .bias import PartitionSpec, model_bias
+from .bias import PartitionSpec, bias_cells, model_bias
 from .calibrate import CalibrationError, auc
 from .explain import default_background, marginal_shapley, pdp_output
 from .learn import (MODEL_KINDS, Dataset, GbmConfig, SyntheticSpec, TrainedModel, generate,
@@ -185,12 +185,12 @@ def cmd_curve(args) -> None:
     partition = PARTITIONS[args.partition]()
     focals = {i: focal_point(data.x, i, rule=args.focal, g=data.g) for i in indices}
     score = post_scorer(model, data.x, indices)
+    cells = bias_cells(data.g, partition, data.columns)
     rows = []
     for a in grid:
         params = _params_from_vector([a] * len(indices), indices, "global", focals,
                                      args.focal, data.feature_names)
-        report = model_bias(score(params), data.g, partition,
-                            favorable_sign=args.sign, columns=data.columns)
+        report = cells.measure(score(params), args.sign)
         rows.append((a, report.total, report.positive, report.negative))
     with open(args.out, "w") as fh:
         fh.write("a,total,positive,negative\n")

@@ -6,6 +6,16 @@ its integer class CDF gap (``_cdf_gap``).  W1 is the CDF form ``integral
 KS is the largest gap.  ``EmpiricalDistribution`` (ties merged,
 right-continuous step CDF, generalized-inverse quantile ``Q(p) = inf{x : p
 <= F(x)}``) serves the classifier and quantile bias.
+
+The sort is of uint64 keys ``(bits << 1) | label``, ``bits`` the float64
+bit pattern of a value's magnitude, so one sort yields both the values and
+their labels.  For non-negative floats the bit order is the value order, and
+the sign bit that the shift drops is 0 (``-0.0`` takes the key of ``+0.0``),
+so the keys read back as the exact values.  Negative values are keyed by
+magnitude, sorted apart and placed reversed, and negated on read-back, in
+front of the others; the same steps run on every sample, with or without
+negatives.  A run of tied values has zero length in the integral, so the
+order within it, which a key sort fixes by label, changes no bit.
 """
 
 from __future__ import annotations
@@ -65,10 +75,27 @@ def _sample(samples) -> np.ndarray:
     return values
 
 
+@dataclass(frozen=True)
+class ClassLabels:
+    """The 0/1 labels of a pooled sample, with the counts its CDF gap reads."""
+
+    bits: np.ndarray  # uint64 0/1, one per value
+    n0: int
+    n1: int
+    ramp: np.ndarray  # k * n1 for k = 1..n, the class-0 term of the gap
+
+    @staticmethod
+    def of(labels) -> "ClassLabels":
+        bits = np.asarray(labels).astype(np.uint64).ravel()
+        n1 = int(np.count_nonzero(bits))
+        return ClassLabels(bits=bits, n0=bits.size - n1, n1=n1,
+                           ramp=np.arange(1, bits.size + 1) * n1)
+
+
 def _pooled(a, b):
     """Samples ``a`` and ``b`` pooled, with labels 0 for ``a`` and 1 for ``b``."""
     a, b = _sample(a), _sample(b)
-    return np.concatenate((a, b)), np.repeat([0, 1], (a.size, b.size))
+    return np.concatenate((a, b)), ClassLabels.of(np.repeat([0, 1], (a.size, b.size)))
 
 
 def build_distribution(samples) -> EmpiricalDistribution:
@@ -85,20 +112,23 @@ def build_distribution(samples) -> EmpiricalDistribution:
     return EmpiricalDistribution(values=uniq, cum_weights=cum)
 
 
-def _cdf_gap(values: np.ndarray, labels: np.ndarray):
+def _cdf_gap(values: np.ndarray, labels: ClassLabels):
     """One sort of the pooled sample: the sorted values, the integer gap
-    ``c1 * n0 - c0 * n1`` after each (``c0, c1`` the running counts of labels
-    0 and 1), and ``n0 * n1``.  At the last index of a run of ties,
-    ``gap / (n0 * n1)`` is ``F1 - F0`` at that value."""
-    n1 = int(np.count_nonzero(labels))
-    n0 = values.size - n1
-    order = np.argsort(values)
-    c1 = np.cumsum(labels[order])
-    c0 = np.arange(1, values.size + 1) - c1
-    return values[order], c1 * n0 - c0 * n1, n0 * n1
+    ``c1 * n0 - c0 * n1 = c1 * n - k * n1`` after the ``k``-th (``c0, c1``
+    the running counts of labels 0 and 1), and ``n0 * n1``.  At the last
+    index of a run of ties, ``gap / (n0 * n1)`` is ``F1 - F0`` at that
+    value."""
+    keys = np.abs(values).view(np.uint64) << 1 | labels.bits
+    negative = values < 0
+    keys = np.concatenate((np.sort(keys[negative])[::-1], np.sort(keys[~negative])))
+    v = (keys >> 1).view(float)
+    head = v[:np.count_nonzero(negative)]
+    np.negative(head, out=head)
+    c1 = np.cumsum((keys & 1).view(np.int64))
+    return v, c1 * values.size - labels.ramp, labels.n0 * labels.n1
 
 
-def signed_transport(values: np.ndarray, labels: np.ndarray,
+def signed_transport(values: np.ndarray, labels: ClassLabels,
                      favorable_sign: int) -> SignedTransport:
     """W1 between the ``labels == 0`` (non-protected) and ``labels == 1``
     samples of ``values``; the positive part covers the quantiles where

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrate import SEPARATION_BOUND, binary_labels, newton_logistic, sigmoid
+from .calibrate import SEPARATION_BOUND, binary_labels, json_field, newton_logistic, sigmoid
 
 LOG_LOSS_CLAMP = 1e-6
 PRED_CLAMP = 1e-9
@@ -218,28 +218,6 @@ class GbmConfig:
 
 _TREE_FIELDS = (("feature", int), ("threshold", float), ("left", int), ("right", int),
                 ("value", float))
-_JSON_TYPES = {int: {int}, float: {int, float}, str: {str}, list: {list}, dict: {dict}}
-_JSON_NAMES = {str: "string", bool: "boolean", type(None): "null", list: "array", dict: "object"}
-
-
-def json_field(value, dtype, field: str, doc: str = "model"):
-    """The raw JSON ``value`` of ``field`` in a ``doc`` as ``dtype``, refused unless its type is
-    one ``_JSON_TYPES`` allows; ``[dtype]`` takes an array of them, numbers as a numpy array."""
-    many = type(dtype) is list
-    dtype, values = (dtype[0], json_field(value, list, field, doc)) if many else (dtype, [value])
-    if not set(map(type, values)) <= _JSON_TYPES[dtype]:
-        bad = next(v for v in values if type(v) not in _JSON_TYPES[dtype])
-        kind = _JSON_NAMES.get(type(bad), type(bad).__name__)
-        raise ValueError(f"malformed {doc}: could not convert {kind} to "
-                         f"{dtype.__name__}: {bad!r} in {field}")
-    try:
-        if dtype in (int, float):
-            return np.asarray(values, dtype=dtype) if many else dtype(value)
-    except OverflowError as exc:  # an integer beyond int64, or beyond a float's range
-        raise ValueError(f"malformed {doc}: {exc} in {field}") from None
-    return value
-
-
 @dataclass
 class _Tree:
     feature: np.ndarray  # -1 marks a leaf
@@ -667,9 +645,17 @@ class TrainedModel:
             return json_field(d[key], dtype, f"model field '{key}'")
 
         if d["kind"] == "gbm":
-            return TrainedModel(kind="gbm", favorable_sign=field("favorable_sign", int),
-                                init_score=field("init_score", float),
-                                learning_rate=field("learning_rate", float),
+            sign, init_score, learning_rate = (field("favorable_sign", int),
+                                               field("init_score", float),
+                                               field("learning_rate", float))
+            if not np.isfinite(init_score):
+                raise ValueError(f"malformed model: {init_score!r} is not finite "
+                                 "in model field 'init_score'")
+            if not 0 < learning_rate < np.inf:  # NaN fails both
+                raise ValueError(f"malformed model: {learning_rate!r} is not positive and "
+                                 "finite in model field 'learning_rate'")
+            return TrainedModel(kind="gbm", favorable_sign=sign, init_score=init_score,
+                                learning_rate=learning_rate,
                                 trees=_Tree.from_dicts(field("trees", [dict])))
         if d["kind"] == "logistic":
             return TrainedModel(kind="logistic", favorable_sign=field("favorable_sign", int),
@@ -724,10 +710,17 @@ def train_logistic(x, y, favorable_sign: int = 1) -> TrainedModel:
 
 
 def log_loss(y_labels, scores) -> float:
-    """Mean binomial deviance with scores clamped away from 0 and 1."""
-    y = np.asarray(y_labels, dtype=float).ravel()
+    """Mean binomial deviance of 0/1 labels, with scores clamped away from 0
+    and 1, from one log per row: ``-mean(log |s + y - 1|)``, where ``|s +
+    y - 1|`` is exactly ``s`` if ``y == 1`` and ``1 - s`` if ``y == 0``.
+    That has the bits of ``-mean(y log s + (1 - y) log(1 - s))``, whose
+    other term is a signed zero."""
+    y = binary_labels(y_labels)
     s = np.clip(np.asarray(scores, dtype=float).ravel(), LOG_LOSS_CLAMP,
                 1.0 - LOG_LOSS_CLAMP)
     if y.size != s.size:
         raise ValueError("labels and scores must have the same length")
-    return float(-np.mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
+    y -= 1
+    s += y
+    np.abs(s, out=s)
+    return float(-np.mean(np.log(s, out=s)))

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bias import PartitionSpec, model_bias
+from .bias import PartitionSpec, bias_cells, model_bias
 from .calibrate import CalibrationError, link_linear_calibrate, logistic_refit, pava_isotonic
 from .learn import Dataset, GbmConfig, log_loss, train_gbm
 from .transform import (TRANSFORMS, CompressiveParams, PredictorTransform, build_postprocessed,
@@ -344,8 +344,9 @@ def _frontier_search(space: SearchSpace, splits, partition, favorable_sign: int,
     """Run the prior + per-omega Bayesian loop over ``score``.
 
     ``score(vector)`` returns the family's scores on the holdout and test
-    splits of ``(train, holdout, test)``; each distinct vector is scored and
-    measured once per process, so the test-split numbers are collected as
+    splits of ``(train, holdout, test)``; each split's bias cells are
+    prepared once, and each distinct vector is scored and measured once per
+    process, so the test-split numbers are collected as
     points are visited.  The distinct prior vectors, then the omega loops,
     are independent tasks run through ``_map`` with ``workers``; a vector
     that loops in two workers both visit is measured in each, with the same
@@ -356,10 +357,11 @@ def _frontier_search(space: SearchSpace, splits, partition, favorable_sign: int,
     train, holdout, test = splits
     lo, hi = space.lo, space.hi
     rng = np.random.default_rng(space.seed)
+    cells = [bias_cells(split.g, partition, split.columns) for split in (holdout, test)]
 
     def measure(vec):  # ((holdout loss, bias), (test loss, bias))
-        return tuple(_loss_and_bias(scores, split, partition, favorable_sign)
-                     for scores, split in zip(score(vec), (holdout, test)))
+        return tuple((log_loss(split.y, scores), split_cells.measure(scores, favorable_sign).total)
+                     for scores, split, split_cells in zip(score(vec), (holdout, test), cells))
 
     prior = [rng.uniform(lo, hi) for _ in range(space.n_prior)]
     distinct = {vec.tobytes(): vec for vec in prior}
@@ -479,13 +481,6 @@ def build_calibrated(model, params: CompressiveParams, data: Dataset,
     return replace(post, calibration=calib), False
 
 
-def _loss_and_bias(scores, data: Dataset, partition, favorable_sign):
-    loss = log_loss(data.y, scores)
-    report = model_bias(scores, data.g, partition, favorable_sign,
-                        columns=data.columns)
-    return loss, report.total
-
-
 def objective(model, params: CompressiveParams, data: Dataset, omega: float,
               partition: PartitionSpec | None = None, favorable_sign: int = 1,
               calibration: str | None = "link_linear") -> float:
@@ -503,7 +498,9 @@ def objective(model, params: CompressiveParams, data: Dataset, omega: float,
     if failed:
         warnings.warn("calibration failed; objective uses the uncalibrated "
                       "post-processed model", stacklevel=2)
-    loss, bias = _loss_and_bias(fitted.calibrate(scores), data, partition, favorable_sign)
+    scores = fitted.calibrate(scores)
+    loss = log_loss(data.y, scores)
+    bias = model_bias(scores, data.g, partition, favorable_sign, columns=data.columns).total
     return loss + omega * bias
 
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import binary_labels
+from .calibrate import binary_labels, json_field
 from .empirical import _ks
-from .learn import json_field
 
 # The local map t - d (1 - 1/a) exp(-u), with d = t - t* and u = d^2 / (2 sigma^2),
 # has slope 1 - (1 - 1/a) exp(-u) (1 - 2u), and exp(-u) (1 - 2u) lies in
@@ -27,8 +26,13 @@ from .learn import json_field
 LOCAL_A_MIN = 0.4
 
 def impact_indices(impact_list) -> tuple[int, ...]:
-    """Predictor indices of an ImpactList (its M) or of a sequence of indices."""
-    return tuple(int(i) for i in getattr(impact_list, "M", impact_list))
+    """Predictor indices of an ImpactList (its M) or of a sequence of
+    integers; a boolean, fraction or string is refused, not truncated."""
+    indices = tuple(getattr(impact_list, "M", impact_list))
+    for i in indices:
+        if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"predictor index {i!r} is not an integer")
+    return tuple(int(i) for i in indices)
 
 
 def transform_global(t, a: float, t_star: float):

@@ -7,12 +7,13 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fairpost.bias import model_bias
 from fairpost.calibrate import CalibrationError, link_linear_calibrate, sigmoid
 from fairpost.empirical import EmpiricalDistribution, SignedTransport, build_distribution
 from fairpost.explain import marginal_game_values
-from fairpost.learn import PRED_CLAMP, Dataset, _Tree, log_loss
+from fairpost.learn import LOG_LOSS_CLAMP, PRED_CLAMP, Dataset, _Tree, log_loss
 
 
 def assert_value_error(call, message):
@@ -62,6 +63,62 @@ def quantile_w1_signed(a, b, favorable_sign: int) -> SignedTransport:
     pos = float(np.sum(lengths * np.maximum(signed, 0.0)))
     neg = float(np.sum(lengths * np.maximum(-signed, 0.0)))
     return SignedTransport(total=pos + neg, positive_part=pos, negative_part=neg)
+
+
+def argsort_signed_transport(values, labels, favorable_sign: int):
+    """Signed W1 and KS of the ``labels == 0`` and ``labels == 1`` values in
+    the argsort form that the key sort replaced: ``argsort``, a gather of
+    the values and of the labels, and the integer gap ``c1 * n0 - c0 * n1``.
+    Returns ``(SignedTransport, KS distance, KS location)``."""
+    values, labels = np.asarray(values, dtype=float), np.asarray(labels)
+    n1 = int(np.count_nonzero(labels))
+    n0 = values.size - n1
+    order = np.argsort(values)
+    c1 = np.cumsum(labels[order])
+    c0 = np.arange(1, values.size + 1) - c1
+    v, gap, n01 = values[order], c1 * n0 - c0 * n1, n0 * n1
+    dv = np.diff(v)
+    pos = float(np.sum(np.maximum(gap[:-1], 0) * dv)) / n01
+    neg = float(np.sum(np.maximum(-gap[:-1], 0) * dv)) / n01
+    if favorable_sign == -1:
+        pos, neg = neg, pos
+    ends = np.flatnonzero(np.append(v[1:] != v[:-1], True))
+    k = ends[np.argmax(np.abs(gap[ends]))]
+    return (SignedTransport(total=pos + neg, positive_part=pos, negative_part=neg),
+            float(abs(gap[k])) / n01, float(v[k]))
+
+
+# finite floats with the cases a sort of bit-pattern keys must get right: both
+# zeros, subnormals and the smallest normals of each sign, and small integers for ties
+FINITE_VALUES = st.one_of(
+    st.floats(-1e150, 1e150),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -2.2250738585072014e-308, 1e-310, -1e-310, 1.0, -1.0, 0.5, -0.5]),
+    st.integers(-3, 3).map(float),
+)
+
+
+def labelled(draw, *groups):
+    """The values of each group, shuffled together, and each one's group index;
+    ``draw`` is the hypothesis draw of a composite strategy."""
+    values = [v for group in groups for v in group]
+    index = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    order = np.array(draw(st.permutations(range(len(values)))), dtype=np.intp)
+    return np.array(values, dtype=float)[order], index[order]
+
+
+def same_bits(got: float, want: float) -> bool:
+    """Equal float64 bit patterns, with +0.0 and -0.0 taken as one: the
+    argsort form's sign of a zero follows where the sort leaves tied zeros."""
+    return np.float64(got + 0.0).tobytes() == np.float64(want + 0.0).tobytes()
+
+
+def two_log_loss(y, scores) -> float:
+    """Mean binomial deviance with both logs, ``-mean(y log s + (1 - y)
+    log(1 - s))``, scores clamped as ``log_loss`` clamps them."""
+    y = np.asarray(y, dtype=float)
+    s = np.clip(np.asarray(scores, dtype=float), LOG_LOSS_CLAMP, 1.0 - LOG_LOSS_CLAMP)
+    return float(-np.mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
 
 
 def grid_ks(a, b) -> tuple[float, float]:

@@ -6,13 +6,22 @@ from hypothesis import strategies as st
 from fairpost.bias import (
     MIN_CELL_CLASS_ROWS,
     PartitionSpec,
+    bias_cells,
     classifier_bias,
     is_fair,
     model_bias,
     quantile_bias,
 )
 
-from helpers import assert_value_error, quantile_w1, quantile_w1_signed
+from helpers import (
+    FINITE_VALUES,
+    argsort_signed_transport,
+    assert_value_error,
+    labelled,
+    quantile_w1,
+    quantile_w1_signed,
+    same_bits,
+)
 
 
 def interleaved_scores(rng, n_per_class):
@@ -143,6 +152,50 @@ class TestCdfFormAgainstQuantileForm:
                         assert (other.total, other.positive, other.negative) == (
                             base.total, base.positive, base.negative)
                         assert other.per_cell == base.per_cell
+
+
+@st.composite
+def label_cells(draw):
+    """Shuffled scores of the four (y, g) groups, each nonempty, with their g
+    and y labels."""
+    scores, group = labelled(draw, *(draw(st.lists(FINITE_VALUES, min_size=1, max_size=25))
+                                     for _ in range(4)))
+    return scores, group % 2, group // 2
+
+
+class TestPreparedCells:
+    @settings(max_examples=300, deadline=None)
+    @given(cells=label_cells(), favorable_sign=st.sampled_from([-1, 1]))
+    def test_by_label_matches_per_cell_argsort_form(self, cells, favorable_sign):
+        """Each cell's transport and the weighted sums, bit for bit."""
+        scores, g, y = cells
+        partition = PartitionSpec.by_label()
+        report = model_bias(scores, g, partition, favorable_sign, {"y": y})
+        total = pos = neg = 0.0
+        for cell, w, got in zip((0, 1), partition.weights, report.per_cell):
+            want = argsort_signed_transport(scores[y == cell], g[y == cell], favorable_sign)[0]
+            for part in ("total", "positive_part", "negative_part"):
+                assert same_bits(getattr(got, part), getattr(want, part)), part
+            total += w * want.total
+            pos += w * want.positive_part
+            neg += w * want.negative_part
+        assert all(same_bits(a, b) for a, b in ((report.total, total), (report.positive, pos),
+                                                (report.negative, neg), (report.net, pos - neg)))
+
+    def test_prepared_once_measures_like_model_bias(self):
+        rng = np.random.default_rng(70)
+        scores, g, y = random_cells(rng, [[30, 8], [40, 50]], 1)
+        cells = bias_cells(g, PartitionSpec.by_label(), {"y": y})
+        for favorable_sign in (-1, 1):
+            for _ in range(3):
+                s = rng.permutation(scores)
+                assert cells.measure(s, favorable_sign) == model_bias(
+                    s, g, PartitionSpec.by_label(), favorable_sign, {"y": y})
+        assert cells.measure(scores).warnings == (
+            f"cell 'y=0' has a class with fewer than {MIN_CELL_CLASS_ROWS} rows; "
+            "its W1 estimate is unreliable",)
+        with pytest.raises(ValueError, match="same length"):
+            cells.measure(scores[1:])
 
 
 class TestModelBiasErrors:

@@ -350,6 +350,24 @@ INPUT_CHECKS = {
                       "scores and labels must have the same length"),
     "refit NaN score": (lambda: logistic_refit([np.nan, 0.2], [0, 1]), "scores must be finite"),
     "refit labels": (lambda: logistic_refit([0.2, 0.3], [0, 2]), "labels must be binary 0/1"),
+    "string coef": (lambda: CalibrationMap.from_json('{"kind": "link_linear", "coef": "ab"}'),
+                    "malformed calibration map: could not convert string to list: 'ab' in "
+                    "calibration field 'coef'"),
+    "string in coef": (lambda: CalibrationMap.from_json(
+        '{"kind": "link_linear", "coef": [1, "b"]}'),
+        "malformed calibration map: could not convert string to float: 'b' in "
+        "calibration field 'coef'"),
+    "one coef": (lambda: CalibrationMap.from_json('{"kind": "logistic_refit", "coef": [1.5]}'),
+                 "malformed calibration map: calibration field 'coef' must hold 2 numbers, got 1"),
+    "boolean knot": (lambda: CalibrationMap.from_json(
+        '{"kind": "pava", "knots": [true], "levels": [0.5]}'),
+        "malformed calibration map: could not convert boolean to float: True in "
+        "calibration field 'knots'"),
+    "numeric kind": (lambda: CalibrationMap.from_json('{"kind": 3}'),
+                     "malformed calibration map: could not convert int to str: 3 in "
+                     "calibration field 'kind'"),
+    "calibration list": (lambda: CalibrationMap.from_json("[]"),
+                         "a calibration map must be a JSON object"),
 }
 
 

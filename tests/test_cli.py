@@ -505,8 +505,13 @@ class TestExitCodes:
         ("init_score", "0.5", "could not convert string to float: '0.5' in model field"),
         ("coef", "0.1", "could not convert string to list: '0.1' in model field"),
         ("favorable_sign", 1.5, "could not convert float to int: 1.5 in model field"),
+        ("init_score", float("inf"), "inf is not finite in model field"),
+        ("init_score", float("nan"), "nan is not finite in model field"),
+        ("learning_rate", -1.0, "-1.0 is not positive and finite in model field"),
+        ("learning_rate", float("inf"), "inf is not positive and finite in model field"),
     ], ids=["feature", "threshold", "left", "right", "value", "learning-rate-boolean",
-            "init-score-string", "coef-string", "sign-fraction"])
+            "init-score-string", "coef-string", "sign-fraction", "init-score-infinity",
+            "init-score-nan", "learning-rate-negative", "learning-rate-infinity"])
     def test_wrong_json_type_is_exit_two(self, workdir, tmp_path, capsys, field, values,
                                          message):
         """A tree or model field value of the wrong JSON type is refused, not

@@ -7,14 +7,27 @@ from hypothesis import strategies as st
 from scipy.stats import norm, wasserstein_distance
 
 from fairpost.empirical import (
+    ClassLabels,
+    _ks,
     build_distribution,
     ks_distance,
+    signed_transport,
     wasserstein1,
     wasserstein1_signed,
 )
 from fairpost.transform import focal_point
 
-from helpers import assert_value_error, grid_ks, quantile_w1, quantile_w1_signed, riemann_w1
+from helpers import (
+    FINITE_VALUES,
+    argsort_signed_transport,
+    assert_value_error,
+    grid_ks,
+    labelled,
+    quantile_w1,
+    quantile_w1_signed,
+    riemann_w1,
+    same_bits,
+)
 
 
 def random_samples(seed, count, decimals, max_size=60):
@@ -187,6 +200,35 @@ class TestAgainstOracles:
         gaps = {t: exact_cdf_gap(a, b, t) for t in np.unique(np.concatenate((a, b)))}
         assert gaps[found] == max(gaps.values())
         assert all(gap < gaps[found] for t, gap in gaps.items() if t < found)
+
+
+@st.composite
+def two_class_sample(draw):
+    """A shuffled pooled sample of two nonempty classes and its 0/1 labels."""
+    return labelled(draw, *(draw(st.lists(FINITE_VALUES, min_size=1, max_size=40))
+                            for _ in range(2)))
+
+
+class TestKeySort:
+    """The uint64 key sort against the argsort form it replaced, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(sample=two_class_sample(), favorable_sign=st.sampled_from([-1, 1]))
+    @example(sample=(np.array([0.0, -0.0]), np.array([0, 1])), favorable_sign=1)
+    @example(sample=(np.array([-0.0, 5e-324, -5e-324, 0.0]), np.array([1, 0, 0, 0])),
+             favorable_sign=-1)
+    @example(sample=(np.array([-2.0, -2.0, -1.0, 3.0, -2.0]), np.array([0, 1, 1, 0, 0])),
+             favorable_sign=1)
+    def test_matches_argsort_form(self, sample, favorable_sign):
+        values, labels = sample
+        want, want_ks, want_at = argsort_signed_transport(values, labels, favorable_sign)
+        a, b = values[labels == 0], values[labels == 1]
+        for got in (signed_transport(values, ClassLabels.of(labels), favorable_sign),
+                    wasserstein1_signed(a, b, favorable_sign)):
+            for part in ("total", "positive_part", "negative_part"):
+                assert same_bits(getattr(got, part), getattr(want, part)), part
+        got_ks, got_at = _ks(a, b)
+        assert same_bits(got_ks, want_ks) and same_bits(got_at, want_at)
 
 
 class TestProperties:

@@ -32,6 +32,7 @@ from helpers import (
     read_csv_direct,
     train_gbm_direct,
     tree_scores_direct,
+    two_log_loss,
 )
 
 # cells that to_csv writes as repr() and a parser must read back bit for bit
@@ -573,6 +574,23 @@ class TestLogLoss:
         loss = log_loss(y, np.full(n, 0.3))
         entropy = -(0.3 * np.log(0.3) + 0.7 * np.log(0.7))
         assert abs(loss - entropy) <= 0.002
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from([0, 1]), st.one_of(
+        st.floats(-1.0, 2.0),
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-7, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-16, 1.0]))),
+        min_size=1, max_size=60),
+        label_type=st.sampled_from([int, float, bool]))
+    def test_one_log_matches_two_log_formula(self, rows, label_type):
+        """Bit for bit, scores outside the clamp and at its edges included."""
+        y, scores = (np.array(column) for column in zip(*rows))
+        labels = y.astype(label_type)
+        got = log_loss(labels, scores)
+        assert np.float64(got).tobytes() == np.float64(two_log_loss(y, scores)).tobytes()
+        assert (labels == y).all()  # the caller's labels are not written to
+
+    def test_labels_must_be_binary(self):
+        assert_value_error(lambda: log_loss([0, 0.5], [0.2, 0.4]), "labels must be binary 0/1")
 
 
 # one call per input check, and the whole message it raises

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from fairpost.bias import PartitionSpec, model_bias
 from fairpost.cli import main
-from fairpost.learn import (Dataset, GbmConfig, SyntheticSpec, generate, log_loss, train_gbm,
-                            train_logistic)
+from fairpost.learn import (Dataset, GbmConfig, SyntheticSpec, generate, log_loss, split_dataset,
+                            train_gbm, train_logistic)
 from fairpost.mitigate import (
     Frontier,
     FrontierPoint,
@@ -26,7 +26,7 @@ from fairpost.mitigate import (
     transform_search_space,
 )
 from fairpost.transform import (LOCAL_A_MIN, CompressiveParams, PredictorTransform,
-                                focal_point)
+                                focal_point, post_scorer)
 
 from helpers import assert_value_error, brute_force_pareto, gp_expected_improvement_scipy
 
@@ -745,6 +745,21 @@ class TestInputChecks:
     @pytest.mark.parametrize("check", INPUT_CHECKS)
     def test_message(self, check):
         assert_value_error(*INPUT_CHECKS[check])
+
+    @pytest.mark.parametrize("indices, shown", [
+        ((0.7, 2.9), "0.7"), ((True,), "True"), ((0, "1"), "'1'"),
+        ((np.float64(2.0),), "np.float64(2.0)"),
+    ], ids=["fractions", "boolean", "string", "numpy-float"])
+    def test_non_integer_predictor_indices_are_refused(self, indices, shown):
+        """A library caller's index is refused, not truncated to another column."""
+        data = generate(SyntheticSpec("M1", 200, seed=3))
+        train, holdout, test = split_dataset(data, seed=3)
+        model = train_logistic(train.x, train.y)
+        space = transform_search_space((0, 2), "global", n_prior=2, n_bo=0)
+        message = f"predictor index {shown} is not an integer"
+        assert_value_error(lambda: run_algorithm1(model, train, holdout, test, indices, space),
+                           message)
+        assert_value_error(lambda: post_scorer(model, holdout.x, indices), message)
 
     def test_objective_warns_and_scores_uncalibrated_on_a_failed_fit(self):
         """Compressing every predictor onto one point leaves constant scores,

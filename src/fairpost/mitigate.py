@@ -14,17 +14,17 @@ parameters are boosted-tree hyperparameters.
 
 The prior vectors, and then the omega loops, are independent tasks: loop
 ``j`` draws from ``default_rng([seed, 1000 + j])`` and reads only the prior
-and its own points.  The retraining baseline, whose every evaluation fits a
-GBM, deals each phase's tasks to every CPU in the process's affinity mask
-(``os.fork``ed workers) and gathers them in task order, so its outputs are
-identical for any CPU count; ``taskset -c 0`` gives it one worker.  The
-post-processing search, whose evaluations take milliseconds, runs in one
-process.
+and its own points.  Both families deal each phase's tasks to every CPU in
+the process's affinity mask, through workers ``os.fork``ed once per search,
+and gather them in task order, so their outputs are identical for any CPU
+count; ``taskset -c 0`` gives one worker.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -268,89 +268,124 @@ def _run_share(fn, tasks) -> list:
     return out
 
 
-def _child(fn, tasks, sink):
-    """Run a forked child's share, write it, or its exception, pickled to
-    ``sink`` and end the process: it never returns into the caller's stack.
-    A payload that cannot be pickled leaves ``sink`` empty."""
+def _serve(table, inbox, outbox):
+    """A forked worker's loop: run each ``(key, tasks)`` message from
+    ``inbox`` by ``table[key]`` and write its share, or its exception,
+    pickled to ``outbox``.  The end of ``inbox`` or any failure ends the
+    process: it never returns into the caller's stack.  A reply that cannot
+    be pickled ends it with nothing written."""
     try:
-        try:
-            payload = (True, _run_share(fn, tasks))
-        except BaseException as exc:
-            payload = (False, (exc, traceback.format_exc()))
-        sink.write(pickle.dumps(payload))
-        sink.flush()
+        while True:
+            key, tasks = pickle.load(inbox)
+            try:
+                reply = (True, _run_share(table[key], tasks))
+            except BaseException as exc:
+                reply = (False, (exc, traceback.format_exc()))
+            outbox.write(pickle.dumps(reply))
+            outbox.flush()
     finally:
         os._exit(0)
 
 
-def _map(fn, tasks, workers: int) -> list:
-    """``[fn(task) for task in tasks]``, with the tasks dealt round-robin to
-    this process and to ``workers - 1`` forked children.
+_ENDED = "a search worker ended without a result"
 
-    Results come back in task order, and the tasks' warnings are re-issued
-    in that order.  A child's exception is raised here with its type and
-    message.  Every child has been reaped when this returns or raises, and
-    is killed first if this process's own share raises.  One task or one
-    worker runs in this process and forks nothing.
+
+class _Pool:
+    """This process and ``workers - 1`` children forked once, which run the
+    phases of one search.  A phase is a key into ``table``, so a message
+    carries only the key and the tasks, never a closure.
+
+    ``run`` and ``map`` re-raise a child's exception here with its type and
+    message.  Leaving the ``with`` block, by success or by any exception,
+    ``KeyboardInterrupt`` included, kills and reaps every child.  One worker
+    forks nothing and runs the same closures in this process.
     """
-    tasks = list(tasks)
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        return [fn(task) for task in tasks]
-    pids, replies = [], []
-    try:
-        for w in range(1, workers):
-            read, write = os.pipe()
-            replies.append(os.fdopen(read, "rb"))
-            with os.fdopen(write, "wb") as sink:
-                pid = os.fork()
-                if pid == 0:
-                    _child(fn, tasks[w::workers], sink)
-            pids.append(pid)
-        shares = [_run_share(fn, tasks[::workers])]
-        payloads = [reply.read() for reply in replies]
-    except BaseException:
-        for pid in pids:
+
+    def __init__(self, table: dict, workers: int):
+        self.table, self.workers = table, workers
+        self.pids, self.pipes = [], []  # per child: (task sink, reply source)
+
+    def __enter__(self):
+        try:
+            for _ in range(1, self.workers):
+                tasks_r, tasks_w, replies_r, replies_w = (
+                    os.fdopen(fd, mode)
+                    for fd, mode in zip(os.pipe() + os.pipe(), ("rb", "wb", "rb", "wb")))
+                self.pipes.append((tasks_w, replies_r))
+                with tasks_r, replies_w:
+                    pid = os.fork()
+                    if pid == 0:
+                        for end in itertools.chain.from_iterable(self.pipes):
+                            end.close()  # so each child sees the end of its inbox
+                        _serve(self.table, tasks_r, replies_w)
+                self.pids.append(pid)
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc_info):
+        for pid in self.pids:
             os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for reply in replies:
-            reply.close()
-        for pid in pids:
+        for pid in self.pids:
             os.waitpid(pid, 0)
-    for payload in payloads:
-        if not payload:
-            raise RuntimeError("a search worker ended without a result")
-        ok, share = pickle.loads(payload)  # bytes our own fork wrote
-        if not ok:
-            exc, child_traceback = share
-            raise exc from RuntimeError(f"raised in a search worker:\n{child_traceback}")
-        shares.append(share)
-    ordered = [None] * len(tasks)
-    for w, share in enumerate(shares):
-        ordered[w::workers] = share
-    for _, caught in ordered:
-        for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno)
-    return [result for result, _ in ordered]
+        for end in itertools.chain.from_iterable(self.pipes):
+            with contextlib.suppress(OSError):  # a write a dead child cut short
+                end.close()
+        self.pids, self.pipes = [], []
+
+    def run(self, key, shares) -> list:
+        """Run the tasks of ``shares[w]`` by ``table[key]`` on worker ``w``,
+        this process being worker 0; each worker's ``(result, warnings)``
+        per task, each warning as ``(message, category, filename, lineno)``."""
+        try:
+            for (sink, _), share in zip(self.pipes, shares[1:]):
+                pickle.dump((key, share), sink)
+                sink.flush()
+        except BrokenPipeError:
+            raise RuntimeError(_ENDED) from None
+        out = [_run_share(self.table[key], shares[0])]
+        for _, source in self.pipes:
+            try:
+                ok, share = pickle.load(source)  # bytes our own fork wrote
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(_ENDED) from None
+            if not ok:
+                exc, child_traceback = share
+                raise exc from RuntimeError(f"raised in a search worker:\n{child_traceback}")
+            out.append(share)
+        return out
+
+    def map(self, key, tasks) -> list:
+        """``[table[key](task) for task in tasks]``, task ``i`` run on worker
+        ``i % workers``.  Results come back in task order, and the tasks'
+        warnings are re-issued in that order."""
+        tasks, n = list(tasks), self.workers
+        ordered = [None] * len(tasks)
+        for w, share in enumerate(self.run(key, [tasks[w::n] for w in range(n)])):
+            ordered[w::n] = share
+        for _, caught in ordered:
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno)
+        return [result for result, _ in ordered]
 
 
 # ---------------------------------------------------------------------------
 # generic search loop
 
 def _frontier_search(space: SearchSpace, splits, partition, favorable_sign: int, score,
-                     describe, surrogate: str, manifest_extra: dict,
-                     workers: int) -> Frontier:
+                     describe, surrogate: str, manifest_extra: dict) -> Frontier:
     """Run the prior + per-omega Bayesian loop over ``score``.
 
     ``score(vector)`` returns the family's scores on the holdout and test
     splits of ``(train, holdout, test)``; each split's bias cells are
     prepared once, and each distinct vector is scored and measured once per
-    process, so the test-split numbers are collected as
-    points are visited.  The distinct prior vectors, then the omega loops,
-    are independent tasks run through ``_map`` with ``workers``; a vector
-    that loops in two workers both visit is measured in each, with the same
-    bits.
+    process, so the test-split numbers are collected as points are visited.
+    The distinct prior vectors, then the omega loops, are independent tasks,
+    run by one ``_Pool`` on every CPU in the affinity mask, at most as many
+    workers as the larger phase has tasks.  Between the phases each child is
+    sent the prior measurements the other workers made.  A vector that loops
+    in two workers both visit is measured in each, with the same bits.
     """
     if surrogate not in SURROGATES:
         raise ValueError(f"unknown surrogate '{surrogate}'")
@@ -365,7 +400,7 @@ def _frontier_search(space: SearchSpace, splits, partition, favorable_sign: int,
 
     prior = [rng.uniform(lo, hi) for _ in range(space.n_prior)]
     distinct = {vec.tobytes(): vec for vec in prior}
-    cache = dict(zip(distinct, _map(measure, distinct.values(), workers)))
+    cache = {}
 
     def scored(vec):
         key = vec.tobytes()
@@ -388,9 +423,18 @@ def _frontier_search(space: SearchSpace, splits, partition, favorable_sign: int,
             points.append((vec, float(omega), measured))
         return points
 
-    visited = [(vec, None, cache[vec.tobytes()]) for vec in prior]
-    for points in _map(omega_loop, range(len(space.omegas)), workers):
-        visited.extend(points)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, max(len(distinct), len(space.omegas)))
+    table = {"measure": scored, "omega_loop": omega_loop, "learn": cache.update}
+    with _Pool(table, workers) as pool:
+        keys = list(distinct)
+        cache.update(zip(keys, pool.map("measure", distinct.values())))
+        # worker w measured keys[w::workers]; it is sent the rest
+        pool.run("learn", [[]] + [[{k: cache[k] for i, k in enumerate(keys) if i % workers != w}]
+                                  for w in range(1, workers)])
+        visited = [(vec, None, cache[vec.tobytes()]) for vec in prior]
+        for points in pool.map("omega_loop", range(len(space.omegas))):
+            visited.extend(points)
 
     holdout_points, test_points = [], []
     for vec, omega, measured in visited:
@@ -513,7 +557,9 @@ def run_algorithm1(model, train: Dataset, holdout: Dataset, test: Dataset,
 
     Focal points come from the training split; calibration is fitted on the
     holdout split (the in-loop data); the frontier is reported on the test
-    split.
+    split.  The evaluations run on every CPU in the affinity mask, in this
+    process alone under ``taskset -c 0`` or where ``os`` has no affinity
+    call, with the same result for any count.
     """
     indices = impact_indices(impact_list)
     if not indices:
@@ -550,9 +596,8 @@ def run_algorithm1(model, train: Dataset, holdout: Dataset, test: Dataset,
         "impact_list": list(indices),
         "calibration": calibration,
     }
-    # an evaluation takes milliseconds, too little to repay a fork
     return _frontier_search(space, (train, holdout, test), partition, favorable_sign,
-                            score, describe, surrogate, extra, workers=1)
+                            score, describe, surrogate, extra)
 
 
 GBM_BASELINE_BOUNDS = (
@@ -592,9 +637,7 @@ def run_hyperparam_baseline(train: Dataset, holdout: Dataset, test: Dataset,
 
     extra = {"family": "gbm_hyperparameters", "min_samples_leaf": GbmConfig.min_samples_leaf}
     return _frontier_search(space, (train, holdout, test), partition, favorable_sign,
-                            score, describe, surrogate, extra,
-                            workers=len(os.sched_getaffinity(0))
-                            if hasattr(os, "sched_getaffinity") else 1)
+                            score, describe, surrogate, extra)
 
 
 def best_gamma_at_omega(frontier: Frontier, omega: float = 0.0) -> dict:

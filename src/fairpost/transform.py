@@ -50,8 +50,14 @@ def transform_asymmetric(t, a_minus: float, a_plus: float, t_star: float):
     if not (0 < a_minus < np.inf and 0 < a_plus < np.inf):
         raise ValueError("a_minus and a_plus must be positive and finite")
     t = np.asarray(t, dtype=float)
-    d = t - t_star
-    out = np.minimum(d, 0.0) / a_minus + np.maximum(d, 0.0) / a_plus + t_star
+    # min(d, 0) / a_minus + max(d, 0) / a_plus + t*, the same operations in two buffers
+    d = np.subtract(t, t_star, out=np.empty_like(t))
+    out = np.minimum(d, 0.0, out=np.empty_like(t))
+    out /= a_minus
+    np.maximum(d, 0.0, out=d)
+    d /= a_plus
+    out += d
+    out += t_star
     return float(out) if out.ndim == 0 else out
 
 

@@ -280,6 +280,12 @@ def sigmoid_masked(z):
     return out
 
 
+def asymmetric_one_line(t, a_minus, a_plus, t_star):
+    """The asymmetric map as one expression of full-length temporaries."""
+    d = np.asarray(t, dtype=float) - t_star
+    return np.minimum(d, 0.0) / a_minus + np.maximum(d, 0.0) / a_plus + t_star
+
+
 def gp_expected_improvement_scipy(rng, lo, hi, xs, ys, n_candidates):
     """The GP surrogate's candidates (in the search box) and their expected
     improvements, with scipy's triangular solves and normal cdf and pdf;

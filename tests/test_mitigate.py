@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import os
@@ -487,20 +488,24 @@ def small_splits():
                  for n, s in ((1200, 51), (800, 52), (800, 53)))
 
 
-def _search(family, m1_setup, small_splits, n_prior=4, n_bo=2, **kwargs):
+def _search(family, m1_setup, small_splits, n_prior=4, n_bo=2, omegas=(0.0, 1.0),
+            transform_kind="global", **kwargs):
     """One frontier search of either family: post-processing over {x1, x3} on
     ``m1_setup``, or the retraining baseline over a small box on ``small_splits``."""
-    omegas = (0.0, 1.0)
     if family == "postprocess":
         model, train, holdout, test = m1_setup
-        space = transform_search_space((0, 2), "global", omegas=omegas, n_prior=n_prior,
+        space = transform_search_space((0, 2), transform_kind, omegas=omegas, n_prior=n_prior,
                                        n_bo=n_bo, seed=6)
         return run_algorithm1(model, train, holdout, test, (0, 2), space,
-                              favorable_sign=-1, **kwargs)
+                              transform_kind=transform_kind, favorable_sign=-1, **kwargs)
     space = SearchSpace(bounds=(("n_estimators", 5.0, 15.0), ("max_leaves", 4.0, 8.0),
                                 ("max_depth", 2.0, 3.0), ("learning_rate", 0.1, 0.3)),
                         omegas=omegas, n_prior=n_prior, n_bo=n_bo, seed=6)
     return run_hyperparam_baseline(*small_splits, space, favorable_sign=-1, **kwargs)
+
+
+# the call that evaluates one parameter vector, per family
+_EVALUATION = {"postprocess": "build_calibrated", "baseline": "train_gbm"}
 
 
 class TestFrontierMeasurement:
@@ -516,14 +521,13 @@ class TestFrontierMeasurement:
         assert manifest["splits"] == dict(zip(("train", "holdout", "test"),
                                               (split.n_rows for split in splits)))
 
-    @pytest.mark.parametrize("family, evaluation", [("postprocess", "build_calibrated"),
-                                                    ("baseline", "train_gbm")])
+    @pytest.mark.parametrize("family, evaluation", list(_EVALUATION.items()))
     def test_each_distinct_vector_is_scored_once(self, m1_setup, small_splits, monkeypatch,
                                                  tmp_path, family, evaluation):
         """Every proposal repeats the first prior vector, so only the prior is
         evaluated, and each repeat carries the first prior point's numbers.
         Calls are counted across processes, one line per call appended to a
-        file, for one and two CPUs; only the baseline forks."""
+        file, for one and two CPUs; both families fork on two."""
         import fairpost.mitigate as mit
 
         inner = getattr(mit, evaluation)
@@ -531,20 +535,12 @@ class TestFrontierMeasurement:
         for cpus in (1, 2):
             _cpus(monkeypatch, cpus)
             log = tmp_path / f"calls-{cpus}"
-            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-
-            def counted(*args, fd=fd, **kwargs):
-                os.write(fd, b"%d\n" % os.getpid())
-                return inner(*args, **kwargs)
-
-            monkeypatch.setattr(mit, evaluation, counted)
-            try:
+            with _calls_logged(inner, log) as counted:
+                monkeypatch.setattr(mit, evaluation, counted)
                 fr = _search(family, m1_setup, small_splits, n_prior=3, n_bo=2)
-            finally:
-                os.close(fd)
             pids = log.read_text().split()
             assert len(pids) == 3
-            assert len(set(pids)) == (2 if family == "baseline" and cpus == 2 else 1)
+            assert len(set(pids)) == cpus
             assert len(fr.points) == 3 + 2 * 2
             for points in (fr.points, fr.holdout_points):
                 first = points[0]
@@ -553,82 +549,125 @@ class TestFrontierMeasurement:
                     assert (repeat.bias, repeat.loss) == (first.bias, first.loss)
 
     @pytest.mark.parametrize("calibration, calls", [(None, 4), ("link_linear", 5)])
-    def test_base_holdout_scored_only_for_a_calibration_fit(self, m1_setup, calibration,
-                                                             calls):
+    def test_base_holdout_scored_only_for_a_calibration_fit(self, m1_setup, monkeypatch,
+                                                             tmp_path, calibration, calls):
         """Two points score the holdout and test splits twice each; the base
-        model's holdout scores are added only for a calibration fit to read."""
+        model's holdout scores are added only for a calibration fit to read.
+        Model calls are counted across processes, one line per call appended
+        to a file, for one and two CPUs."""
         _, train, holdout, test = m1_setup
         base = train_logistic(train.x, train.y)
-        seen = []
-
-        def counting(x):
-            seen.append(len(x))
-            return base(x)
-
         space = transform_search_space((0, 2), "global", omegas=(0.0,), n_prior=2, n_bo=0,
                                        seed=3)
-        run_algorithm1(counting, train, holdout, test, (0, 2), space, favorable_sign=-1,
-                       calibration=calibration)
-        assert len(seen) == calls
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            log = tmp_path / f"calls-{cpus}"
+            with _calls_logged(base, log) as counting:
+                run_algorithm1(counting, train, holdout, test, (0, 2), space,
+                               favorable_sign=-1, calibration=calibration)
+            assert len(log.read_text().split()) == calls
 
 
 def _cpus(monkeypatch, n):
     """Give this process an affinity mask of ``n`` CPUs, the count the
-    retraining baseline reads."""
+    frontier search reads."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def _fail_in(where, error):
-    """A ``train_gbm`` that raises ``error`` in the child processes, or in
-    this one, and fits elsewhere."""
-    parent = os.getpid()
+@contextlib.contextmanager
+def _calls_logged(fn, log):
+    """``fn``, wrapped to append one line, its caller's pid, to the file
+    ``log`` at each call, in whichever process makes it."""
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
-    def fit(*args, **kwargs):
+    def counted(*args, **kwargs):
+        os.write(fd, b"%d\n" % os.getpid())
+        return fn(*args, **kwargs)
+
+    try:
+        yield counted
+    finally:
+        os.close(fd)
+
+
+def _fail_in(where, error, family):
+    """The family's evaluation (``_EVALUATION``), raising ``error`` in the
+    child processes, or in this one, and evaluating elsewhere."""
+    import fairpost.mitigate as mit
+
+    parent, inner = os.getpid(), getattr(mit, _EVALUATION[family])
+
+    def evaluate(*args, **kwargs):
         if (os.getpid() == parent) == (where == "parent"):
             raise error("fit failed")
-        return train_gbm(*args, **kwargs)
+        return inner(*args, **kwargs)
 
-    return fit
+    return evaluate
+
+
+# every transform kind and calibration method of Algorithm 1, with both model-based surrogates
+_POSTPROCESS_CASES = [
+    pytest.param("postprocess", {"transform_kind": kind, "calibration": calibration,
+                                 "surrogate": surrogate},
+                 id=f"postprocess-{kind}-{calibration}-{surrogate}")
+    for kind in ("global", "asymmetric", "local")
+    for calibration in (None, "link_linear", "pava", "logistic_refit")
+    for surrogate in ("tpe", "gp")]
+_PARTITIONS = {"sp": PartitionSpec.all_rows(), "eo": PartitionSpec.by_label()}
 
 
 class TestForkedWorkers:
-    """The retraining baseline deals its fits to one forked worker per CPU."""
+    """Both families deal their evaluations to one forked worker per CPU."""
 
-    @pytest.mark.parametrize("partition", ["sp", "eo"])
-    @pytest.mark.parametrize("surrogate", ["tpe", "gp"])
-    def test_outputs_identical_for_one_and_two_cpus(self, small_splits, tmp_path,
-                                                    monkeypatch, surrogate, partition):
+    @pytest.mark.parametrize("family, kwargs", [
+        *(pytest.param("baseline", {"surrogate": surrogate, "partition": _PARTITIONS[partition]},
+                       id=f"{surrogate}-{partition}")
+          for surrogate in ("gp", "tpe") for partition in ("eo", "sp")),
+        *_POSTPROCESS_CASES])
+    def test_outputs_identical_for_one_and_two_cpus(self, m1_setup, small_splits, tmp_path,
+                                                    monkeypatch, family, kwargs):
         outputs = []
         for cpus in (1, 2):
             _cpus(monkeypatch, cpus)
-            frontier = _search("baseline", None, small_splits, surrogate=surrogate,
-                               partition={"sp": PartitionSpec.all_rows(),
-                                          "eo": PartitionSpec.by_label()}[partition])
+            frontier = _search(family, m1_setup, small_splits, **kwargs)
             frontier.to_csv(tmp_path / f"{cpus}.csv")
             outputs.append(((tmp_path / f"{cpus}.csv").read_bytes(),
                             json.dumps(frontier.manifest, sort_keys=True)))
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("error, code, prefix", [(ValueError, 2, "error"),
-                                                     (FloatingPointError, 3,
-                                                      "numerical failure")])
-    def test_child_error_keeps_type_message_and_exit_code(self, small_splits, tmp_path,
-                                                          monkeypatch, capsys, error, code,
-                                                          prefix):
+    @pytest.mark.parametrize("family, error, code, prefix", [
+        pytest.param(family, error, code, prefix,
+                     id=f"{error.__name__}-{code}-{prefix}" if family == "baseline"
+                     else f"postprocess-{error.__name__}-{code}-{prefix}")
+        for family in ("baseline", "postprocess")
+        for error, code, prefix in ((ValueError, 2, "error"),
+                                    (FloatingPointError, 3, "numerical failure"))])
+    def test_child_error_keeps_type_message_and_exit_code(self, m1_setup, small_splits,
+                                                          tmp_path, monkeypatch, capsys, family,
+                                                          error, code, prefix):
         import fairpost.mitigate as mit
 
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr(mit, "train_gbm", _fail_in("child", error))
+        monkeypatch.setattr(mit, _EVALUATION[family], _fail_in("child", error, family))
         with pytest.raises(error) as info:
-            _search("baseline", None, small_splits)
+            _search(family, m1_setup, small_splits)
         assert type(info.value) is error and str(info.value) == "fit failed"
-        data = tmp_path / "data.csv"
+        data, model = tmp_path / "data.csv", m1_setup[0]
         small_splits[0].to_csv(data)
-        assert main(["compare-baseline", "--data", str(data), "--n-prior", "4", "--n-bo",
-                     "1", "--omega-steps", "2", "--out", str(tmp_path / "out.csv")]) == code
+        search = ["--n-prior", "4", "--n-bo", "1", "--omega-steps", "2",
+                  "--out", str(tmp_path / "out.csv")]
+        if family == "baseline":
+            argv = ["compare-baseline", "--data", str(data), *search]
+        else:
+            (tmp_path / "model.json").write_text(model.to_json())
+            argv = ["mitigate", "--data", str(data), "--model", str(tmp_path / "model.json"),
+                    "--predictors", "x1,x3", *search]
+        assert main(argv) == code
         assert capsys.readouterr().err == f"{prefix}: fit failed\n"
 
-    def test_child_warnings_are_reissued_in_serial_order(self, small_splits, monkeypatch):
+    @pytest.mark.parametrize("family", ["baseline", "postprocess"])
+    def test_child_warnings_are_reissued_in_serial_order(self, m1_setup, small_splits,
+                                                         monkeypatch, family):
         """Every proposal's surrogate fails and falls back with a warning; the
         second omega loop runs in the child."""
         import fairpost.mitigate as mit
@@ -642,23 +681,66 @@ class TestForkedWorkers:
             _cpus(monkeypatch, cpus)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                frontier = _search("baseline", None, small_splits)
+                frontier = _search(family, m1_setup, small_splits)
             runs.append(([(str(w.message), w.category, w.filename, w.lineno) for w in caught],
                          [(p.bias, p.loss, p.gamma) for p in frontier.points]))
         assert len(runs[0][0]) == 2 * 2 and "falling back" in runs[0][0][0][0]
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("outcome", ["success", "child raises", "parent raises"])
-    def test_no_child_outlives_the_search(self, small_splits, monkeypatch, outcome):
+    @pytest.mark.parametrize("family, outcome", [
+        pytest.param(family, outcome,
+                     id=outcome if family == "baseline" else f"postprocess-{outcome}")
+        for family in ("baseline", "postprocess")
+        for outcome in ("success", "child raises", "parent raises")])
+    def test_no_child_outlives_the_search(self, m1_setup, small_splits, monkeypatch, family,
+                                          outcome):
         import fairpost.mitigate as mit
 
         _cpus(monkeypatch, 2)
         if outcome == "success":
-            _search("baseline", None, small_splits)
+            _search(family, m1_setup, small_splits)
         else:
-            monkeypatch.setattr(mit, "train_gbm", _fail_in(outcome.split()[0], ValueError))
+            monkeypatch.setattr(mit, _EVALUATION[family],
+                                _fail_in(outcome.split()[0], ValueError, family))
             with pytest.raises(ValueError, match="^fit failed$"):
-                _search("baseline", None, small_splits)
+                _search(family, m1_setup, small_splits)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("family", ["baseline", "postprocess"])
+    def test_one_fork_per_search(self, m1_setup, small_splits, monkeypatch, family):
+        """On two CPUs the one child serves both phases: the prior vectors and
+        the omega loops."""
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        _cpus(monkeypatch, 2)
+        for _ in range(2):
+            _search(family, m1_setup, small_splits)
+        assert forks == [os.getpid()] * 2
+
+    @pytest.mark.parametrize("family", ["baseline", "postprocess"])
+    def test_child_ending_between_phases(self, m1_setup, small_splits, monkeypatch, family):
+        """The child ends in its first omega task, after serving its share of
+        the prior: the search raises, and the child has been reaped."""
+        import fairpost.mitigate as mit
+
+        parent, propose = os.getpid(), mit._propose
+
+        def ending(*args):
+            if os.getpid() != parent:
+                os._exit(0)
+            return propose(*args)
+
+        monkeypatch.setattr(mit, "_propose", ending)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="^a search worker ended without a result$"):
+            _search(family, m1_setup, small_splits)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -682,6 +764,7 @@ class TestForkedWorkers:
 
     @pytest.mark.parametrize("case", ["one cpu", "one task per phase", "postprocess"])
     def test_no_fork(self, m1_setup, small_splits, monkeypatch, case):
+        """One CPU, or one task in every phase (for Algorithm 1 too), forks nothing."""
         def no_fork():
             raise AssertionError("forked")
 
@@ -692,9 +775,11 @@ class TestForkedWorkers:
                                         ("max_depth", 2.0, 3.0), ("learning_rate", 0.1, 0.3)),
                                 omegas=(0.0,), n_prior=1, n_bo=2, seed=6)
             assert len(run_hyperparam_baseline(*small_splits, space).points) == 3
+        elif case == "postprocess":
+            assert len(_search("postprocess", m1_setup, small_splits, n_prior=1,
+                               omegas=(0.0,)).points) == 3
         else:
-            _search("baseline" if case == "one cpu" else "postprocess", m1_setup,
-                    small_splits)
+            _search("baseline", m1_setup, small_splits)
 
 
 _CELLS = st.one_of(st.floats(allow_nan=False),

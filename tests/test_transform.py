@@ -25,7 +25,7 @@ from fairpost.transform import (
     transform_params,
 )
 
-from helpers import assert_value_error, random_tree
+from helpers import assert_value_error, asymmetric_one_line, random_tree
 
 
 def true_m1_model(z):
@@ -85,6 +85,26 @@ class TestAsymmetricTransform:
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(ValueError):
             transform_asymmetric(1.0, -1.0, 2.0, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5, 2.2e-308])),
+                      min_size=1, max_size=16),
+           a_minus=st.floats(1e-3, 1e3), a_plus=st.floats(1e-3, 1e3),
+           t_star=st.sampled_from([0.0, -0.0, 5e-324, 1.5, -2.5]))
+    def test_same_bits_as_the_one_line_formula(self, t, a_minus, a_plus, t_star):
+        """±0.0, subnormals and ties at t* on both branches, as an array and
+        as a scalar, which comes back as a Python float.  Overflow to
+        infinity is compared too."""
+        t = np.array(t + [t_star], dtype=float)
+        with np.errstate(over="ignore"):
+            want = asymmetric_one_line(t, a_minus, a_plus, t_star)
+            assert transform_asymmetric(t, a_minus, a_plus, t_star).tobytes() == want.tobytes()
+            for value in t[:3]:
+                got = transform_asymmetric(value, a_minus, a_plus, t_star)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(
+                    asymmetric_one_line(value, a_minus, a_plus, t_star)).tobytes()
 
 
 class TestLocalTransform:

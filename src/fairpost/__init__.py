@@ -17,10 +17,7 @@ from .bias import (
     BiasReport,
     PartitionSpec,
     bias_cells,
-    classifier_bias,
-    is_fair,
     model_bias,
-    quantile_bias,
 )
 from .calibrate import (
     CalibrationError,
@@ -34,13 +31,10 @@ from .empirical import (
     EmpiricalDistribution,
     SignedTransport,
     build_distribution,
-    ks_distance,
-    wasserstein1,
     wasserstein1_signed,
 )
 from .explain import (
     default_background,
-    ice_explainer,
     marginal_shapley,
     pdp_explainer,
     pdp_output,
@@ -62,8 +56,6 @@ from .mitigate import (
     SearchSpace,
     best_gamma_at_omega,
     build_calibrated,
-    convex_envelope,
-    objective,
     pareto_extract,
     run_algorithm1,
     run_hyperparam_baseline,

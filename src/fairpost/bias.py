@@ -1,4 +1,4 @@
-"""Model, classifier and quantile bias under partition-weighted W1 metrics.
+"""Model bias under partition-weighted W1 metrics.
 
 A partition splits the rows into disjoint cells (all rows for statistical
 parity, split-by-label for equalized odds).  The model bias is the weighted
@@ -20,9 +20,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .calibrate import binary_labels
-from .empirical import ClassLabels, SignedTransport, build_distribution, signed_transport
-# unused here; bench/workloads.py::trace_targets() looks it up on this module
-from .empirical import wasserstein1_signed  # noqa: F401
+from .empirical import ClassLabels, SignedTransport, signed_transport
+# unused here; bench/workloads.py::trace_targets() looks both names up on this module
+from .empirical import build_distribution, wasserstein1_signed  # noqa: F401
 
 # W1 on cells smaller than this per class is mostly noise; flagged, not fatal.
 MIN_CELL_CLASS_ROWS = 10
@@ -196,36 +196,3 @@ def model_bias(scores, g, partition: PartitionSpec | None = None, favorable_sign
     quantile form is the oracle it is tested against.
     """
     return bias_cells(g, partition, columns).measure(scores, favorable_sign)
-
-
-def _class_scores(scores, g):
-    """The class-0 and class-1 scores of an all-rows cell."""
-    cells = bias_cells(g)
-    scores, labels = cells.checked(scores), cells.labels[0].bits
-    return scores[labels == 0], scores[labels == 1]
-
-
-def classifier_bias(scores, g, threshold: float, favorable_sign: int = 1) -> float:
-    """Signed statistical-parity bias of the thresholded classifier:
-    ``(F1(t) - F0(t)) * sign``."""
-    s0, s1 = _class_scores(scores, g)
-    f0 = build_distribution(s0).cdf(threshold)
-    f1 = build_distribution(s1).cdf(threshold)
-    return float((f1 - f0) * favorable_sign)
-
-
-def quantile_bias(scores, g, p: float, favorable_sign: int = 1) -> float:
-    """Signed p-th quantile bias: ``(Q0(p) - Q1(p)) * sign`` for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    s0, s1 = _class_scores(scores, g)
-    q0 = build_distribution(s0).quantile(p)
-    q1 = build_distribution(s1).quantile(p)
-    return float((q0 - q1) * favorable_sign)
-
-
-def is_fair(report: BiasReport, epsilon: float) -> bool:
-    """Fair up to epsilon: total bias at most epsilon (boundary inclusive)."""
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
-    return report.total <= epsilon

@@ -138,12 +138,13 @@ class CalibrationMap:
                               coef=None if coef is None else tuple(coef.tolist()))
 
 
-def pava_isotonic(x, y, weights=None) -> CalibrationMap:
-    """Weighted least-squares isotonic regression of y on x.
+def pava_isotonic(x, y) -> CalibrationMap:
+    """Least-squares isotonic regression of y on x.
 
     Pool-adjacent-violators: exact x ties are pre-pooled, then adjacent
-    blocks are merged while their weighted means decrease.  The fitted map is
-    the unique minimizer, evaluated by step interpolation between knots.
+    blocks are merged while their means, weighted by row count, decrease.
+    The fitted map is the unique minimizer, evaluated by step interpolation
+    between knots.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -151,29 +152,21 @@ def pava_isotonic(x, y, weights=None) -> CalibrationMap:
         raise ValueError("x and y must have the same length")
     if x.size == 0:
         raise ValueError("empty input")
-    w = (np.full(x.size, 1.0) if weights is None
-         else np.asarray(weights, dtype=float).ravel())
-    if w.size != x.size:
-        raise ValueError("weights length mismatch")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
 
     order = np.argsort(x, kind="stable")
-    xs, ys, ws = x[order], y[order], w[order]
+    xs, ys = x[order], y[order]
     # pre-pool exact ties in x so the result is a function of x
     knots, start = np.unique(xs, return_index=True)
     start = np.append(start, xs.size)
-    means = np.array([np.average(ys[a:b], weights=ws[a:b])
-                      for a, b in zip(start[:-1], start[1:])])
-    wsum = np.array([ws[a:b].sum() for a, b in zip(start[:-1], start[1:])])
+    means = np.array([ys[a:b].mean() for a, b in zip(start[:-1], start[1:])])
 
     # PAVA over the pooled sequence
     level_val: list[float] = []
     level_w: list[float] = []
     level_count: list[int] = []
-    for v, ww in zip(means, wsum):
+    for v, rows in zip(means, np.diff(start)):
         level_val.append(float(v))
-        level_w.append(float(ww))
+        level_w.append(float(rows))
         level_count.append(1)
         while len(level_val) > 1 and level_val[-2] > level_val[-1]:
             v2, w2, c2 = level_val.pop(), level_w.pop(), level_count.pop()

@@ -144,8 +144,6 @@ def _predictor_indices(data: Dataset, text: str) -> tuple[int, ...]:
 
 
 def cmd_mitigate(args) -> dict:
-    if args.m_star < 0:  # checked here too, since --predictors leaves it unused
-        raise ValueError("m_star must be nonnegative")
     # only the splits are kept: the whole dataset would live as long as the search
     train, holdout, test = split_dataset(Dataset.from_csv(args.data), seed=args.seed)
     model = _load_model(args.model)
@@ -307,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform", choices=tuple(TRANSFORMS), default="global")
     p.add_argument("--predictors", default="",
                    help="comma-separated names; default selects automatically")
-    p.add_argument("--m-star", type=int, default=2)
+    p.add_argument("--m-star", type=int, default=2, action=_NonNegative)
     p.add_argument("--a-lo", type=float, default=0.5)
     p.add_argument("--a-hi", type=float, default=2.0)
     p.add_argument("--sigma-lo", type=float, default=1.0)

@@ -5,7 +5,7 @@ its integer class CDF gap (``_cdf_gap``).  W1 is the CDF form ``integral
 |F0 - F1| dt`` (Vallender 1973), exact over the step function's breakpoints;
 KS is the largest gap.  ``EmpiricalDistribution`` (ties merged,
 right-continuous step CDF, generalized-inverse quantile ``Q(p) = inf{x : p
-<= F(x)}``) serves the classifier and quantile bias.
+<= F(x)}``) is the quantile form that the tests hold the CDF form to.
 
 The sort is of uint64 keys ``(bits << 1) | label``, ``bits`` the float64
 bit pattern of a value's magnitude, so one sort yields both the values and
@@ -149,11 +149,6 @@ def signed_transport(values: np.ndarray, labels: ClassLabels,
     return SignedTransport(total=pos + neg, positive_part=pos, negative_part=neg)
 
 
-def wasserstein1(a, b) -> float:
-    """Exact W1 between samples ``a`` and ``b``."""
-    return wasserstein1_signed(a, b, 1).total
-
-
 def wasserstein1_signed(a, b, favorable_sign: int) -> SignedTransport:
     """``signed_transport`` with sample ``a`` as class 0 and ``b`` as class 1."""
     return signed_transport(*_pooled(a, b), favorable_sign)
@@ -167,8 +162,3 @@ def _ks(a, b) -> tuple[float, float]:
     ends = np.flatnonzero(np.append(v[1:] != v[:-1], True))  # last index of each run of ties
     k = ends[np.argmax(np.abs(gap[ends]))]
     return float(abs(gap[k])) / n01, float(v[k])
-
-
-def ks_distance(a, b) -> float:
-    """Kolmogorov-Smirnov distance between samples ``a`` and ``b``."""
-    return _ks(a, b)[0]

@@ -1,5 +1,4 @@
-"""Predictor explainers: marginal expectations, marginal Shapley values and
-ICE sections.
+"""Predictor explainers: marginal expectations and marginal Shapley values.
 
 All explainers treat the model as a black-box callable mapping an ``(n, p)``
 array of rows to ``(n,)`` outputs.  Marginal (interventional) game values
@@ -182,24 +181,3 @@ def marginal_shapley(model, x: np.ndarray, background: np.ndarray,
     _check_mode(mode, p, n_permutations, EXACT_SHAPLEY_MAX_PREDICTORS)
     return (exact_shapley(game, p) if mode == "exact"
             else sampled_shapley(game, p, n_permutations, seed))
-
-
-def ice_explainer(model, x: np.ndarray, predictor_index: int, anchor_row: np.ndarray):
-    """Section ``t -> model(t at position i, anchor elsewhere)``, a scalar for
-    a scalar ``t`` and an array otherwise."""
-    x = np.asarray(x, dtype=float)
-    if not 0 <= predictor_index < x.shape[1]:
-        raise ValueError(f"predictor index {predictor_index} out of range")
-    anchor = np.array(anchor_row, dtype=float).reshape(1, -1)
-    if anchor.shape[1] != x.shape[1]:
-        raise ValueError("anchor row has wrong number of predictors")
-
-    def section(t):
-        # the game value of the anchor as a one-row background
-        t = np.asarray(t, dtype=float)
-        grid = np.zeros((t.size, anchor.shape[1]))
-        grid[:, predictor_index] = t.ravel()
-        out = marginal_game_values(model, grid, anchor, [predictor_index])
-        return float(out[0]) if t.ndim == 0 else out
-
-    return section

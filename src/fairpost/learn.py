@@ -110,6 +110,9 @@ class Dataset:
             header = next(reader, [])  # an empty file has no header
             if header[-2:] != ["g", "y"]:
                 raise ValueError("dataset CSV must start with a header ending in columns g,y")
+            for k, name in enumerate(header):
+                if name in header[:k]:
+                    raise ValueError(f"dataset CSV header names column '{name}' twice")
             read = [reader.line_num]  # the last line loadtxt took: it takes one at a time
             body = (line for read[0], line in enumerate(fh, read[0] + 1))
             try:

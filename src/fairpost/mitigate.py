@@ -36,7 +36,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bias import PartitionSpec, bias_cells, model_bias
+from .bias import PartitionSpec, bias_cells
+# unused here; bench/workloads.py::trace_targets() looks it up on this module
+from .bias import model_bias  # noqa: F401
 from .calibrate import CalibrationError, link_linear_calibrate, logistic_refit, pava_isotonic
 from .learn import Dataset, GbmConfig, log_loss, train_gbm
 from .transform import (TRANSFORMS, CompressiveParams, PredictorTransform, build_postprocessed,
@@ -150,30 +152,6 @@ def pareto_extract(points) -> tuple[int, ...]:
         best_prefix = min(best_prefix, group_min)
         i = j
     return tuple(sorted(keep))
-
-
-def convex_envelope(points) -> tuple[int, ...]:
-    """Vertices of the lower-left convex hull of the nondominated ``(bias,
-    loss)`` pairs.
-
-    The envelope can hide attainable nondominated points, so it is an
-    optional filter on top of :func:`pareto_extract`.
-    """
-    frontier = pareto_extract(points)
-    bias, loss = np.asarray(points, dtype=float).reshape(len(points), 2).T
-    pts = sorted(frontier, key=lambda i: (bias[i], loss[i]))
-    hull: list[int] = []
-    for i in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = ((bias[hull[-2]], loss[hull[-2]]),
-                                  (bias[hull[-1]], loss[hull[-1]]))
-            cross = (x2 - x1) * (loss[i] - y1) - (bias[i] - x1) * (y2 - y1)
-            if cross <= 0:  # middle point is above the chord; drop it
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return tuple(hull)
 
 
 # ---------------------------------------------------------------------------
@@ -523,29 +501,6 @@ def build_calibrated(model, params: CompressiveParams, data: Dataset,
     except CalibrationError:
         return post, True
     return replace(post, calibration=calib), False
-
-
-def objective(model, params: CompressiveParams, data: Dataset, omega: float,
-              partition: PartitionSpec | None = None, favorable_sign: int = 1,
-              calibration: str | None = "link_linear") -> float:
-    """Penalized objective ``log_loss + omega * bias`` of the calibrated
-    post-processed model on one split.
-
-    Calibration is fitted on the same split; a failed fit falls back to the
-    uncalibrated model with a warning.
-    """
-    if omega < 0:
-        raise ValueError("omega must be nonnegative")
-    _calibration_fit(calibration)  # an unknown method raises before the model runs
-    scores = model(params.apply(data.x))
-    fitted, failed = build_calibrated(model, params, data, calibration, post_scores=scores)
-    if failed:
-        warnings.warn("calibration failed; objective uses the uncalibrated "
-                      "post-processed model", stacklevel=2)
-    scores = fitted.calibrate(scores)
-    loss = log_loss(data.y, scores)
-    bias = model_bias(scores, data.g, partition, favorable_sign, columns=data.columns).total
-    return loss + omega * bias
 
 
 def run_algorithm1(model, train: Dataset, holdout: Dataset, test: Dataset,

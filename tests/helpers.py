@@ -1,4 +1,6 @@
-"""Shared test oracles, all independent of the library's production paths."""
+"""Shared test oracles: independent forms of the library's production paths,
+and the derived measures (W1 and KS of two samples, classifier and quantile
+bias, ICE sections) that only the tests call."""
 
 import csv
 import itertools
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 
 from fairpost.bias import model_bias
 from fairpost.calibrate import CalibrationError, link_linear_calibrate, sigmoid
-from fairpost.empirical import EmpiricalDistribution, SignedTransport, build_distribution
+from fairpost.empirical import (EmpiricalDistribution, SignedTransport, _ks,
+                                build_distribution, wasserstein1_signed)
 from fairpost.explain import marginal_game_values
 from fairpost.learn import LOG_LOSS_CLAMP, PRED_CLAMP, Dataset, _Tree, log_loss
 
@@ -63,6 +66,44 @@ def quantile_w1_signed(a, b, favorable_sign: int) -> SignedTransport:
     pos = float(np.sum(lengths * np.maximum(signed, 0.0)))
     neg = float(np.sum(lengths * np.maximum(-signed, 0.0)))
     return SignedTransport(total=pos + neg, positive_part=pos, negative_part=neg)
+
+
+def wasserstein1(a, b) -> float:
+    """Exact W1 between samples ``a`` and ``b``: the total of the library's
+    signed transport."""
+    return wasserstein1_signed(a, b, 1).total
+
+
+def ks_distance(a, b) -> float:
+    """Kolmogorov-Smirnov distance between samples ``a`` and ``b``, from the
+    CDF gap whose location the ``ks_argmax`` focal point reads."""
+    return _ks(a, b)[0]
+
+
+def _class_scores(scores, g):
+    """The class-0 and class-1 scores of an all-rows cell."""
+    scores, g = np.asarray(scores, dtype=float), np.asarray(g)
+    return scores[g == 0], scores[g == 1]
+
+
+def classifier_bias(scores, g, threshold: float, favorable_sign: int = 1) -> float:
+    """Signed statistical-parity bias of the thresholded classifier:
+    ``(F1(t) - F0(t)) * sign``, whose integral over ``t`` is the model bias."""
+    s0, s1 = _class_scores(scores, g)
+    f0 = build_distribution(s0).cdf(threshold)
+    f1 = build_distribution(s1).cdf(threshold)
+    return float((f1 - f0) * favorable_sign)
+
+
+def quantile_bias(scores, g, p: float, favorable_sign: int = 1) -> float:
+    """Signed p-th quantile bias ``(Q0(p) - Q1(p)) * sign`` for p in (0, 1),
+    whose integral over ``p`` is the model bias."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+    s0, s1 = _class_scores(scores, g)
+    q0 = build_distribution(s0).quantile(p)
+    q1 = build_distribution(s1).quantile(p)
+    return float((q0 - q1) * favorable_sign)
 
 
 def argsort_signed_transport(values, labels, favorable_sign: int):
@@ -541,6 +582,28 @@ def shapley_by_orderings(worth, p: int) -> np.ndarray:
     return phi / len(orders)
 
 
+def ice_explainer(model, x, predictor_index: int, anchor_row):
+    """Section ``t -> model(t at position i, anchor elsewhere)``, a scalar for
+    a scalar ``t`` and an array otherwise: the single-predictor section whose
+    bias, averaged over anchors, is the expected IBE."""
+    x = np.asarray(x, dtype=float)
+    if not 0 <= predictor_index < x.shape[1]:
+        raise ValueError(f"predictor index {predictor_index} out of range")
+    anchor = np.array(anchor_row, dtype=float).reshape(1, -1)
+    if anchor.shape[1] != x.shape[1]:
+        raise ValueError("anchor row has wrong number of predictors")
+
+    def section(t):
+        # the game value of the anchor as a one-row background
+        t = np.asarray(t, dtype=float)
+        grid = np.zeros((t.size, anchor.shape[1]))
+        grid[:, predictor_index] = t.ravel()
+        out = marginal_game_values(model, grid, anchor, [predictor_index])
+        return float(out[0]) if t.ndim == 0 else out
+
+    return section
+
+
 def pdp_direct(model, x, background, i):
     """Literal double loop over rows and background for the PDP value."""
     x = np.asarray(x, dtype=float)
@@ -566,6 +629,8 @@ def read_csv_direct(path) -> Dataset:
         header = next(reader, [])
         if header[-2:] != ["g", "y"]:
             raise ValueError("dataset CSV must start with a header ending in columns g,y")
+        if len(set(header)) < len(header):
+            raise ValueError("dataset CSV header names a column twice")
         rows = [[float(v) for v in row] for row in reader if row]
     if not rows:
         raise ValueError("dataset CSV has no rows")
@@ -623,6 +688,7 @@ def pack_direct(trees, learning_rate):
 
 
 __all__ = [
+    "wasserstein1", "ks_distance", "classifier_bias", "quantile_bias", "ice_explainer",
     "riemann_w1", "brute_force_isotonic", "brute_force_pareto",
     "brute_force_half_bias", "GridOptimum",
     "additive_shapley", "conditional_game_values", "conditional_shapley",

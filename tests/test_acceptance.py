@@ -9,7 +9,6 @@ import pytest
 from fairpost.attribution import shapley_bias_game
 from fairpost.bias import model_bias
 from fairpost.calibrate import auc, pava_isotonic, sigmoid
-from fairpost.empirical import ks_distance, wasserstein1
 from fairpost.explain import marginal_shapley, pdp_output
 from fairpost.learn import GbmConfig, SyntheticSpec, generate, log_loss, train_gbm
 from fairpost.mitigate import (
@@ -26,7 +25,8 @@ from fairpost.transform import (
     focal_point,
 )
 
-from helpers import brute_force_half_bias, brute_force_isotonic, brute_force_pareto, quantile_w1
+from helpers import (brute_force_half_bias, brute_force_isotonic, brute_force_pareto, ks_distance,
+                     quantile_w1, wasserstein1)
 
 FAVOR = -1  # lower scores favorable: the orientation of the M1/M2 experiments
 M1_IMPACT = (0, 1, 2, 4)  # x1, x2, x3, x5: the criterion-7 impact list
@@ -263,9 +263,8 @@ def test_criterion_09_calibration_auc_and_pava(m1_bundle):
         n = int(rng.integers(2, 13))
         x = rng.normal(0, 1, n)
         y = rng.normal(0, 1, n)
-        w = rng.uniform(0.5, 1.5, n)
-        cal = pava_isotonic(x, y, w)
-        oracle = brute_force_isotonic(x, y, w)[np.argsort(x, kind="stable")]
+        cal = pava_isotonic(x, y)
+        oracle = brute_force_isotonic(x, y)[np.argsort(x, kind="stable")]
         worst = max(worst, float(np.max(np.abs(cal(np.sort(x)) - oracle))))
     report(9, "calibration AUC invariance and PAVA exactness",
            auc_gap <= 1e-12 and worst <= 1e-6,

@@ -19,7 +19,8 @@ from fairpost.bias import PartitionSpec, model_bias
 from fairpost.explain import marginal_shapley, pdp_output
 from fairpost.learn import MAX_LEAVES, TrainedModel
 
-from helpers import assert_value_error, conditional_shapley, quantile_w1, random_tree
+from helpers import (assert_value_error, conditional_shapley, ice_explainer, quantile_w1,
+                     random_tree)
 
 
 def two_class_frame(rng, n_per_class, shifts, scales=None):
@@ -351,7 +352,7 @@ class TestExpectedIbe:
         anchors = np.random.default_rng(3).choice(60, size=9, replace=False)
         pos = neg = 0.0
         for a in anchors:
-            section = explain.ice_explainer(model, x, 1, x[a])
+            section = ice_explainer(model, x, 1, x[a])
             report = model_bias(section(x[:, 1]), g)
             pos += report.positive
             neg += report.negative

@@ -7,19 +7,18 @@ from fairpost.bias import (
     MIN_CELL_CLASS_ROWS,
     PartitionSpec,
     bias_cells,
-    classifier_bias,
-    is_fair,
     model_bias,
-    quantile_bias,
 )
 
 from helpers import (
     FINITE_VALUES,
     argsort_signed_transport,
     assert_value_error,
+    classifier_bias,
     labelled,
     quantile_w1,
     quantile_w1_signed,
+    quantile_bias,
     same_bits,
 )
 
@@ -298,23 +297,6 @@ class TestQuantileBias:
             quantile_bias([1.0, 2.0], [0, 1], 1.0)
 
 
-class TestIsFair:
-    def test_zero_bias_zero_epsilon(self):
-        scores, g = interleaved_scores(np.random.default_rng(3), 50)
-        assert is_fair(model_bias(scores, g), 0.0)
-
-    def test_above_threshold(self):
-        g = np.array([0] * 30 + [1] * 30)
-        report = model_bias(g * 0.3, g)
-        assert not is_fair(report, 0.1)
-
-    def test_boundary_inclusive(self):
-        g = np.array([0] * 30 + [1] * 30)
-        report = model_bias(g * 0.1, g)
-        assert report.total == pytest.approx(0.1, abs=1e-15)
-        assert is_fair(report, 0.1)
-
-
 class TestPartitionSpec:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -357,9 +339,6 @@ INPUT_CHECKS = {
     "zero cell weight": (lambda: PartitionSpec(names=("a", "b"), predicates=(None, None),
                                                weights=(1.0, 0.0)),
                          "cell weights must be positive"),
-    "negative epsilon": (lambda: is_fair(model_bias(np.array([0.2, 0.4, 0.3, 0.5]),
-                                                    np.array([0, 0, 1, 1])), -1.0),
-                         "epsilon must be nonnegative"),
 }
 
 

@@ -45,26 +45,25 @@ class TestPavaIsotonic:
             n = int(rng.integers(2, 13))
             x = rng.normal(0, 1, n)
             y = rng.normal(0, 1, n)
-            w = rng.uniform(0.2, 2.0, n)
-            cal = pava_isotonic(x, y, w)
+            cal = pava_isotonic(x, y)
             fitted = cal(np.sort(x))
-            oracle = brute_force_isotonic(x, y, w)
+            oracle = brute_force_isotonic(x, y)
             oracle_sorted = oracle[np.argsort(x, kind="stable")]
             np.testing.assert_allclose(fitted, oracle_sorted, atol=1e-6)
 
     @settings(max_examples=100, deadline=None)
-    @given(points=st.lists(st.tuples(st.integers(0, 11), st.floats(-4.0, 4.0),
-                                     st.floats(0.1, 10.0)), min_size=1, max_size=12))
-    def test_matches_brute_force_with_ties_and_weights(self, points):
+    @given(points=st.lists(st.tuples(st.integers(0, 11), st.floats(-4.0, 4.0)),
+                           min_size=1, max_size=12))
+    def test_matches_brute_force_with_ties(self, points):
         """Exact ties in x share one fitted value, so the fit at the knots is
-        the brute-force isotonic fit of the tie-pooled weighted means, each
-        weighted by its tie group's total weight."""
-        x, y, w = (np.array(column, dtype=float) for column in zip(*points))
+        the brute-force isotonic fit of the tie-pooled means, each weighted by
+        its tie group's row count."""
+        x, y = (np.array(column, dtype=float) for column in zip(*points))
         knots = np.unique(x)
         ties = [x == k for k in knots]
-        pooled_y = np.array([np.average(y[t], weights=w[t]) for t in ties])
-        pooled_w = np.array([w[t].sum() for t in ties])
-        cal = pava_isotonic(x, y, w)
+        pooled_y = np.array([y[t].mean() for t in ties])
+        pooled_w = np.array([t.sum() for t in ties], dtype=float)
+        cal = pava_isotonic(x, y)
         np.testing.assert_allclose(cal(knots), brute_force_isotonic(knots, pooled_y, pooled_w),
                                    rtol=0, atol=1e-9)
 
@@ -340,10 +339,6 @@ class TestCalibrationComposition:
 INPUT_CHECKS = {
     "unknown kind": (lambda: CalibrationMap(kind="bogus"), "unknown calibration kind 'bogus'"),
     "pava of nothing": (lambda: pava_isotonic([], []), "empty input"),
-    "pava weights length": (lambda: pava_isotonic([1.0, 2.0], [1.0, 2.0], weights=[1.0]),
-                            "weights length mismatch"),
-    "pava zero weight": (lambda: pava_isotonic([1.0, 2.0], [1.0, 2.0], weights=[1.0, 0.0]),
-                         "weights must be positive"),
     "link-linear lengths": (lambda: link_linear_calibrate([0.2, 0.3], [0.2]),
                             "score vectors must have the same length"),
     "refit lengths": (lambda: logistic_refit([0.2], [0, 1]),

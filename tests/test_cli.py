@@ -179,6 +179,24 @@ class TestOutOfRangeFlags:
         assert "--seed" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_negative_m_star_is_exit_two(self, workdir, tmp_path, capsys):
+        _, data, model = workdir
+        argv = ["mitigate", "--data", data, "--model", model, "--m-star", "-1",
+                "--n-prior", "4", "--n-bo", "0", "--omega-steps", "2",
+                "--out", str(tmp_path / "neg.csv")]
+        assert _exit_code(argv) == 2
+        assert "--m-star" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_m_star_with_predictors_is_exit_two(self, workdir, tmp_path, capsys):
+        _, data, model = workdir
+        argv = ["mitigate", "--data", data, "--model", model, "--predictors", "x1",
+                "--m-star", "-1", "--n-prior", "4", "--n-bo", "0", "--omega-steps", "2",
+                "--out", str(tmp_path / "neg.csv")]
+        assert _exit_code(argv) == 2
+        assert "--m-star" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("rows", ["-1", "0"])
     @pytest.mark.parametrize("method", ["pdp", "ibe"])
     def test_empty_background_is_exit_two_naming_the_flag(self, workdir, tmp_path, capsys,
@@ -302,24 +320,6 @@ class TestMitigate:
             for partition in (PartitionSpec.by_label(), PartitionSpec.all_rows()))
         assert eo != sp  # on this split the two partitions select differently
         assert manifest["settings"]["predictors"] == list(eo)
-
-    def test_negative_m_star_is_exit_two(self, workdir, tmp_path, capsys):
-        _, data, model = workdir
-        code = main(["mitigate", "--data", data, "--model", model, "--m-star", "-1",
-                     "--n-prior", "4", "--n-bo", "0", "--omega-steps", "2",
-                     "--out", str(tmp_path / "neg.csv")])
-        assert code == 2
-        assert "m_star" in capsys.readouterr().err
-
-    def test_negative_m_star_with_predictors_is_exit_two(self, workdir, tmp_path, capsys):
-        _, data, model = workdir
-        out = tmp_path / "neg.csv"
-        code = main(["mitigate", "--data", data, "--model", model, "--predictors", "x1",
-                     "--m-star", "-1", "--n-prior", "4", "--n-bo", "0", "--omega-steps", "2",
-                     "--out", str(out)])
-        assert code == 2
-        assert "m_star" in capsys.readouterr().err
-        assert not out.exists() and not (tmp_path / "neg.csv.manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["mitigate", "compare-baseline"])
     @pytest.mark.parametrize("omega_max", ["nan", "inf"])
@@ -776,6 +776,8 @@ MALFORMED_CSV = {
     "trailing-comma": _HEADER + _ROW.format(g=0, y=1).replace("\n", ",\n"),
     "hash-cell": _HEADER + _ROW.format(g=0, y=1) + "#" + _ROW.format(g=1, y=0),
     "digit-underscore": _HEADER + _ROW.format(g=0, y=1) + "1_5," + _ROW.format(g=1, y=0)[4:],
+    "repeated-column": _HEADER.replace("x2", "x1") + _ROW.format(g=0, y=1)
+    + _ROW.format(g=1, y=0),
 }
 
 
@@ -795,6 +797,19 @@ class TestMalformedInput:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("header, name", [("x1,x1,x3,x4,x5,g,y", "x1"),
+                                              ("x1,x2,x3,x4,g,g,y", "g")],
+                             ids=["predictor", "label"])
+    def test_repeated_column_is_named(self, workdir, tmp_path, capsys, header, name):
+        _, _, model = workdir
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n" + _ROW.format(g=0, y=1) + _ROW.format(g=1, y=0))
+        assert main(["mitigate", "--data", str(path), "--model", model, "--m-star", "3",
+                     "--sign", "-1", "--out", str(tmp_path / "f.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset CSV header names column '{name}' twice\n")
+        assert not (tmp_path / "f.csv").exists()
 
     def test_bad_cell_names_its_line(self, workdir, tmp_path, capsys):
         _, _, model = workdir

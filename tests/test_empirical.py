@@ -10,9 +10,7 @@ from fairpost.empirical import (
     ClassLabels,
     _ks,
     build_distribution,
-    ks_distance,
     signed_transport,
-    wasserstein1,
     wasserstein1_signed,
 )
 from fairpost.transform import focal_point
@@ -22,11 +20,13 @@ from helpers import (
     argsort_signed_transport,
     assert_value_error,
     grid_ks,
+    ks_distance,
     labelled,
     quantile_w1,
     quantile_w1_signed,
     riemann_w1,
     same_bits,
+    wasserstein1,
 )
 
 

@@ -10,7 +10,6 @@ from fairpost import learn
 from fairpost.explain import (
     default_background,
     exact_shapley,
-    ice_explainer,
     marginal_game_values,
     marginal_shapley,
     pdp_explainer,
@@ -32,6 +31,7 @@ from fairpost.learn import (
 from helpers import (
     additive_shapley,
     assert_value_error,
+    ice_explainer,
     pdp_direct,
     random_tree,
     shapley_by_orderings,

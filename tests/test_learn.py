@@ -27,6 +27,7 @@ from fairpost.learn import (
 from helpers import (
     assert_value_error,
     chain_gbm_json,
+    ks_distance,
     pack_direct,
     random_tree,
     read_csv_direct,
@@ -97,7 +98,6 @@ class TestGenerators:
             v = data.x[data.g == 1, col].var()
             assert abs(v - 2.0) <= 0.05
         # G=0 rows include replacement draws, so the distributions differ
-        from fairpost.empirical import ks_distance
         ks = ks_distance(data.x[data.g == 0, 0], data.x[data.g == 1, 0])
         assert ks > 0.01
 
@@ -140,10 +140,11 @@ class TestDatasetIO:
     def test_roundtrip_matches_direct_reader(self, tmp_path_factory, data, n_rows,
                                              n_features):
         """to_csv then from_csv gives the direct reader's arrays, bit for bit,
-        for any finite, subnormal, huge, NaN or infinite cell and for names
-        that need quoting."""
+        for any finite, subnormal, huge, NaN or infinite cell and for distinct
+        names that need quoting."""
         names = tuple(data.draw(st.lists(st.text(st.sampled_from('ab1 ,"\n\r#_'), max_size=4),
-                                         min_size=n_features, max_size=n_features)))
+                                         min_size=n_features, max_size=n_features,
+                                         unique=True)))
         cell = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
         x = np.array(data.draw(st.lists(st.lists(cell, min_size=n_features,
                                                  max_size=n_features),

@@ -19,8 +19,6 @@ from fairpost.mitigate import (
     SearchSpace,
     best_gamma_at_omega,
     build_calibrated,
-    convex_envelope,
-    objective,
     pareto_extract,
     run_algorithm1,
     run_hyperparam_baseline,
@@ -48,22 +46,18 @@ def global_params(indices, a_values, data):
         for i, a in zip(indices, a_values)))
 
 
-class TestObjective:
-    def test_omega_zero_is_pure_loss(self, m1_setup):
-        model, train, holdout, _ = m1_setup
-        params = global_params((0, 2), (1.7, 1.3), train)
-        fitted, _ = build_calibrated(model, params, holdout)
-        expected = log_loss(holdout.y, fitted(holdout.x))
-        got = objective(model, params, holdout, omega=0.0, favorable_sign=-1)
-        assert got == pytest.approx(expected, abs=1e-12)
-
+class TestBuildCalibrated:
     def test_identity_gamma_matches_base_model(self, m1_setup):
         model, train, holdout, _ = m1_setup
         params = global_params((0, 2), (1.0, 1.0), train)
-        got = objective(model, params, holdout, omega=0.7, favorable_sign=-1)
-        base_loss = log_loss(holdout.y, model(holdout.x))
-        base_bias = model_bias(model(holdout.x), holdout.g, favorable_sign=-1).total
-        assert got == pytest.approx(base_loss + 0.7 * base_bias, abs=1e-9)
+        fitted, _ = build_calibrated(model, params, holdout)
+        scores = fitted(holdout.x)
+        base = model(holdout.x)
+        assert log_loss(holdout.y, scores) == pytest.approx(log_loss(holdout.y, base),
+                                                            abs=1e-9)
+        assert (model_bias(scores, holdout.g, favorable_sign=-1).total
+                == pytest.approx(model_bias(base, holdout.g, favorable_sign=-1).total,
+                                 abs=1e-9))
 
     def test_point_compression_regime(self):
         # compressing every predictor to a point wipes out essentially all
@@ -78,16 +72,6 @@ class TestObjective:
         fitted, failed = build_calibrated(model, params, holdout)
         bias = model_bias(fitted(holdout.x), holdout.g, favorable_sign=-1).total
         assert bias <= 0.01 * base_bias
-
-    def test_separability(self, m1_setup):
-        model, train, holdout, _ = m1_setup
-        params = global_params((0, 2), (1.5, 0.8), train)
-        base = objective(model, params, holdout, omega=0.0, favorable_sign=-1)
-        fitted, _ = build_calibrated(model, params, holdout)
-        bias = model_bias(fitted(holdout.x), holdout.g, favorable_sign=-1).total
-        for omega in (0.3, 1.0, 2.0):
-            got = objective(model, params, holdout, omega=omega, favorable_sign=-1)
-            assert got == pytest.approx(base + omega * bias, abs=1e-12)
 
     @pytest.mark.parametrize("indices,a", [((0, 2), 1.5), (tuple(range(5)), 1e12)],
                              ids=["calibrated", "failed-fit"])
@@ -106,10 +90,9 @@ class TestObjective:
 
     @pytest.mark.parametrize("kind", ["gbm", "logistic"])
     @pytest.mark.parametrize("calibration", ["link_linear", "pava", "logistic_refit", None])
-    def test_two_model_calls_and_unchanged_value(self, m1_setup, kind, calibration):
-        """One call for the post-processed rows, and one for the base scores
-        that only a calibration fit reads; the value has the bits of scoring
-        the calibrated model again."""
+    def test_model_calls_for_each_calibration(self, m1_setup, kind, calibration):
+        """One call for the post-processed rows and one for the base scores,
+        which only a calibration fit reads; no calibration makes no call."""
         gbm, train, holdout, _ = m1_setup
         base = gbm if kind == "gbm" else train_logistic(train.x, train.y)
 
@@ -122,15 +105,8 @@ class TestObjective:
 
         counting = Counting()
         params = global_params((0, 2), (1.5, 0.8), train)
-        partition = PartitionSpec.by_label()
-        got = objective(counting, params, holdout, 0.7, partition, -1, calibration)
-        assert counting.calls == (1 if calibration is None else 2)
-        counting.calls = 0
-        fitted, _ = build_calibrated(counting, params, holdout, calibration)
+        build_calibrated(counting, params, holdout, calibration)
         assert counting.calls == (0 if calibration is None else 2)
-        scores = fitted(holdout.x)
-        report = model_bias(scores, holdout.g, partition, -1, columns=holdout.columns)
-        assert got == log_loss(holdout.y, scores) + 0.7 * report.total
 
     @pytest.mark.parametrize("calibration", ["isotonic", "none"])
     def test_unknown_calibration_rejected_before_any_model_call(self, m1_setup,
@@ -143,18 +119,9 @@ class TestObjective:
             return np.full(len(x), 0.5)
 
         params = global_params((0,), (1.5,), train)
-        message = f"unknown calibration method '{calibration}'"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"unknown calibration method '{calibration}'"):
             build_calibrated(counting, params, holdout, calibration=calibration)
-        with pytest.raises(ValueError, match=message):
-            objective(counting, params, holdout, 0.5, calibration=calibration)
         assert calls == []
-
-    def test_negative_omega_rejected(self, m1_setup):
-        model, train, holdout, _ = m1_setup
-        params = global_params((0,), (1.0,), train)
-        with pytest.raises(ValueError):
-            objective(model, params, holdout, omega=-0.1)
 
 
 class TestParetoExtract:
@@ -195,35 +162,16 @@ class TestParetoExtract:
         points = rng.choice(pool, (n, 2))
         assert pareto_extract(points) == brute_force_pareto(points)
 
-    @pytest.mark.parametrize("extract", [pareto_extract, convex_envelope])
-    def test_no_points(self, extract):
+    def test_no_points(self):
         for points in ([], np.empty((0, 2))):
             with pytest.raises(ValueError, match="no points"):
-                extract(points)
+                pareto_extract(points)
 
     @pytest.mark.parametrize("points", [[(1.0, 2.0, 3.0)], [(1.0, 2.0, 3.0, 4.0)], [1.0, 2.0]],
                              ids=["triple", "two-pairs-in-one-row", "flat"])
     def test_rejects_anything_but_pairs(self, points):
         with pytest.raises(ValueError):
             pareto_extract(points)
-
-
-class TestConvexEnvelope:
-    def test_subset_of_frontier_containing_extremes(self):
-        rng = np.random.default_rng(7)
-        points = rng.random((200, 2))
-        frontier = pareto_extract(points)
-        hull = convex_envelope(points)
-        assert set(hull) <= set(frontier)
-        bias = points[:, 0]
-        loss = points[:, 1]
-        fr = list(frontier)
-        assert fr[int(np.argmin(bias[fr]))] in hull
-        assert fr[int(np.argmin(loss[fr]))] in hull
-
-    def test_drops_points_above_chords(self):
-        pts = [(0.0, 1.0), (0.5, 0.9), (1.0, 0.0)]  # middle point above the chord
-        assert convex_envelope(pts) == (0, 2)
 
 
 class TestSearchSpace:
@@ -845,16 +793,3 @@ class TestInputChecks:
         assert_value_error(lambda: run_algorithm1(model, train, holdout, test, indices, space),
                            message)
         assert_value_error(lambda: post_scorer(model, holdout.x, indices), message)
-
-    def test_objective_warns_and_scores_uncalibrated_on_a_failed_fit(self):
-        """Compressing every predictor onto one point leaves constant scores,
-        which no link-linear map fits; the objective warns and scores the
-        uncalibrated model."""
-        data = generate(SyntheticSpec("M1", 400, seed=1))
-        model = train_logistic(data.x, data.y)
-        params = CompressiveParams(tuple(PredictorTransform(i, "global", (1e12,), 5.0)
-                                         for i in range(5)))
-        with pytest.warns(UserWarning, match="^calibration failed; objective uses the "
-                                             "uncalibrated post-processed model$"):
-            value = objective(model, params, data, 1.0)
-        assert value == objective(model, params, data, 1.0, calibration=None)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fairpost import learn
 from fairpost.bias import model_bias
 from fairpost.calibrate import sigmoid
-from fairpost.empirical import build_distribution, ks_distance, wasserstein1
+from fairpost.empirical import build_distribution
 from fairpost.learn import TrainedModel
 from fairpost.transform import (
     LOCAL_A_MIN,
@@ -25,7 +25,8 @@ from fairpost.transform import (
     transform_params,
 )
 
-from helpers import assert_value_error, asymmetric_one_line, random_tree
+from helpers import (assert_value_error, asymmetric_one_line, ks_distance, random_tree,
+                     wasserstein1)
 
 
 def true_m1_model(z):

@@ -72,12 +72,21 @@ class SyntheticSpec:
             raise ValueError("p_protected must lie in (0, 1)")
 
 
+def _repeated_name(names):
+    """The first name that ``names`` holds a second time, or None."""
+    return next((name for k, name in enumerate(names) if name in names[:k]), None)
+
+
 @dataclass(frozen=True)
 class Dataset:
     x: np.ndarray  # (n, p)
     g: np.ndarray  # (n,) protected attribute, 0 = non-protected
     y: np.ndarray  # (n,) binary response
     feature_names: tuple[str, ...]
+
+    def __post_init__(self):
+        if (name := _repeated_name((*self.feature_names, "g", "y"))) is not None:
+            raise ValueError(f"dataset names column '{name}' twice")
 
     @property
     def n_rows(self) -> int:
@@ -110,9 +119,8 @@ class Dataset:
             header = next(reader, [])  # an empty file has no header
             if header[-2:] != ["g", "y"]:
                 raise ValueError("dataset CSV must start with a header ending in columns g,y")
-            for k, name in enumerate(header):
-                if name in header[:k]:
-                    raise ValueError(f"dataset CSV header names column '{name}' twice")
+            if (name := _repeated_name(header)) is not None:
+                raise ValueError(f"dataset CSV header names column '{name}' twice")
             read = [reader.line_num]  # the last line loadtxt took: it takes one at a time
             body = (line for read[0], line in enumerate(fh, read[0] + 1))
             try:

@@ -811,6 +811,28 @@ class TestMalformedInput:
             f"error: dataset CSV header names column '{name}' twice\n")
         assert not (tmp_path / "f.csv").exists()
 
+    @pytest.mark.parametrize("command", ["train", "bias", "explain", "curve", "calibrate",
+                                         "compare-baseline"])
+    def test_repeated_column_is_named_by_every_command(self, workdir, tmp_path, capsys,
+                                                       command):
+        """Every other subcommand that reads --data names the repeated column
+        too, and writes nothing."""
+        _, _, model = workdir
+        path = tmp_path / "bad.csv"
+        path.write_text(MALFORMED_CSV["repeated-column"])
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps([{"predictor": 0, "kind": "global", "params": [2.0],
+                                       "focal": 5.0}]))
+        inputs = {"train": [], "compare-baseline": [],
+                  "curve": ["--model", model, "--predictors", "x3", "--a-grid", "2"],
+                  "calibrate": ["--model", model, "--params", str(params)]}
+        out = tmp_path / "out"
+        argv = [command, "--data", str(path), *inputs.get(command, ["--model", model]),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: dataset CSV header names column 'x1' twice\n"
+        assert not out.exists()
+
     def test_bad_cell_names_its_line(self, workdir, tmp_path, capsys):
         _, _, model = workdir
         path = tmp_path / "bad.csv"

@@ -203,6 +203,18 @@ class TestDatasetIO:
             with pytest.raises(ValueError, match="no rows"):
                 Dataset.from_csv(path)
 
+    @pytest.mark.parametrize("names, name", [(("a", "a"), "a"), (("a", "g"), "g"),
+                                             (("y",), "y")],
+                             ids=["predictor", "g", "y"])
+    def test_repeated_name_refused(self, names, name):
+        """A predictor named twice, or named g or y, would drop a column from
+        ``columns`` and make ``to_csv`` write a header that ``from_csv``
+        refuses, so the constructor refuses it by name."""
+        with pytest.raises(ValueError) as info:
+            Dataset(x=np.zeros((2, len(names))), g=np.array([0, 1]), y=np.array([1, 0]),
+                    feature_names=names)
+        assert str(info.value) == f"dataset names column '{name}' twice"
+
     @pytest.mark.parametrize("tail, message", [
         ("5,yes,1,0\n", "could not convert string 'yes' to float64 at line 7, column 2."),
         ("5,1,0\n", "the number of columns changed from 4 to 3 at line 7"),

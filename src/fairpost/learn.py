@@ -8,22 +8,24 @@ response driven by a logistic function of the predictor sum.  Normal
 parameters are (mean, variance).
 
 The boosted-tree classifier minimizes logistic loss with Newton leaf values,
-exact split search, and depth/leaf/min-samples limits.  The columns are
-presorted once per fit; each node keeps its rows in that order, and one
-vectorized pass scores every cut of every feature (the exact-greedy column
-block of XGBoost; Chen & Guestrin, KDD 2016).  It is deterministic for a given
-configuration.  Prediction is one pipeline of three steps (QuickScorer;
-Lucchese et al., SIGIR 2015): ``codes`` ranks each input column once against
-the model's sorted split thresholds, ``cleared`` ORs into a per-tree mask the
-leaf bits of the nodes whose test a row fails, and ``raw`` takes each tree's
-exit leaf as the lowest bit that survives and adds the leaf values tree by
-tree.  Rows are scored PASS_ROWS at a time.  A row assembled from two sources,
-the columns of a coalition from one row and the others from a background row,
-is scored from the masks of each side, found once per source row and ORed per
-pair.  An input whose few columns are replaced again and again, as in a
-frontier search over monotone maps of those columns, keeps the masks of its
-other columns: each call ranks and re-tests only the nodes on the replaced
-columns.
+exact split search, and depth/leaf/min-samples limits.  The columns' sort
+order, and the root's sorted values and tie mask, are built once per fit; each
+node keeps its rows in that order and sums its gradient and hessian once, and
+one vectorized pass scores every cut of every feature (the exact-greedy column
+block of XGBoost; Chen & Guestrin, KDD 2016).  A node that cannot split, at
+max_depth or once the leaf budget is spent, is neither sorted nor searched.
+Training is deterministic for a given configuration.  Prediction is one
+pipeline of three steps (QuickScorer; Lucchese et al., SIGIR 2015): ``codes``
+ranks each input column once against the model's sorted split thresholds,
+``cleared`` ORs into a per-tree mask the leaf bits of the nodes whose test a
+row fails, and ``raw`` takes each tree's exit leaf as the lowest bit that
+survives and adds the leaf values tree by tree.  Rows are scored PASS_ROWS at
+a time.  A row assembled from two sources, the columns of a coalition from one
+row and the others from a background row, is scored from the masks of each
+side, found once per source row and ORed per pair.  An input whose few columns
+are replaced again and again, as in a frontier search over monotone maps of
+those columns, keeps the masks of its other columns: each call ranks and
+re-tests only the nodes on the replaced columns.
 """
 
 from __future__ import annotations
@@ -437,39 +439,48 @@ def _exit_leaf(cleared: np.ndarray) -> np.ndarray:
     return cleared
 
 
-def _best_split(xt, grad, hess, rows, order, min_leaf, work):
+def _sorted_columns(xt, order, min_leaf, cs, invalid):
+    """Into ``cs`` each feature's values in ``order``, and into ``invalid``
+    the cuts inside a run of ties; returns both."""
+    n = order.shape[1]
+    for j in range(order.shape[0]):  # ids in range; mode "raise" would buffer out
+        xt[j].take(order[j], out=cs[j], mode="clip")
+    np.logical_not(np.greater(cs[:, min_leaf:n - min_leaf + 1], cs[:, min_leaf - 1:n - min_leaf],
+                              out=invalid), out=invalid)
+    return cs, invalid
+
+
+def _best_split(xt, grad, hess, order, totals, min_leaf, work, columns):
     """Exact search over every feature at once; returns (gain, feature,
     threshold).
 
     ``order`` is the node's (features, rows) slice of the fit's column order:
     its row ``f`` lists the node's rows by ascending ``xt[f]``, ties by row.
-    ``work`` is the fit's scratch, six float rows and one flag row of its
-    features times rows; every temporary is a contiguous view of it.  Ties are
-    broken deterministically by feature index then threshold.
+    ``totals`` is the node's (gradient, hessian) sums.  ``columns`` is the
+    root's ``_sorted_columns``, built once per fit, or None for any other
+    node, to build them here.  ``work`` is the fit's scratch, six float
+    rows and one flag row of its features times rows; every temporary is a
+    contiguous view of it.  Ties are broken deterministically by feature
+    index then threshold.
     """
-    g_total = grad[rows].sum()
-    h_total = hess[rows].sum()
+    g_total, h_total = totals
     parent = g_total * g_total / max(h_total, 1e-12)
     best = (0.0, -1, 0.0)
-    n = rows.size
+    n_features, n = order.shape
     if n < 2 * min_leaf:
         return best
     # cut c puts sorted positions 0..c left; both sides keep >= min_leaf rows
     cuts = slice(min_leaf - 1, n - min_leaf)
-    n_features, n_cuts = order.shape[0], n - 2 * min_leaf + 1
+    n_cuts = n - 2 * min_leaf + 1
     floats, flags = work
     cs, gl, hl = (buf[:n_features * n].reshape(n_features, n) for buf in floats[:3])
     gain, gr, hr = (buf[:n_features * n_cuts].reshape(n_features, n_cuts)
                     for buf in floats[3:])
-    invalid = flags[:n_features * n_cuts].reshape(n_features, n_cuts)
-    # the row ids in order are in range, and mode "raise" would buffer out
-    for j in range(n_features):
-        np.take(xt[j], order[j], out=cs[j], mode="clip")
-    np.cumsum(np.take(grad, order, out=gl, mode="clip"), axis=1, out=gl)
-    np.cumsum(np.take(hess, order, out=hl, mode="clip"), axis=1, out=hl)
+    cs, invalid = columns or _sorted_columns(
+        xt, order, min_leaf, cs, flags[:n_features * n_cuts].reshape(n_features, n_cuts))
+    grad.take(order, out=gl, mode="clip").cumsum(axis=1, out=gl)
+    hess.take(order, out=hl, mode="clip").cumsum(axis=1, out=hl)
     gl, hl = gl[:, cuts], hl[:, cuts]
-    np.logical_not(np.greater(cs[:, min_leaf:n - min_leaf + 1], cs[:, cuts], out=invalid),
-                   out=invalid)
     # gl * gl / max(hl, 1e-12) + gr * gr / max(hr, 1e-12) - parent, op by op
     np.subtract(g_total, gl, out=gr)
     np.subtract(h_total, hl, out=hr)
@@ -477,7 +488,7 @@ def _best_split(xt, grad, hess, rows, order, min_leaf, work):
     np.divide(np.multiply(gr, gr, out=gr), np.maximum(hr, 1e-12, out=hr), out=gr)
     np.subtract(np.add(gain, gr, out=gain), parent, out=gain)
     np.copyto(gain, -np.inf, where=invalid)
-    picks = np.argmax(gain, axis=1)
+    picks = gain.argmax(axis=1)
     for j, pick in enumerate(picks.tolist()):
         if gain[j, pick] > best[0] + 1e-12:
             cut = min_leaf - 1 + pick
@@ -489,52 +500,49 @@ def _best_split(xt, grad, hess, rows, order, min_leaf, work):
     return best
 
 
-def _grow_tree(xt, order, grad, hess, config: GbmConfig, work):
+def _grow_tree(xt, order, grad, hess, config: GbmConfig, work, root_columns):
     """Best-first growth honoring depth, leaf-count and leaf-size limits.
 
-    ``order`` is the fit's (features, rows) column order.  A split cuts each
-    node's slice of it with one mask over row ids, a stable partition, so
-    both children's slices stay sorted.  Returns the tree and, per leaf, the
-    training rows it holds and its value.
+    ``order`` is the fit's (features, rows) column order.  Each node sums its
+    gradient and hessian once, for its value and its search.  A split cuts
+    the node's slice of the order with one mask over row ids, a stable
+    partition, so both children's slices stay sorted, but only when the
+    children will be searched: not at ``max_depth``, nor after the split that
+    fills ``max_leaves`` and so completes the tree.  Returns the tree and,
+    per leaf, the training rows it holds and its value.
     """
-    feature, threshold, left, right, value = [], [], [], [], []
-    node_rows = {}
+    nodes = []  # [feature, threshold, left, right, value, rows]; feature -1 marks a leaf
     frontier = []
     n_features, n_rows = xt.shape
-    goes_left = np.zeros(n_rows, dtype=bool)
 
-    def new_node(rows, sub, depth):
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(-grad[rows].sum() / max(hess[rows].sum(), 1e-12))
-        node = len(feature) - 1
-        node_rows[node] = rows
-        if depth < config.max_depth:
-            gain, feat, thr = _best_split(xt, grad, hess, rows, sub,
-                                          config.min_samples_leaf, work)
+    def new_node(rows, sub, depth, columns=None):
+        totals = grad[rows].sum(), hess[rows].sum()
+        nodes.append([-1, 0.0, -1, -1, -totals[0] / max(totals[1], 1e-12), rows])
+        node = len(nodes) - 1
+        if sub is not None:
+            gain, feat, thr = _best_split(xt, grad, hess, sub, totals,
+                                          config.min_samples_leaf, work, columns)
             if feat >= 0:
                 frontier.append((gain, node, rows, sub, feat, thr, depth + 1))
         return node
 
-    new_node(np.arange(n_rows), order, 0)
+    new_node(np.arange(n_rows), order, 0, root_columns)
     n_leaves = 1
     while frontier and n_leaves < config.max_leaves:
         frontier.sort(key=lambda item: (-item[0], item[1]))
         gain, node, rows, sub, feat, thr, depth = frontier.pop(0)
-        go_left = xt[feat, rows] <= thr
-        goes_left[rows] = go_left
-        in_left = goes_left[sub]
-        rows_l, rows_r = rows[go_left], rows[~go_left]
-        feature[node], threshold[node] = feat, thr
-        left[node] = new_node(rows_l, sub[in_left].reshape(n_features, rows_l.size), depth)
-        right[node] = new_node(rows_r, sub[~in_left].reshape(n_features, rows_r.size), depth)
+        goes_left = xt[feat] <= thr
+        go_left = goes_left[rows]
         n_leaves += 1
-    tree = _Tree(*(np.asarray(column, dtype=dtype) for column, (_, dtype)
-                   in zip((feature, threshold, left, right, value), _TREE_FIELDS)))
-    return tree, [(node_rows[nd], tree.value[nd]) for nd in node_rows
-                  if tree.feature[nd] < 0]
+        subs = None, None
+        if depth < config.max_depth and n_leaves < config.max_leaves:
+            in_left = goes_left[sub]
+            subs = sub[in_left].reshape(n_features, -1), sub[~in_left].reshape(n_features, -1)
+        nodes[node][:4] = (feat, thr, new_node(rows[go_left], subs[0], depth),
+                           new_node(rows[~go_left], subs[1], depth))
+    tree = _Tree(*(np.asarray(column, dtype=dtype)
+                   for column, (_, dtype) in zip(zip(*nodes), _TREE_FIELDS)))
+    return tree, [(rows, value) for feat, _, _, _, value, rows in nodes if feat < 0]
 
 
 def _probability(raw: np.ndarray) -> np.ndarray:
@@ -694,12 +702,16 @@ def train_gbm(x, y, config: GbmConfig | None = None,
     xt = np.ascontiguousarray(x.T)
     order = np.argsort(xt, axis=1, kind="stable")
     work = np.empty((6, xt.size)), np.empty(xt.size, dtype=bool)  # for _best_split
+    # every tree's root holds all rows, so its sorted columns are built once
+    n_cuts = max(0, x.shape[0] - 2 * config.min_samples_leaf + 1)
+    root = _sorted_columns(xt, order, config.min_samples_leaf, np.empty(xt.shape),
+                           np.empty((xt.shape[0], n_cuts), dtype=bool))
     trees = []
     for _ in range(config.n_estimators):
         p = sigmoid(z)
         grad = p - y
         hess = np.maximum(p * (1.0 - p), 1e-12)
-        tree, leaves = _grow_tree(xt, order, grad, hess, config, work)
+        tree, leaves = _grow_tree(xt, order, grad, hess, config, work, root)
         trees.append(tree)
         for rows, value in leaves:
             z[rows] += config.learning_rate * value

@@ -473,6 +473,42 @@ class TestExitLeaf:
         assert np.array_equal(out, expected)
 
 
+def _node_depths(tree):
+    depth = np.zeros(tree.feature.size, dtype=int)
+    for node in range(tree.feature.size):  # children come after their parent
+        if tree.feature[node] >= 0:
+            depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+    return depth
+
+
+def _searched_nodes(x, y, config):
+    """The model, and per tree the nodes that ``_best_split`` searched, in
+    call order, each found by the training rows that reach it."""
+    search, calls = learn._best_split, []
+
+    def counted_search(xt, grad, hess, order, *rest):
+        calls.append(np.sort(order[0]))
+        return search(xt, grad, hess, order, *rest)
+
+    with mock.patch.object(learn, "_best_split", counted_search):
+        model = train_gbm(x, y, config)
+    searched = []
+    for rows in calls:
+        if rows.size == len(x):  # every tree's first search is its root's
+            searched.append([])
+        searched[-1].append(rows.tobytes())
+    for tree, keys in zip(model.trees, searched):
+        node_of, stack = {}, [(0, np.arange(len(x)))]
+        while stack:
+            node, rows = stack.pop()
+            node_of[rows.tobytes()] = node
+            if tree.feature[node] >= 0:
+                go_left = x[rows, tree.feature[node]] <= tree.threshold[node]
+                stack += [(tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left])]
+        keys[:] = [node_of[key] for key in keys]
+    return model, searched
+
+
 class TestSplitSearch:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(2, 900),
@@ -504,13 +540,53 @@ class TestSplitSearch:
                            min_samples_leaf=max(1, int(leaf_share * n_rows)))
         search = learn._best_split
 
-        def checked_search(xt, grad, hess, rows, order, min_leaf, work):
+        def checked_search(xt, grad, hess, order, totals, min_leaf, work, columns):
+            rows = np.sort(order[0])  # a node's rows are ascending ids
             assert np.array_equal(order, rows[np.argsort(xt[:, rows], axis=1, kind="stable")])
-            return search(xt, grad, hess, rows, order, min_leaf, work)
+            assert totals == (grad[rows].sum(), hess[rows].sum())
+            assert (columns is not None) == (rows.size == xt.shape[1])  # the root's alone
+            return search(xt, grad, hess, order, totals, min_leaf, work, columns)
 
         with mock.patch.object(learn, "_best_split", checked_search):
             model = train_gbm(x, y, config)
         assert model.to_json() == train_gbm_direct(x, y, config)
+
+    @pytest.mark.parametrize("max_leaves, max_depth", [(8, 3), (5, 6), (3, 1), (64, 4)])
+    def test_searches_only_nodes_that_can_split(self, max_leaves, max_depth):
+        """Every node is searched but those at max_depth and the two children
+        of the split that fills max_leaves, which can never split."""
+        data = generate(SyntheticSpec("M1", 600, seed=12))
+        config = GbmConfig(n_estimators=6, max_leaves=max_leaves, max_depth=max_depth,
+                           min_samples_leaf=5)
+        model, searched = _searched_nodes(data.x, data.y, config)
+        assert len(searched) == config.n_estimators
+        skipped = depth_limited = 0  # depth_limited: searches of every node above max_depth
+        for tree, calls in zip(model.trees, searched):
+            depth = _node_depths(tree)
+            last_pair = set()
+            if (tree.feature >= 0).sum() + 1 == max_leaves:
+                last_pair = {tree.feature.size - 2, tree.feature.size - 1}
+            assert not any(depth[node] >= max_depth for node in calls)
+            assert not last_pair & set(calls)
+            want = [nd for nd in range(tree.feature.size)
+                    if depth[nd] < max_depth and nd not in last_pair]
+            assert sorted(calls) == want
+            skipped += sum(depth[nd] < max_depth for nd in last_pair)
+            depth_limited += int((depth < max_depth).sum())
+        assert sum(map(len, searched)) == depth_limited - skipped
+        if (max_leaves, max_depth) == (5, 6):
+            assert skipped > 0
+
+    @pytest.mark.parametrize("config", [
+        GbmConfig(n_estimators=20, max_leaves=8, max_depth=3),
+        GbmConfig(n_estimators=20, max_leaves=5, max_depth=6, min_samples_leaf=5),
+    ], ids=["baseline-fit", "leaf-budget"])
+    def test_matches_direct_at_fit_shapes(self, config):
+        """The retraining baseline's fit shape, and one bound by its leaf
+        budget, give the model JSON of the per-node-sort grower."""
+        data = generate(SyntheticSpec("M1", 600, seed=13))
+        assert train_gbm(data.x, data.y, config).to_json() == train_gbm_direct(
+            data.x, data.y, config)
 
     @pytest.mark.parametrize("lower, upper", [
         (0.0, np.inf),
